@@ -454,17 +454,21 @@ def classify(val: DivisorialValuation) -> str:
     return val.kind
 
 
-def is_npi(val: DivisorialValuation) -> bool:
-    """Exact test for non-positivity at infinity.
+def npi_excess(val: DivisorialValuation) -> int:
+    """Excess of ``2*phi_m*phi_f1 + delta*phi_f1**2`` over ``beta_bar[-1]``.
 
-    Special: ``2*phi_m*phi_f1 + delta*phi_f1**2 >= beta_bar[-1]``;
-    non-special uses the opposite sign on the quadratic term.
+    Non-special valuations take the opposite sign on the quadratic term.
+    The valuation is non-positive at infinity when the excess is
+    non-negative, and never minimal when it is positive.
     """
-    quad = val.delta * val.phi_f1 * val.phi_f1
-    base = 2 * val.phi_m * val.phi_f1
-    if val.is_special:
-        return base + quad >= val.last_contact
-    return base - quad >= val.last_contact
+    sign = 1 if val.is_special else -1
+    quad = sign * val.delta * val.phi_f1 * val.phi_f1
+    return 2 * val.phi_m * val.phi_f1 + quad - val.last_contact
+
+
+def is_npi(val: DivisorialValuation) -> bool:
+    """Exact test for non-positivity at infinity."""
+    return npi_excess(val) >= 0
 
 
 def germ_value(val: DivisorialValuation, germ: GermVector) -> int:
@@ -479,15 +483,6 @@ def germ_value(val: DivisorialValuation, germ: GermVector) -> int:
 @lru_cache(maxsize=None)
 def truncate_valuation(val: DivisorialValuation, k: int) -> DivisorialValuation:
     return divisorial_valuation(val.surface, truncate(val.config, k))
-
-
-@lru_cache(maxsize=None)
-def truncation_values(val: DivisorialValuation) -> tuple[int, ...]:
-    """Values of the curvettes at every stage: ``nu_r(phi_i)`` for ``i = 1..r``."""
-    truncs = _truncation_multiplicities(val.config)
-    return tuple(
-        sum(a * b for a, b in zip(val.m, truncs[i - 1])) for i in range(1, val.r + 1)
-    )
 
 
 def chain_value(val: DivisorialValuation, chain: Iterable[int]) -> int:

@@ -57,15 +57,7 @@ class NotPseudoeffective(HirzebruchError):
     """The divisor class admits no Zariski decomposition."""
 
 
-class WrongSignCase(HirzebruchError):
-    """A closed-form decomposition was requested for the wrong sign regime."""
-
-
-class GenericityViolation(HirzebruchError):
-    """The position contract on the divisor or flag point is violated."""
-
-
-class NegativePartOnEr(GenericityViolation):
+class NegativePartOnEr(HirzebruchError):
     """The last exceptional curve entered a negative part during a sweep."""
 
 
@@ -83,10 +75,6 @@ class NotBig(HirzebruchError):
 
 class NotNefBig(NotBig):
     """The operation requires a divisor that is both nef and big."""
-
-
-class UndefinedQ(HirzebruchError):
-    """A vertex formula degenerates (zero denominator) for these data."""
 
 
 class MinimalValuation(HirzebruchError):

@@ -16,7 +16,6 @@ from math import gcd
 
 from .cluster import (
     FlagValuation,
-    chain_value,
     eta_valuation,
     truncation_pairing,
 )
@@ -24,21 +23,20 @@ from .errors import (
     EtaNotNPI,
     MinimalValuation,
     NotNPI,
-    UndefinedQ,
     VerificationFailed,
 )
 from .lattice import dual_graph, precedes
 from .seshadri import (
     BigDivisor,
     as_divisor,
-    bigness_threshold,
     is_minimal,
     mu_hat,
-    theta,
     vol,
+    _positive_scale,
+    _require_big,
     _require_npi,
 )
-from .zariski import alpha_beta, t_values
+from .zariski import alpha_beta, t_values, _regime
 
 Point = tuple[Fraction, Fraction]
 
@@ -173,61 +171,29 @@ def q_points(flag: FlagValuation, d) -> QPoints:
     """Exact evaluation of the breakpoint vertices for a non-minimal valuation."""
     val = flag.base
     d = as_divisor(d)
-    _require_npi(val)
     if is_minimal(val, d):
         raise MinimalValuation("a minimal valuation has no breakpoint vertices")
-    th = theta(val, d)
     t_lo, t_hi = t_values(val, d)
-    delta = val.delta
-    phi_f, phi_m = val.phi_f1, val.phi_m
-
+    rec = _regime(val, d)
+    bot_lo = bot_hi = cap_y = Fraction(0)
     if flag.is_satellite:
-        eta_val = eta_valuation(flag)
-        nrpe = truncation_pairing(val.config, val.r, flag.eta)
-        fib_eta = chain_value(eta_val, val.config.f1_chain)
-        sec_eta = chain_value(eta_val, val.config.m_chain)
-    else:
-        nrpe = fib_eta = sec_eta = 0
-
-    if th >= 0:
-        bot_lo = Fraction(d.b * nrpe, phi_f)
-        bot_hi = Fraction(d.b * nrpe + th * fib_eta, phi_f)
-        gap_lo = gap_hi = Fraction(d.b, phi_f)
-    elif val.is_special:
-        if phi_m == 0:
-            raise UndefinedQ("section breakpoints are undefined with a zero section value")
-        denom = phi_m + delta * phi_f
-        bot_lo = Fraction(d.a * nrpe, phi_m)
-        gap_lo = Fraction(d.a, phi_m)
-        bot_hi = Fraction((d.a + d.b * delta) * nrpe - th * sec_eta, denom)
-        gap_hi = Fraction(d.a + d.b * delta, denom)
-    else:
-        w = phi_m - delta * phi_f
-        bot_lo = Fraction((d.a + d.b * delta) * nrpe, phi_m)
-        gap_lo = Fraction(d.a + d.b * delta, phi_m)
-        bot_hi = Fraction(d.a * nrpe - th * sec_eta, w)
-        gap_hi = Fraction(d.a, w)
-
-    mu = mu_hat(val, d)
-    if flag.is_satellite:
+        bot_lo, bot_hi = rec.at_stage(val, flag.eta)
         try:
-            cap_y = mu_hat(eta_val, d)
+            cap_y = mu_hat(eta_valuation(flag), d)
         except NotNPI as exc:
             raise EtaNotNPI(
                 f"the truncation at E{flag.eta} is not non-positive at infinity"
             ) from exc
-    else:
-        cap_y = Fraction(0)
 
     return QPoints(
-        theta=th,
+        theta=rec.theta,
         t_lower=t_lo,
         t_upper=t_hi,
         bottom_lower=(t_lo, bot_lo),
-        top_lower=(t_lo, bot_lo + gap_lo),
+        top_lower=(t_lo, bot_lo + rec.lower),
         bottom_upper=(t_hi, bot_hi),
-        top_upper=(t_hi, bot_hi + gap_hi),
-        cap=(mu, Fraction(cap_y)),
+        top_upper=(t_hi, bot_hi + Fraction(rec.upper, rec.denom)),
+        cap=(mu_hat(val, d), cap_y),
     )
 
 
@@ -251,11 +217,9 @@ def newton_okounkov_body(flag: FlagValuation, d) -> Polygon:
     val = flag.base
     d = as_divisor(d)
     _require_npi(val)
-    from .seshadri import _require_big
-
     _require_big(val, d)
     if not d.is_nef():
-        scale = d.b + Fraction(d.a, val.delta)
+        scale = _positive_scale(val.delta, d)
         return newton_okounkov_body(flag, BigDivisor(0, 1)).scaled(scale)
     if is_minimal(val, d):
         return cone_triangle(flag, d)
@@ -273,17 +237,20 @@ def newton_okounkov_body(flag: FlagValuation, d) -> Polygon:
 
 
 def sweep_breakpoints(flag: FlagValuation, d) -> list[Fraction]:
-    """Sample abscissas for the oracle: breakpoints plus midpoints."""
+    """Sample abscissas for the oracle: breakpoints plus midpoints.
+
+    A big class that is not nef samples the scaled range of the section
+    class.  On a center on the negative section that range ends below the
+    constant of the class, which also counts the value of the fixed part.
+    """
     val = flag.base
     d = as_divisor(d)
-    cap = bigness_threshold(val, d)
-    if d.is_nef():
-        lo, hi = t_values(val, d)
-    else:
-        scale = d.b + Fraction(d.a, val.delta)
-        m_lo, m_hi = t_values(val, BigDivisor(0, 1))
-        lo, hi = scale * m_lo, scale * m_hi
-    base = sorted({Fraction(0), lo, hi, cap})
+    _require_big(val, d)
+    if not d.is_nef():
+        scale = _positive_scale(val.delta, d)
+        return [scale * t for t in sweep_breakpoints(flag, BigDivisor(0, 1))]
+    lo, hi = t_values(val, d)
+    base = sorted({Fraction(0), lo, hi, mu_hat(val, d)})
     out = []
     for i, t in enumerate(base):
         if i:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cluster import DivisorialValuation, is_npi
+from .cluster import DivisorialValuation, npi_excess
 from .errors import NotBig, NotNPI, NotNefBig
 
 
@@ -34,13 +34,28 @@ def as_divisor(d) -> BigDivisor:
 
 
 def _require_npi(val: DivisorialValuation) -> None:
-    if not is_npi(val):
-        raise NotNPI("the valuation is not non-positive at infinity")
+    excess = npi_excess(val)
+    if excess < 0:
+        sign = "+" if val.is_special else "-"
+        raise NotNPI(
+            f"not non-positive at infinity: 2*phi_m*phi_f1 {sign} delta*phi_f1^2 = "
+            f"{val.last_contact + excess} < beta_bar[-1] = {val.last_contact}"
+        )
 
 
 def _require_big(val: DivisorialValuation, d: BigDivisor) -> None:
     if not d.is_big(val.delta):
         raise NotBig(f"{d.a} F + {d.b} M is not big on the delta={val.delta} surface")
+
+
+def _require_nef_big(val: DivisorialValuation, d: BigDivisor) -> None:
+    if not (d.is_nef() and d.is_big(val.delta)):
+        raise NotNefBig(f"{d.a} F + {d.b} M is not nef and big (delta={val.delta})")
+
+
+def _positive_scale(delta: int, d: BigDivisor) -> Fraction:
+    """Coefficient ``b + a/delta`` of ``M`` in the positive part of a non-nef class."""
+    return d.b + Fraction(d.a, delta)
 
 
 def theta(val: DivisorialValuation, d) -> int:
@@ -62,7 +77,7 @@ def vol(val: DivisorialValuation, d) -> Fraction:
     _require_big(val, d)
     if d.is_nef():
         return Fraction(2 * d.a * d.b + d.b * d.b * val.delta)
-    scale = d.b + Fraction(d.a, val.delta)
+    scale = _positive_scale(val.delta, d)
     return scale * scale * val.delta
 
 
@@ -81,23 +96,7 @@ def mu_hat(val: DivisorialValuation, d) -> Fraction:
         return Fraction((d.a + d.b * val.delta) * val.phi_f1 + d.b * val.phi_m)
     if d.a >= 0:
         return Fraction(d.a * val.phi_f1 + d.b * val.phi_m)
-    return (d.b + Fraction(d.a, val.delta)) * val.phi_m
-
-
-def bigness_threshold(val: DivisorialValuation, d) -> Fraction:
-    """Largest ``t`` with ``D* - t E_r`` big: the sweep range of the body.
-
-    Equals :func:`mu_hat` except for a non-nef class centered on the
-    negative section, where the fixed part of the linear systems carries
-    extra valuation.
-    """
-    d = as_divisor(d)
-    _require_npi(val)
-    _require_big(val, d)
-    if d.is_nef():
-        return mu_hat(val, d)
-    scale = d.b + Fraction(d.a, val.delta)
-    return scale * mu_hat(val, BigDivisor(0, 1))
+    return _positive_scale(val.delta, d) * val.phi_m
 
 
 def lower_bound(val: DivisorialValuation, d) -> tuple[Fraction, Fraction, bool]:
@@ -112,34 +111,22 @@ def lower_bound(val: DivisorialValuation, d) -> tuple[Fraction, Fraction, bool]:
     return mu * mu, rhs, mu * mu >= rhs
 
 
-def _equality_case(val: DivisorialValuation) -> bool:
-    quad = val.delta * val.phi_f1 * val.phi_f1
-    base = 2 * val.phi_m * val.phi_f1
-    if val.is_special:
-        return base + quad == val.last_contact
-    return base - quad == val.last_contact
-
-
 def is_minimal(val: DivisorialValuation, d) -> bool:
     """Whether the constant attains the volume lower bound for this class."""
     d = as_divisor(d)
     _require_npi(val)
-    if not (d.is_nef() and d.is_big(val.delta)):
-        raise NotNefBig("minimality is decided for nef and big classes")
-    result = _equality_case(val) and theta(val, d) == 0
+    _require_nef_big(val, d)
+    result = npi_excess(val) == 0 and theta(val, d) == 0
     mu2, rhs, holds = lower_bound(val, d)
-    assert holds and (mu2 == rhs) == result
+    if not (holds and (mu2 == rhs) == result):
+        raise AssertionError(f"bound {mu2} vs {rhs} contradicts minimality {result}")
     return result
 
 
 def never_minimal(val: DivisorialValuation) -> bool:
     """Strict inequality form: non-minimal with respect to every big class."""
     _require_npi(val)
-    quad = val.delta * val.phi_f1 * val.phi_f1
-    base = 2 * val.phi_m * val.phi_f1
-    if val.is_special:
-        return base + quad > val.last_contact
-    return base - quad > val.last_contact
+    return npi_excess(val) > 0
 
 
 def mu_hat_bisection_check(val: DivisorialValuation, d) -> bool:
@@ -153,8 +140,7 @@ def mu_hat_bisection_check(val: DivisorialValuation, d) -> bool:
 
     d = as_divisor(d)
     _require_npi(val)
-    if not (d.is_nef() and d.is_big(val.delta)):
-        raise NotNefBig("the bisection certificate needs a nef and big class")
+    _require_nef_big(val, d)
     mu = mu_hat(val, d)
     basis = curve_basis(val)
     base = pullback(val.delta, d.a, d.b, val.r)

@@ -1,42 +1,51 @@
 """Zariski decompositions on the base surface and on the blown-up surface.
 
-Two independent routes are provided.  The iterative engine
-(:func:`zariski_decompose`) grows the support of the negative part inside
-the finite list of cone generators until the remainder is nef, solving the
-orthogonality conditions exactly at each step.  The closed forms
-(:func:`closed_form_decomposition`) evaluate the explicit positive and
-negative parts at the two distinguished breakpoints of each sign regime, so
-the engine and the formulas can be checked against each other.
+The closed forms are the production route.  One sign-regime record
+(fiber, special section or non-special section) yields the breakpoints
+(:func:`t_values`), the negative parts there
+(:func:`closed_form_decomposition`) and the breakpoint vertices of the
+Newton-Okounkov body.  The iterative engine (:func:`zariski_decompose`)
+grows the support of the negative part inside the finite list of cone
+generators until the remainder is nef, solving the orthogonality conditions
+exactly at each step; it and the sweep built on it (:func:`alpha_beta`) are
+the independent oracles that the closed forms are checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cluster import (
     DivisorialValuation,
     FlagValuation,
     chain_value,
     truncate_valuation,
-    truncation_values,
+    truncation_pairing,
 )
 from .errors import (
     NegativePartOnEr,
     NotPseudoeffective,
-    WrongSignCase,
 )
 from .lattice import (
     CurveBasis,
     DivisorClassZ,
     curve_basis,
-    div_class,
     exceptional,
     is_negative_definite,
     pair,
     pullback,
 )
-from .seshadri import BigDivisor, as_divisor, mu_hat, theta, _require_npi
+from .seshadri import (
+    BigDivisor,
+    as_divisor,
+    mu_hat,
+    theta,
+    _positive_scale,
+    _require_nef_big,
+    _require_npi,
+)
 
 
 @dataclass(frozen=True)
@@ -88,8 +97,8 @@ def zariski_fano_base(delta: int, d) -> BaseDecomposition:
         raise NotPseudoeffective(f"{d.a} F + {d.b} M is not pseudoeffective")
     if d.a >= 0:
         return BaseDecomposition((Fraction(d.a), Fraction(d.b)), Fraction(0))
-    coeff = Fraction(-d.a, delta)
-    return BaseDecomposition((Fraction(0), d.b - coeff), coeff)
+    scale = _positive_scale(delta, d)
+    return BaseDecomposition((Fraction(0), scale), d.b - scale)
 
 
 def _solve(matrix, rhs):
@@ -162,11 +171,57 @@ def zariski_decompose(d: DivisorClassZ, basis: CurveBasis) -> ZariskiPair:
     )
 
 
-def _require_nef_big(val: DivisorialValuation, d: BigDivisor) -> None:
-    from .errors import NotNefBig
+class _Regime(NamedTuple):
+    """The sign regime behind every breakpoint formula.
 
-    if not (d.is_nef() and d.is_big(val.delta)):
-        raise NotNefBig("breakpoints are defined for nef and big classes")
+    ``theta >= 0`` selects the fiber regime (named curve ``F1``), otherwise
+    the special (``M0``) or non-special (``M1``) section regime.  With ``nu``
+    the value of a stage curvette and ``c`` that of the germ along ``chain``
+    under the stage valuation, the lower breakpoint gives ``lower * nu`` and
+    the upper one ``(upper * nu + sign * theta * c) / denom``.  The named
+    curve joins the negative part at the upper breakpoint with coefficient
+    ``sign * theta / denom``.
+    """
+
+    theta: int
+    lower: Fraction
+    upper: int
+    denom: int
+    named: str
+    chain: tuple[int, ...]
+    sign: int
+
+    def at_stage(self, val: DivisorialValuation, i: int) -> tuple[Fraction, Fraction]:
+        """Values on the stage-``i`` curvette at the lower and upper breakpoint.
+
+        Stage ``r`` gives the breakpoints themselves, stage ``i < r`` the
+        negative-part coefficient on ``E_i``.
+        """
+        # Stage r is the valuation itself: truncating would rebuild it.
+        stage = val if i == val.r else truncate_valuation(val, i)
+        nu = truncation_pairing(val.config, val.r, i)
+        c = chain_value(stage, self.chain)
+        return (
+            self.lower * nu,
+            Fraction(self.upper * nu + self.sign * self.theta * c, self.denom),
+        )
+
+
+def _regime(val: DivisorialValuation, d: BigDivisor) -> _Regime:
+    """The regime record of a nef and big class on an NPI valuation."""
+    _require_npi(val)
+    _require_nef_big(val, d)
+    a, b, delta = d.a, d.b, val.delta
+    phi_f, phi_m = val.phi_f1, val.phi_m
+    th = theta(val, d)
+    if th >= 0:
+        return _Regime(th, Fraction(b, phi_f), b, phi_f, "F1", val.config.f1_chain, 1)
+    m_chain = val.config.m_chain
+    if val.is_special:
+        denom = phi_m + delta * phi_f
+        return _Regime(th, Fraction(a, phi_m), a + b * delta, denom, "M0", m_chain, -1)
+    denom = phi_m - delta * phi_f
+    return _Regime(th, Fraction(a + b * delta, phi_m), a, denom, "M1", m_chain, -1)
 
 
 def t_values(val: DivisorialValuation, d) -> tuple[Fraction, Fraction]:
@@ -175,132 +230,37 @@ def t_values(val: DivisorialValuation, d) -> tuple[Fraction, Fraction]:
     Both are certified to lie between 0 and the Seshadri-type constant.
     """
     d = as_divisor(d)
-    _require_npi(val)
-    _require_nef_big(val, d)
-    th = theta(val, d)
-    total = val.last_contact
-    if th >= 0:
-        lo = Fraction(d.b * total, val.phi_f1)
-        hi = lo + th
-    elif val.is_special:
-        lo = Fraction(d.a * total, val.phi_m)
-        hi = Fraction(
-            (d.a + d.b * val.delta) * total - th * val.phi_m,
-            val.phi_m + val.delta * val.phi_f1,
-        )
-    else:
-        w = val.phi_m - val.delta * val.phi_f1
-        lo = Fraction((d.a + d.b * val.delta) * total, val.phi_m)
-        hi = Fraction(d.a * total - th * val.phi_m, w)
+    lo, hi = _regime(val, d).at_stage(val, val.r)
     mu = mu_hat(val, d)
     if not (0 <= lo <= hi <= mu):
         raise AssertionError(f"breakpoints {lo}, {hi} escape [0, {mu}]")
     return lo, hi
 
 
-def _scaled_exceptional_sum(val: DivisorialValuation) -> DivisorClassZ:
-    return div_class(val.delta, 0, 0, tuple(-x for x in val.m))
-
-
-def closed_form_decomposition(
-    val: DivisorialValuation, d, which: str, regime: str | None = None
-) -> ZariskiPair:
+def closed_form_decomposition(val: DivisorialValuation, d, which: str) -> ZariskiPair:
     """Exact positive and negative parts at a breakpoint, without iteration.
 
     ``which`` selects the ``lower`` or ``upper`` breakpoint of
-    :func:`t_values`.  The sign of the invariant together with the
-    classification picks one of the four regimes; passing ``regime``
-    ("fiber" for the non-negative sign, "section" for the negative one)
-    asserts the expectation and raises :class:`WrongSignCase` on mismatch.
+    :func:`t_values`.  The negative part is read off the regime record; the
+    positive part is what remains of the class.
     """
     d = as_divisor(d)
-    _require_npi(val)
-    _require_nef_big(val, d)
+    rec = _regime(val, d)
     if which not in ("lower", "upper"):
         raise ValueError("which must be 'lower' or 'upper'")
-    th = theta(val, d)
-    if regime is not None:
-        expected = "fiber" if th >= 0 else "section"
-        if regime != expected:
-            raise WrongSignCase(f"sign invariant {th} selects the {expected} regime")
+    k = 0 if which == "lower" else 1
+    comps = [(f"E{i}", rec.at_stage(val, i)[k]) for i in range(1, val.r)]
+    if which == "upper":
+        comps.insert(0, (rec.named, Fraction(rec.sign * rec.theta, rec.denom)))
+    comps = tuple((name, c) for name, c in comps if c != 0)
     basis = curve_basis(val)
-    values = truncation_values(val)
-    delta, r = val.delta, val.r
-    base = pullback(delta, d.a, d.b, r)
-    esum = _scaled_exceptional_sum(val)
-    f1_chain = val.config.f1_chain
-    m_chain = val.config.m_chain
-
-    def trunc_chain(i, chain):
-        return chain_value(truncate_valuation(val, i), chain)
-
-    def build(positive, named, coeff_fn):
-        comps = []
-        if named is not None and named[1] != 0:
-            comps.append(named)
-        for i in range(1, r):
-            c = coeff_fn(i)
-            if c != 0:
-                comps.append((f"E{i}", c))
-        order = {name: k for k, name in enumerate(basis.names)}
-        comps.sort(key=lambda nc: order[nc[0]])
-        return ZariskiPair(positive, tuple(comps), basis)
-
-    if th >= 0:
-        scale = Fraction(d.b, val.phi_f1)
-        if which == "lower":
-            positive = base + scale * esum
-            return build(positive, None, lambda i: scale * values[i - 1])
-        if val.is_special:
-            ray = div_class(delta, val.phi_m, val.phi_f1, tuple(-x for x in val.m))
-        else:
-            ray = div_class(
-                delta,
-                val.phi_m - delta * val.phi_f1,
-                val.phi_f1,
-                tuple(-x for x in val.m),
-            )
-        positive = scale * ray
-        named = ("F1", Fraction(th, val.phi_f1))
-        return build(
-            positive,
-            named,
-            lambda i: Fraction(
-                d.b * values[i - 1] + th * trunc_chain(i, f1_chain), val.phi_f1
-            ),
-        )
-
-    if val.is_special:
-        denom = val.phi_m + delta * val.phi_f1
-        if which == "lower":
-            scale = Fraction(d.a, val.phi_m)
-            positive = base + scale * esum
-            return build(positive, None, lambda i: scale * values[i - 1])
-        ray = div_class(delta, val.phi_m, val.phi_f1, tuple(-x for x in val.m))
-        positive = Fraction(d.a + d.b * delta, denom) * ray
-        named = ("M0", Fraction(-th, denom))
-        return build(
-            positive,
-            named,
-            lambda i: Fraction(
-                (d.a + d.b * delta) * values[i - 1] - th * trunc_chain(i, m_chain),
-                denom,
-            ),
-        )
-
-    w = val.phi_m - delta * val.phi_f1
-    if which == "lower":
-        scale = Fraction(d.a + d.b * delta, val.phi_m)
-        positive = base + scale * esum
-        return build(positive, None, lambda i: scale * values[i - 1])
-    ray = div_class(delta, w, val.phi_f1, tuple(-x for x in val.m))
-    positive = Fraction(d.a, w) * ray
-    named = ("M1", Fraction(-th, w))
-    return build(
-        positive,
-        named,
-        lambda i: Fraction(d.a * values[i - 1] - th * trunc_chain(i, m_chain), w),
+    t = rec.at_stage(val, val.r)[k]
+    positive = pullback(val.delta, d.a, d.b, val.r) - t * exceptional(
+        val.delta, val.r, val.r
     )
+    for name, c in comps:
+        positive = positive - c * basis.get(name)
+    return ZariskiPair(positive, comps, basis)
 
 
 def alpha_beta(flag: FlagValuation, d, t) -> tuple[Fraction, Fraction]:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import hirzebruch
 from hirzebruch import (
     GENERAL,
     SPECIAL,
@@ -18,6 +19,8 @@ from hirzebruch import (
 from hirzebruch.errors import ConfigurationError, EtaNotNPI
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
+# Put on PYTHONPATH of subprocesses so they import the package under test.
+PACKAGE_ROOT = str(Path(hirzebruch.__file__).resolve().parents[1])
 
 
 def special_example_valuation():

@@ -1,16 +1,21 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
-from conftest import CASES
+from conftest import CASES, PACKAGE_ROOT
 
 CLI = [sys.executable, "-m", "hirzebruch.cli"]
 
 
 def run_cli(*args):
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, check=False
+        CLI + list(args),
+        capture_output=True,
+        text=True,
+        check=False,
+        env={**os.environ, "PYTHONPATH": PACKAGE_ROOT},
     )
 
 
@@ -114,6 +119,7 @@ def test_body_of_non_npi_case_exits_2(tmp_path):
     out = run_cli("body", str(case))
     assert out.returncode == 2
     assert "NotNPI" in out.stderr
+    assert "delta*phi_f1^2 = 2 < beta_bar[-1] = 5" in out.stderr
     # classification alone still succeeds and reports the failed check
     out = run_cli("classify", str(case))
     assert out.returncode == 0

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hirzebruch import (
+    Configuration,
     Surface,
     build_configuration,
     curve_basis,
@@ -17,7 +18,8 @@ from hirzebruch import (
     precedes,
     pullback,
 )
-from hirzebruch.errors import DimensionMismatch
+from hirzebruch.cluster import ClusterPoint
+from hirzebruch.errors import DimensionMismatch, NotATree
 
 from conftest import (
     nonspecial_example_valuation,
@@ -123,6 +125,16 @@ def test_dual_graph_shipped_example_path_avoids_last_vertex():
     assert not precedes(graph, 12, 8)
     # walk the path from 1 to 8 explicitly
     assert precedes(graph, 7, 8)
+
+
+def test_dual_graph_rejects_a_non_tree():
+    # Built without build_configuration, which forbids p4 proximate to p1:
+    # the strict transforms of E1 and E3 then meet negatively.
+    points = (ClusterPoint(on_f1=True, on_m=True),) + (ClusterPoint(),) * 2
+    config = Configuration(points + (ClusterPoint(extra=1),))
+    val = divisorial_valuation(Surface(1), config)
+    with pytest.raises(NotATree, match="E1.E3 = -1"):
+        dual_graph(val)
 
 
 def test_precedes():

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,6 +25,7 @@ from hirzebruch import (
 from hirzebruch.errors import NotBig, NotNefBig, NotNPI
 
 from conftest import (
+    PACKAGE_ROOT,
     minimal_four_point_valuation,
     nonspecial_example_valuation,
     random_nef_big,
@@ -140,6 +144,31 @@ def test_shipped_examples_are_never_minimal():
 def test_is_minimal_requires_nef_big():
     with pytest.raises(NotNefBig):
         is_minimal(special_example_valuation(), (-1, 2))
+
+
+def test_is_minimal_cross_check_survives_optimisation():
+    # The check against the volume bound must not be an ``assert``, which
+    # ``python -O`` strips.
+    script = (
+        "import sys\n"
+        "import hirzebruch.seshadri as seshadri\n"
+        "from hirzebruch import Surface, build_configuration, divisorial_valuation\n"
+        "surface = Surface(0)\n"
+        "config = build_configuration(surface, [{'on_f1': True, 'on_m': True}])\n"
+        "seshadri.lower_bound = lambda val, d: (1, 2, False)\n"
+        "try:\n"
+        "    seshadri.is_minimal(divisorial_valuation(surface, config), (1, 1))\n"
+        "except AssertionError:\n"
+        "    print('raised', sys.flags.optimize)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        check=False,
+        env={**os.environ, "PYTHONPATH": PACKAGE_ROOT},
+    )
+    assert out.stdout.strip() == "raised 1", out.stderr
 
 
 def test_minimality_matches_squared_bound(corpus):

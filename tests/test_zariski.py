@@ -18,7 +18,7 @@ from hirzebruch import (
     zariski_decompose,
     zariski_fano_base,
 )
-from hirzebruch.errors import NotPseudoeffective, WrongSignCase
+from hirzebruch.errors import NotPseudoeffective
 
 from conftest import (
     nonspecial_example_valuation,
@@ -149,27 +149,26 @@ def test_breakpoints_coincide_when_theta_vanishes():
     assert lo == hi
 
 
-def test_closed_forms_match_engine_on_shipped_examples():
+def test_closed_forms_match_engine_on_shipped_examples(corpus):
+    # One nef and big divisor per corpus valuation (the corpus holds four
+    # cases per valuation): the engine is the only independent check of the
+    # negative-part coefficients below stage r.
     for val, d in (
         (special_example_valuation(), BigDivisor(1, 2)),
         (nonspecial_example_valuation(), BigDivisor(2, 5)),
+        *((val, d) for val, _, d in corpus[::4]),
     ):
         basis = curve_basis(val)
         lo, hi = t_values(val, d)
         for which, t in (("lower", lo), ("upper", hi)):
             closed = closed_form_decomposition(val, d, which)
-            cls = pullback(2, d.a, d.b, val.r) - t * exceptional(2, val.r, val.r)
+            cls = pullback(val.delta, d.a, d.b, val.r) - t * exceptional(
+                val.delta, val.r, val.r
+            )
             engine = zariski_decompose(cls, basis)
             assert closed.positive == engine.positive
             assert closed.components == engine.components
             assert_sound(closed, cls, basis)
-
-
-def test_closed_form_regime_guard():
-    val = special_example_valuation()
-    with pytest.raises(WrongSignCase):
-        closed_form_decomposition(val, (1, 2), "lower", regime="fiber")
-    closed_form_decomposition(val, (1, 2), "lower", regime="section")
 
 
 def test_closed_form_fiber_regime():
@@ -180,7 +179,7 @@ def test_closed_form_fiber_regime():
     basis = curve_basis(val)
     lo, hi = t_values(val, d)
     for which, t in (("lower", lo), ("upper", hi)):
-        closed = closed_form_decomposition(val, d, which, regime="fiber")
+        closed = closed_form_decomposition(val, d, which)
         cls = pullback(2, 10, 1, val.r) - t * exceptional(2, val.r, val.r)
         assert closed.positive == zariski_decompose(cls, basis).positive
         assert_sound(closed, cls, basis)
