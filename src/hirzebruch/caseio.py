@@ -85,6 +85,15 @@ def _expect(condition, message):
         raise CaseFormatError(message)
 
 
+def _integer(value, name: str) -> int:
+    # bool is an int subclass, but a JSON true is not a count.
+    _expect(
+        isinstance(value, int) and not isinstance(value, bool),
+        f"{name} must be an integer",
+    )
+    return value
+
+
 def case_from_mapping(data) -> Case:
     _expect(isinstance(data, dict), "case must be a JSON object")
     known = {"surface", "configuration", "beta_bar", "on_f1", "on_m", "flag", "divisor"}
@@ -93,8 +102,9 @@ def case_from_mapping(data) -> Case:
 
     surf = data.get("surface")
     _expect(isinstance(surf, dict), "missing surface object")
+    delta = _integer(surf.get("delta"), "surface.delta")
     try:
-        surface = Surface(int(surf.get("delta", -1)), surf.get("point_kind", "special"))
+        surface = Surface(delta, surf.get("point_kind", "special"))
     except ValueError as exc:
         raise CaseFormatError(str(exc)) from None
 
@@ -117,13 +127,14 @@ def case_from_mapping(data) -> Case:
         config = build_configuration(surface, conf["points"])
     else:
         beta = data["beta_bar"]
-        _expect(
-            isinstance(beta, list) and all(isinstance(x, int) for x in beta),
-            "beta_bar must be a list of integers",
-        )
-        config = from_maximal_contact(
-            surface, beta, int(data.get("on_f1", 1)), data.get("on_m")
-        )
+        _expect(isinstance(beta, list), "beta_bar must be a list of integers")
+        for k, x in enumerate(beta):
+            _integer(x, f"beta_bar[{k}]")
+        on_f1 = _integer(data.get("on_f1", 1), "on_f1")
+        on_m = data.get("on_m")
+        if on_m is not None:
+            _integer(on_m, "on_m")
+        config = from_maximal_contact(surface, beta, on_f1, on_m)
     valuation = divisorial_valuation(surface, config)
 
     flag_data = data.get("flag")
@@ -131,20 +142,17 @@ def case_from_mapping(data) -> Case:
     kind = flag_data.get("kind")
     _expect(kind in ("free", "satellite"), "flag kind must be 'free' or 'satellite'")
     if kind == "satellite":
-        _expect(isinstance(flag_data.get("eta"), int), "satellite flag needs 'eta'")
-        flag = flag_valuation(valuation, flag_data["eta"])
+        eta = _integer(flag_data.get("eta"), "flag.eta")
+        flag = flag_valuation(valuation, eta)
     else:
         _expect("eta" not in flag_data, "a free flag has no 'eta'")
         flag = flag_valuation(valuation, None)
 
     div = data.get("divisor")
-    _expect(
-        isinstance(div, dict)
-        and isinstance(div.get("a"), int)
-        and isinstance(div.get("b"), int),
-        "divisor must supply integers 'a' and 'b'",
-    )
-    return Case(surface, valuation, flag, BigDivisor(div["a"], div["b"]))
+    _expect(isinstance(div, dict), "missing divisor object")
+    a = _integer(div.get("a"), "divisor.a")
+    b = _integer(div.get("b"), "divisor.b")
+    return Case(surface, valuation, flag, BigDivisor(a, b))
 
 
 def load_case(path) -> Case:

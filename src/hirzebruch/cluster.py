@@ -14,11 +14,21 @@ Everything else is derived from this data by exact integer arithmetic: the
 multiplicity vector of the associated divisorial valuation, values of curve
 germs, the minimal generators of the value semigroup, the special or
 non-special classification and the non-positivity-at-infinity test.
+
+With ``P`` the proximity matrix, the multiplicities of the stage-``k``
+valuation solve ``P m = e_k`` and the values of the stage curvettes solve
+``P^T v = m``; since ``p_i`` is proximate to ``p_{i-1}`` and to
+``p_{extra(i)}``, the latter reads
+``nu(phi_i) = m_i + nu(phi_{i-1}) + nu(phi_{extra(i)})`` and costs O(r) per
+stage.  Each configuration builds its proximity lists once and keeps the
+curvette-value rows it has computed.  Pairing the materialised truncated
+multiplicity vectors gives the same values in O(r^2) per stage; the tests
+keep that route as an oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 from typing import Iterable, Mapping, Sequence
@@ -75,6 +85,21 @@ class Configuration:
     """A validated chain of infinitely near points."""
 
     points: tuple[ClusterPoint, ...]
+    # Derived per instance and left out of equality and hashing: the
+    # proximity lists, and the curvette-value rows by stage.
+    _prox: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _rows: dict[int, tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        prox: list[list[int]] = [[] for _ in self.points]
+        for j, p in enumerate(self.points, 1):
+            if j > 1:
+                prox[j - 2].append(j)
+            if p.extra is not None:
+                prox[p.extra - 1].append(j)
+        object.__setattr__(self, "_prox", tuple(map(tuple, prox)))
 
     @property
     def r(self) -> int:
@@ -88,14 +113,27 @@ class Configuration:
 
     def proximate_to(self, i: int, r: int | None = None) -> tuple[int, ...]:
         """Indices ``j <= r`` of the points proximate to ``p_i``."""
-        r = self.r if r is None else r
-        out = []
-        if i + 1 <= r:
-            out.append(i + 1)
-        for j in range(i + 2, r + 1):
-            if self.points[j - 1].extra == i:
-                out.append(j)
-        return tuple(out)
+        prox = self._prox[i - 1]
+        if r is None or r >= self.r:
+            return prox
+        return tuple(j for j in prox if j <= r)
+
+    def curvette_values(self, k: int) -> tuple[int, ...]:
+        """Values ``nu_k(phi_1), ..., nu_k(phi_r)`` of the stage curvettes
+        under the stage-``k`` valuation.
+
+        Solves ``P^T v = m^(k)`` forwards: each value is the stage-``k``
+        multiplicity (zero past ``k``) plus the values of the points it is
+        proximate to.
+        """
+        row = self._rows.get(k)
+        if row is None:
+            v = list(multiplicities(self, k)) + [0] * (self.r - k)
+            for i, prox in enumerate(self._prox):
+                for j in prox:
+                    v[j - 1] += v[i]
+            row = self._rows[k] = tuple(v)
+        return row
 
     @property
     def f1_chain(self) -> tuple[int, ...]:
@@ -115,6 +153,8 @@ def _coerce_point(rec, index: int):
         if unknown:
             raise ChainBroken([f"p{index}: unknown fields {sorted(unknown)}"])
         extra = rec.get("extra_proximity", rec.get("extra"))
+        if isinstance(extra, bool) or not isinstance(extra, (int, type(None))):
+            raise ChainBroken([f"p{index}: extra_proximity must be an integer"])
         return rec.get("parent"), extra, bool(rec.get("on_f1")), bool(rec.get("on_m"))
     raise ChainBroken([f"p{index}: unsupported point record {rec!r}"])
 
@@ -203,11 +243,6 @@ def multiplicities(config: Configuration, r: int | None = None) -> tuple[int, ..
     return tuple(m[1:])
 
 
-@lru_cache(maxsize=None)
-def _truncation_multiplicities(config: Configuration) -> tuple[tuple[int, ...], ...]:
-    return tuple(multiplicities(config, i) for i in range(1, config.r + 1))
-
-
 @dataclass(frozen=True)
 class GermVector:
     """Multiplicities of a curve germ at the points of a configuration."""
@@ -244,8 +279,7 @@ def curvette(config: Configuration, i: int) -> GermVector:
 
     Its multiplicities are those of the truncated valuation, padded by zeros.
     """
-    mi = _truncation_multiplicities(config)[i - 1]
-    return GermVector(mi + (0,) * (config.r - i))
+    return GermVector(multiplicities(config, i) + (0,) * (config.r - i))
 
 
 def fiber_germ(config: Configuration) -> GermVector:
@@ -266,18 +300,16 @@ def maximal_contact_values(config: Configuration, r: int | None = None) -> tuple
     coefficients), so the value semigroup is generated by the curvette
     values.  The minimal generating set is extracted with an exact
     subset-sum sieve; the appended last entry is the self-pairing of the
-    multiplicity vector, the reciprocal volume of the valuation.
+    multiplicity vector, the reciprocal volume of the valuation.  Both are
+    read from :meth:`Configuration.curvette_values`, so no truncated
+    configuration is built.
     """
     r = config.r if r is None else r
-    m = multiplicities(config, r)
-    total = sum(x * x for x in m)
+    row = config.curvette_values(r)[:r]
+    total = row[-1]
     if total >= _SEMIGROUP_VALUE_CAP:
         raise SemigroupOverflow(f"semigroup value bound {total} exceeds cap")
-    sub = config if r == config.r else truncate(config, r)
-    truncs = _truncation_multiplicities(sub)
-    values = sorted(
-        {sum(a * b for a, b in zip(m, truncs[i - 1])) for i in range(1, r + 1)}
-    )
+    values = sorted(set(row))
     mask = (1 << (total + 1)) - 1
     reach = 1
     generators = []
@@ -341,7 +373,8 @@ def from_maximal_contact(
     The generator quotients are expanded into Euclidean staircases, one per
     satellite block; a shortfall of the final value against the blocks is
     filled with trailing free points.  The result is validated by an exact
-    round trip through :func:`maximal_contact_values`.
+    round trip through :func:`maximal_contact_values`.  A final value at or
+    above the semigroup cap is refused before any point is built.
 
     ``on_f1`` and ``on_m`` give the lengths of the fiber and section chains;
     incidences are not determined by the value data.
@@ -368,15 +401,20 @@ def from_maximal_contact(
         if gens[j + 1] <= (e[j - 1] // e[j]) * gens[j]:
             raise NotRealizable("generators do not increase strongly enough")
 
-    mults: list[int] = []
+    if total >= _SEMIGROUP_VALUE_CAP:
+        raise SemigroupOverflow(f"final contact value {total} exceeds cap")
+    blocks = []
     if g >= 1:
-        mults.extend(_euclid_multiplicities(gens[1], gens[0]))
+        blocks.append((gens[1], gens[0]))
         for j in range(2, g + 1):
             n = e[j - 2] // e[j - 1]
-            mults.extend(_euclid_multiplicities(gens[j] - n * gens[j - 1], e[j - 1]))
-    tail = total - sum(x * x for x in mults)
+            blocks.append((gens[j] - n * gens[j - 1], e[j - 1]))
+    # The staircase of (a, b) has squared multiplicities summing to a * b, so
+    # the tail is known before anything is expanded.
+    tail = total - sum(a * b for a, b in blocks)
     if tail < 0:
         raise NotRealizable("final contact value is smaller than the blocks allow")
+    mults = [x for a, b in blocks for x in _euclid_multiplicities(a, b)]
     mults.extend([1] * tail)
     if not mults:
         raise NotRealizable("empty configuration")
@@ -493,8 +531,7 @@ def chain_value(val: DivisorialValuation, chain: Iterable[int]) -> int:
 def truncation_pairing(config: Configuration, i: int, j: int) -> int:
     """Noether pairing of two stages: the value of one curvette under the
     other truncated valuation (symmetric in ``i`` and ``j``)."""
-    truncs = _truncation_multiplicities(config)
-    return sum(a * b for a, b in zip(truncs[i - 1], truncs[j - 1]))
+    return config.curvette_values(i)[j - 1]
 
 
 @dataclass(frozen=True)

@@ -62,9 +62,6 @@ class DivisorClassZ:
 
     __mul__ = __rmul__
 
-    def is_zero(self) -> bool:
-        return self.f == 0 and self.m == 0 and all(a == 0 for a in self.e)
-
 
 def div_class(delta: int, f=0, m=0, e=()) -> DivisorClassZ:
     return DivisorClassZ(delta, _frac(f), _frac(m), tuple(_frac(x) for x in e))

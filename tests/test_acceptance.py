@@ -39,7 +39,7 @@ from conftest import (
     random_flag,
 )
 from test_cluster import brute_force_values, monoid_elements
-from test_okounkov import _conforming_satellite
+from test_okounkov import _conforming_satellite, _listed_and_unlisted
 from test_zariski import assert_sound
 
 
@@ -223,8 +223,6 @@ def test_criterion_09_collinearity(corpus):
     # the rule's polygon (origin, the two kept points, cap) has doubled area
     # short of vol(D), while the body, the hull of all six candidates,
     # attains 2 * area = vol(D).
-    from hirzebruch.lattice import dual_graph, precedes
-
     origin = (fr(0), fr(0))
     conforming = 0
     counterexamples = 0
@@ -234,12 +232,7 @@ def test_criterion_09_collinearity(corpus):
             qp = q_points(flag, d)
         except MinimalValuation:
             continue
-        if flag.is_satellite and not precedes(dual_graph(val), val.r, flag.eta):
-            listed = (qp.bottom_lower, qp.bottom_upper)
-            unlisted = (qp.top_lower, qp.top_upper)
-        else:
-            listed = (qp.top_lower, qp.top_upper)
-            unlisted = (qp.bottom_lower, qp.bottom_upper)
+        listed, unlisted = _listed_and_unlisted(val, flag, qp)
         collinear = all(_cross(origin, qp.cap, p) == 0 for p in unlisted)
         if _conforming_satellite(val, flag):
             assert collinear, (val, flag.eta, d)

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import CASES, PACKAGE_ROOT
 
 CLI = [sys.executable, "-m", "hirzebruch.cli"]
@@ -141,6 +143,34 @@ def test_case_schema_violations_exit_2(tmp_path):
     out = run_cli("classify", str(case))
     assert out.returncode == 2
     assert "CaseFormatError" in out.stderr
+
+
+@pytest.mark.parametrize(
+    "path, value, field",
+    [
+        (("surface", "delta"), None, "surface.delta"),
+        (("on_m",), [1], "on_m"),
+        (("on_m",), {}, "on_m"),
+        (("on_m",), "x", "on_m"),
+        (("on_f1",), "x", "on_f1"),
+        (("on_f1",), 1.7, "on_f1"),
+        (("divisor", "a"), True, "divisor.a"),
+        (("divisor", "b"), 2.0, "divisor.b"),
+        (("beta_bar", 1), True, "beta_bar[1]"),
+        (("flag", "eta"), True, "flag.eta"),
+    ],
+)
+def test_mistyped_case_fields_exit_2(tmp_path, path, value, field):
+    case = json.loads((CASES / "special_f2.json").read_text())
+    *outer, last = path
+    target = case
+    for key in outer:
+        target = target[key]
+    target[last] = value
+    out = run_cli("classify", str(write_case(tmp_path, "typed.json", case)))
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert f"CaseFormatError: {field} must be an integer" in out.stderr
 
 
 def test_output_is_deterministic(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import random
 from math import gcd
 
@@ -24,6 +25,7 @@ from hirzebruch import (
     section_germ,
     truncate_valuation,
 )
+from hirzebruch import cluster
 from hirzebruch.cluster import chain_value, truncation_pairing
 from hirzebruch.errors import (
     BadIncidence,
@@ -32,9 +34,12 @@ from hirzebruch.errors import (
     DimensionMismatch,
     NotRealizable,
     NotSatellite,
+    SemigroupOverflow,
 )
+from hirzebruch.okounkov import cone_rays
 
 from conftest import (
+    CASES,
     minimal_four_point_valuation,
     nonspecial_example_valuation,
     random_valuation,
@@ -87,6 +92,62 @@ def brute_force_values(config):
     return values
 
 
+def ladder_beta_bar(family, r):
+    """The benchmark ladder at ``r`` points: ``special_f2`` with its free tail
+    extended (``tail``), or one satellite block (``block``)."""
+    if family == "tail":
+        return [20, 28, 153, 612 + (r - 12)]
+    return [r - 1, r, (r - 1) * r]
+
+
+def ladder_configuration(family, r):
+    beta_bar = ladder_beta_bar(family, r)
+    on_m = 2 if family == "tail" else 1
+    return from_maximal_contact(Surface(2, SPECIAL), beta_bar, 1, on_m)
+
+
+def scanned_proximate_to(config, i, r):
+    """Points ``j <= r`` proximate to ``p_i``, by scanning every later point."""
+    return tuple(
+        j for j in range(i + 1, r + 1) if j == i + 1 or config.extra(j) == i
+    )
+
+
+def sieved_contact_values(config, r):
+    """Materialised-truncation oracle for :func:`maximal_contact_values`: pair
+    the stage-``r`` multiplicities with every truncated multiplicity vector
+    and sieve the minimal generators out of the sorted values."""
+    m = multiplicities(config, r)
+    total = sum(x * x for x in m)
+    truncs = [multiplicities(config, i) for i in range(1, r + 1)]
+    values = sorted({sum(a * b for a, b in zip(m, t)) for t in truncs})
+    reach = [True] + [False] * total
+    generators = []
+    for v in values:
+        if reach[v]:
+            continue
+        generators.append(v)
+        for s in range(v, total + 1):
+            if reach[s - v]:
+                reach[s] = True
+    return tuple(generators) + (total,)
+
+
+def assert_matches_truncation_oracle(config):
+    r = config.r
+    truncs = [multiplicities(config, i) for i in range(1, r + 1)]
+    for i in range(1, r + 1):
+        assert config.proximate_to(i) == scanned_proximate_to(config, i, r)
+        for j in range(1, r + 1):
+            expected = sum(a * b for a, b in zip(truncs[i - 1], truncs[j - 1]))
+            assert truncation_pairing(config, i, j) == expected, (i, j)
+            assert truncation_pairing(config, j, i) == expected, (j, i)
+    for k in {1, r // 2 or 1, r - 1 or 1, r}:
+        for i in range(1, k + 1):
+            assert config.proximate_to(i, k) == scanned_proximate_to(config, i, k)
+        assert maximal_contact_values(config, k) == sieved_contact_values(config, k)
+
+
 def monoid_elements(generators, bound):
     reachable = [False] * (bound + 1)
     reachable[0] = True
@@ -127,6 +188,15 @@ def test_broken_parent_chain_is_reported():
         build_configuration(
             Surface(0),
             [{"on_f1": True, "on_m": True}, {"parent": 3}, {}],
+        )
+
+
+@pytest.mark.parametrize("extra", [1.0, True, "1", [1]])
+def test_extra_proximity_must_be_an_integer(extra):
+    with pytest.raises(ChainBroken, match="extra_proximity must be an integer"):
+        build_configuration(
+            Surface(0),
+            [{"on_f1": True, "on_m": True}, {}, {"extra_proximity": extra}],
         )
 
 
@@ -277,6 +347,26 @@ def test_from_contact_values_rejects_bad_sequences():
             from_maximal_contact(Surface(0), seq)
 
 
+def test_contact_value_cap_is_checked_before_expansion(monkeypatch, tmp_path, capsys):
+    from hirzebruch import cli
+
+    def expanded(*args):
+        raise AssertionError("the configuration was expanded before the cap check")
+
+    monkeypatch.setattr(cluster, "_SEMIGROUP_VALUE_CAP", 1000)
+    monkeypatch.setattr(cluster, "_euclid_multiplicities", expanded)
+    monkeypatch.setattr(cluster, "_proximities_from_multiplicities", expanded)
+    beta_bar = [20, 28, 153, 5000]
+    with pytest.raises(SemigroupOverflow):
+        from_maximal_contact(Surface(2, SPECIAL), beta_bar, 1, 2)
+
+    case = json.loads((CASES / "special_f2.json").read_text())
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({**case, "beta_bar": beta_bar}), encoding="utf-8")
+    assert cli.main(["classify", str(path)]) == 2
+    assert "SemigroupOverflow" in capsys.readouterr().err
+
+
 def test_round_trip_reproduces_multiplicities():
     rng = random.Random(11)
     for _ in range(30):
@@ -329,6 +419,49 @@ def test_germ_value_is_additive():
 
 
 # ----------------------------------------------------------------- truncations
+
+
+def test_curvette_values_match_truncation_oracle_on_corpus(corpus):
+    for val in dict.fromkeys(val for val, _, _ in corpus):
+        assert_matches_truncation_oracle(val.config)
+
+
+def test_curvette_values_match_truncation_oracle_on_random_draws():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        val = random_valuation(rng, r_max=12, max_total=20_000, require_npi=False)
+        assert_matches_truncation_oracle(val.config)
+
+
+@pytest.mark.parametrize("r", [17, 92])
+@pytest.mark.parametrize("family", ["tail", "block"])
+def test_curvette_values_match_truncation_oracle_on_ladder(family, r):
+    config = ladder_configuration(family, r)
+    assert config.r == r
+    assert_matches_truncation_oracle(config)
+
+
+@pytest.mark.parametrize("family", ["tail", "block"])
+def test_cluster_layer_calls_stay_constant_in_r(monkeypatch, family):
+    # At r = 1012 the materialised truncations took one multiplicity solve
+    # per stage; the curvette-value rows need one per stage asked for.
+    counts = {"multiplicities": 0, "truncate": 0}
+    for name in counts:
+        original = getattr(cluster, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(cluster, name, counted)
+    r = 1012
+    config = ladder_configuration(family, r)
+    val = divisorial_valuation(Surface(2, SPECIAL), config)
+    assert val.r == r
+    assert val.beta_bar == tuple(ladder_beta_bar(family, r))
+    cone_rays(flag_valuation(val, r - 1))
+    assert counts["multiplicities"] <= 3
+    assert counts["truncate"] == 0
 
 
 def test_eta_valuation_requires_satellite_flag():

@@ -360,10 +360,23 @@ def _conforming_satellite(val, flag):
     return True
 
 
-def test_collinearity_holds_on_conforming_flags(corpus):
-    from hirzebruch.lattice import dual_graph, precedes
-    from hirzebruch.errors import MinimalValuation
+def _listed_and_unlisted(val, flag, qp):
+    """The breakpoint points the vertex-selection rule keeps, and the two it
+    leaves out (claimed collinear with the origin and the cap).
 
+    The lower points are kept when the flag divisor separates, that is on a
+    satellite flag whose ``E_eta`` does not precede ``E_r``; otherwise the
+    upper ones.  Shared by criterion 9 and
+    ``test_collinearity_holds_on_conforming_flags``.
+    """
+    lower = (qp.bottom_lower, qp.bottom_upper)
+    upper = (qp.top_lower, qp.top_upper)
+    if flag.is_satellite and not precedes(dual_graph(val), val.r, flag.eta):
+        return lower, upper
+    return upper, lower
+
+
+def test_collinearity_holds_on_conforming_flags(corpus):
     origin = (fr(0), fr(0))
     checked = 0
     for val, flag, d in corpus:
@@ -373,14 +386,11 @@ def test_collinearity_holds_on_conforming_flags(corpus):
             qp = q_points(flag, d)
         except MinimalValuation:
             continue
-        if flag.is_satellite and not precedes(dual_graph(val), val.r, flag.eta):
-            unlisted = (qp.top_lower, qp.top_upper)
-        else:
-            unlisted = (qp.bottom_lower, qp.bottom_upper)
+        _, unlisted = _listed_and_unlisted(val, flag, qp)
         for p in unlisted:
             assert _cross(origin, qp.cap, p) == 0
         checked += 1
-    assert checked >= 30
+    assert checked >= 150
 
 
 def test_random_minimal_valuations_fill_the_triangle():
