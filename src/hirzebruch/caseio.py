@@ -223,11 +223,14 @@ def body_payload(case: Case, verify: bool = False, oracle: bool = False):
     }
     if flag.is_satellite:
         payload["flag"]["eta"] = flag.eta
-    report = None
+    report = verify_body(flag, d) if verify else None
     if oracle:
-        payload["oracle_vertices"] = _vertices(sweep_body(flag, d))
-    if verify:
-        report = verify_body(flag, d)
+        # Verification has already swept the body unless it skipped the oracle.
+        sweep = report.sweep if report is not None else None
+        if sweep is None:
+            sweep = sweep_body(flag, d)
+        payload["oracle_vertices"] = _vertices(sweep)
+    if report is not None:
         payload["verification"] = [list(item) for item in report.checks]
     return payload, body, triangle, report
 

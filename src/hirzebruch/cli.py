@@ -4,7 +4,7 @@
 minimality and the Seshadri-type constant of a case; ``body`` computes the
 Newton-Okounkov polygon with optional verification, oracle output and an
 SVG plot.  Exit codes: 0 success, 2 validation failure, 3 verification
-failure.
+failure or a broken internal invariant.
 """
 
 from __future__ import annotations

@@ -90,6 +90,10 @@ class VerificationFailed(HirzebruchError):
         super().__init__(f"{clause}: {detail}")
 
 
+class InvariantBroken(VerificationFailed):
+    """An internal invariant of the library failed; ``clause`` names it."""
+
+
 class CaseFormatError(HirzebruchError):
     """A case file does not follow the documented schema."""
 

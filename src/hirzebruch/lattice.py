@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
 
 from .cluster import NON_SPECIAL, SPECIAL, DivisorialValuation
-from .errors import DimensionMismatch, NotATree
+from .errors import DimensionMismatch, InvariantBroken, NotATree
 
 
 def _frac(x) -> Fraction:
@@ -112,6 +113,31 @@ class CurveBasis:
     def exceptional(self, i: int) -> DivisorClassZ:
         return self.get(f"E{i}")
 
+    @cached_property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        """The integer Gram matrix of the generators, built on first use.
+
+        Every generator has integer coordinates, with at most a chain of
+        non-zero exceptional ones, so each entry is a short integer sum.
+        """
+        sparse = []
+        for name, c in self.items():
+            coords = (c.f, c.m, *c.e)
+            if any(x.denominator != 1 for x in coords):
+                raise InvariantBroken("integral basis", f"{name} = {coords}")
+            e = {j: int(x) for j, x in enumerate(c.e) if x}
+            sparse.append((int(c.f), int(c.m), e))
+        delta = self.delta
+        rows = []
+        for f, m, e in sparse:
+            row = []
+            for g, n, e2 in sparse:
+                short, long_ = (e, e2) if len(e) <= len(e2) else (e2, e)
+                dot = sum(v * long_.get(j, 0) for j, v in short.items())
+                row.append(f * n + m * g + delta * m * n - dot)
+            rows.append(tuple(row))
+        return tuple(rows)
+
 
 @lru_cache(maxsize=None)
 def curve_basis(val: DivisorialValuation) -> CurveBasis:
@@ -152,12 +178,13 @@ def dual_graph(val: DivisorialValuation) -> tuple[tuple[int, ...], ...]:
     """Adjacency lists of the exceptional curves, checked to form a tree."""
     basis = curve_basis(val)
     r = val.r
-    strict = [basis.exceptional(i) for i in range(1, r + 1)]
+    first = basis.names.index("E1")
+    strict = basis.gram[first:]
     adj: list[list[int]] = [[] for _ in range(r + 1)]
     edges = 0
     for i in range(1, r + 1):
         for j in range(i + 1, r + 1):
-            p = pair(strict[i - 1], strict[j - 1])
+            p = strict[i - 1][first + j - 1]
             if p not in (0, 1):
                 raise NotATree(f"E{i}.E{j} = {p}")
             if p == 1:
@@ -204,25 +231,63 @@ def is_nef_against(d: DivisorClassZ, basis: CurveBasis) -> bool:
     return all(pair(d, c) >= 0 for c in basis.classes)
 
 
+def bareiss(a: list[list[int]], pivoting: bool) -> list[int]:
+    """Fraction-free elimination of an integer matrix, in place (Bareiss 1968).
+
+    The rows of ``a`` are eliminated below the diagonal of the leading
+    square block; further columns, such as a right-hand side, are carried
+    along.  Every division is exact.  Returns the pivots, stopping after the
+    first zero one.  Without ``pivoting`` pivot ``k`` is the leading
+    principal minor of order ``k + 1``.  With it a zero pivot is replaced by
+    the first non-zero entry below it in its column; the matrix is singular
+    exactly when a zero pivot remains, and otherwise the last pivot is its
+    determinant up to sign.
+    """
+    n = len(a)
+    pivots = []
+    prev = 1
+    for k in range(n):
+        if pivoting and a[k][k] == 0:
+            below = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if below is not None:
+                a[k], a[below] = a[below], a[k]
+        row = a[k]
+        p = row[k]
+        pivots.append(p)
+        if p == 0:
+            break
+        for i in range(k + 1, n):
+            other = a[i]
+            f = other[k]
+            for j in range(k + 1, len(row)):
+                other[j] = (p * other[j] - f * row[j]) // prev
+        prev = p
+    return pivots
+
+
+def definiteness_failure(gram) -> tuple[int, int] | None:
+    """The first leading principal minor of an integer Gram matrix whose sign
+    breaks negative definiteness, as ``(order, minor)``, or ``None``.
+
+    The minor of order ``k`` of a negative definite matrix has sign
+    ``(-1)^k``.
+    """
+    pivots = bareiss([list(row) for row in gram], pivoting=False)
+    for k, minor in enumerate(pivots, 1):
+        if minor == 0 or (minor > 0) != (k % 2 == 0):
+            return k, minor
+    return None
+
+
 def is_negative_definite(classes) -> bool:
     """Exact negative-definiteness of the Gram matrix of the given classes.
 
-    Gaussian elimination without pivoting: the leading principal minors
-    alternate in sign exactly when every pivot is negative.
+    The rational Gram matrix is scaled to an integer one by a positive
+    integer, which keeps the signs of its leading principal minors.
     """
     classes = list(classes)
     if not classes:
         raise ValueError("need at least one class")
-    n = len(classes)
     g = [[pair(a, b) for b in classes] for a in classes]
-    for k in range(n):
-        piv = g[k][k]
-        if piv >= 0:
-            return False
-        for i in range(k + 1, n):
-            factor = g[i][k] / piv
-            if factor == 0:
-                continue
-            for j in range(k, n):
-                g[i][j] -= factor * g[k][j]
-    return True
+    scale = lcm(*(x.denominator for row in g for x in row))
+    return definiteness_failure([[int(x * scale) for x in row] for row in g]) is None

@@ -21,6 +21,7 @@ from .cluster import (
 )
 from .errors import (
     EtaNotNPI,
+    InvariantBroken,
     MinimalValuation,
     NotNPI,
     VerificationFailed,
@@ -144,7 +145,7 @@ def cone_triangle(flag: FlagValuation, d) -> Polygon:
         pts.append((mu, mu * Fraction(ry, rx)))
     poly = Polygon.from_points(pts)
     if len(poly.vertices) != 3:
-        raise AssertionError(f"degenerate value cone: {poly.vertices}")
+        raise InvariantBroken("cone", f"degenerate value cone: {poly.vertices}")
     return poly
 
 

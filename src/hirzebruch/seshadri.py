@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cluster import DivisorialValuation, npi_excess
-from .errors import NotBig, NotNPI, NotNefBig
+from .errors import InvariantBroken, NotBig, NotNPI, NotNefBig
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,9 @@ def is_minimal(val: DivisorialValuation, d) -> bool:
     result = npi_excess(val) == 0 and theta(val, d) == 0
     mu2, rhs, holds = lower_bound(val, d)
     if not (holds and (mu2 == rhs) == result):
-        raise AssertionError(f"bound {mu2} vs {rhs} contradicts minimality {result}")
+        raise InvariantBroken(
+            "minimality", f"bound {mu2} vs {rhs} contradicts minimality {result}"
+        )
     return result
 
 

@@ -9,12 +9,21 @@ grows the support of the negative part inside the finite list of cone
 generators until the remainder is nef, solving the orthogonality conditions
 exactly at each step; it and the sweep built on it (:func:`alpha_beta`) are
 the independent oracles that the closed forms are checked against.
+
+The engine runs on the integer Gram matrix held by the curve basis.  The
+pairings of the class with the generators are computed once; after each
+solve the remainder's pairings are updated by linearity, and the positive
+class is built once, at the end.  Each support system is solved by
+fraction-free Bareiss elimination, whose pivots without row exchanges also
+give the leading minors behind the definiteness check.  The dense
+``Fraction`` engine it replaced is kept in the tests as the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .cluster import (
@@ -25,15 +34,17 @@ from .cluster import (
     truncation_pairing,
 )
 from .errors import (
+    InvariantBroken,
     NegativePartOnEr,
     NotPseudoeffective,
 )
 from .lattice import (
     CurveBasis,
     DivisorClassZ,
+    bareiss,
     curve_basis,
+    definiteness_failure,
     exceptional,
-    is_negative_definite,
     pair,
     pullback,
 )
@@ -101,26 +112,24 @@ def zariski_fano_base(delta: int, d) -> BaseDecomposition:
     return BaseDecomposition((Fraction(0), scale), d.b - scale)
 
 
-def _solve(matrix, rhs):
-    # Gaussian elimination with partial pivoting over exact rationals.
-    n = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = None
-        for row in range(col, n):
-            if a[row][col] != 0:
-                piv = row
-                break
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for row in range(n):
-            if row != col and a[row][col] != 0:
-                factor = a[row][col]
-                a[row] = [x - factor * y for x, y in zip(a[row], a[col])]
-    return [a[i][n] for i in range(n)]
+def _solve(gram, support: list[int], rhs: list[int]) -> tuple[list[int], int] | None:
+    """Integer solution ``x / det`` of the support system, or ``None``.
+
+    Fraction-free elimination with the first non-zero entry of each column
+    as pivot, then back substitution; ``None`` means singular.
+    """
+    n = len(support)
+    a = [[gram[i][j] for j in support] + [rhs[i]] for i in support]
+    pivots = bareiss(a, pivoting=True)
+    det = pivots[-1]
+    if det == 0:
+        return None
+    x = [0] * n
+    for i in reversed(range(n)):
+        row = a[i]
+        s = det * row[n] - sum(row[j] * x[j] for j in range(i + 1, n))
+        x[i] = s // row[i]
+    return x, det
 
 
 def zariski_decompose(d: DivisorClassZ, basis: CurveBasis) -> ZariskiPair:
@@ -131,44 +140,68 @@ def zariski_decompose(d: DivisorClassZ, basis: CurveBasis) -> ZariskiPair:
     the remainder still meets negatively.  The support only grows, so the
     loop stabilizes; failure to produce non-negative coefficients with a
     negative-definite support means the class is not pseudoeffective.
+
+    Runs on the integer Gram matrix held by the basis: the pairings of
+    ``d`` with the generators are scaled to integers once, and those of the
+    remainder follow from them by linearity.
     """
-    items = basis.items()
-    gram = [[pair(a, b) for _, b in items] for _, a in items]
-    inner = [pair(d, c) for _, c in items]
+    names = basis.names
+    gram = basis.gram
+    n = len(names)
+    inner = [pair(d, c) for c in basis.classes]
+    scale = lcm(*(x.denominator for x in inner))
+    rhs = [int(x * scale) for x in inner]
+    # The remainder's pairings are ``rest[k] / (det * scale)``.
     support: list[int] = []
-    coeffs: list[Fraction] = []
-    for _ in range(len(items) + 1):
+    x: list[int] = []
+    det = 1
+    rest = rhs
+    for _ in range(n + 1):
         if support:
-            sub = [[gram[i][j] for j in support] for i in support]
-            rhs = [inner[i] for i in support]
-            solved = _solve(sub, rhs)
+            solved = _solve(gram, support, rhs)
             if solved is None:
-                raise NotPseudoeffective("orthogonality system is singular")
-            coeffs = solved
-            positive = d
-            for idx, lam in zip(support, coeffs):
-                positive = positive - lam * items[idx][1]
-        else:
-            positive = d
-        bad = [
-            k
-            for k in range(len(items))
-            if k not in support and pair(positive, items[k][1]) < 0
-        ]
+                raise NotPseudoeffective(
+                    f"{_named(names, support)}: orthogonality system is singular"
+                )
+            x, det = solved
+            rest = [
+                det * rhs[k] - sum(xi * gram[i][k] for i, xi in zip(support, x))
+                for k in range(n)
+            ]
+        inside = set(support)
+        bad = [k for k in range(n) if k not in inside and rest[k] * det < 0]
         if not bad:
             break
         support.extend(bad)
     else:
-        raise NotPseudoeffective("support enlargement did not stabilize")
-    if any(c < 0 for c in coeffs):
-        raise NotPseudoeffective("negative part would need a negative coefficient")
-    chosen = [(idx, c) for idx, c in zip(support, coeffs) if c > 0]
-    chosen.sort(key=lambda pc: pc[0])
-    if chosen and not is_negative_definite([items[idx][1] for idx, _ in chosen]):
-        raise NotPseudoeffective("support Gram matrix is not negative definite")
-    return ZariskiPair(
-        positive, tuple((items[idx][0], c) for idx, c in chosen), basis
-    )
+        raise NotPseudoeffective(
+            f"{_named(names, support)}: support enlargement did not stabilize"
+        )
+    coeffs = [Fraction(xi, det * scale) for xi in x]
+    for idx, c in zip(support, coeffs):
+        if c < 0:
+            raise NotPseudoeffective(
+                f"{_named(names, support)}: negative part would need a negative "
+                f"coefficient, {names[idx]} = {c}"
+            )
+    chosen = sorted((idx, c) for idx, c in zip(support, coeffs) if c > 0)
+    if chosen:
+        rows = [idx for idx, _ in chosen]
+        failure = definiteness_failure([[gram[i][j] for j in rows] for i in rows])
+        if failure is not None:
+            order, minor = failure
+            raise NotPseudoeffective(
+                f"{_named(names, rows)}: support Gram matrix is not negative "
+                f"definite, leading minor {order} is {minor}"
+            )
+    positive = d
+    for idx, c in chosen:
+        positive = positive - c * basis.classes[idx]
+    return ZariskiPair(positive, tuple((names[idx], c) for idx, c in chosen), basis)
+
+
+def _named(names, indices) -> str:
+    return "support " + ", ".join(names[i] for i in sorted(indices))
 
 
 class _Regime(NamedTuple):
@@ -233,7 +266,7 @@ def t_values(val: DivisorialValuation, d) -> tuple[Fraction, Fraction]:
     lo, hi = _regime(val, d).at_stage(val, val.r)
     mu = mu_hat(val, d)
     if not (0 <= lo <= hi <= mu):
-        raise AssertionError(f"breakpoints {lo}, {hi} escape [0, {mu}]")
+        raise InvariantBroken("breakpoints", f"{lo}, {hi} escape [0, {mu}]")
     return lo, hi
 
 

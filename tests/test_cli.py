@@ -208,3 +208,25 @@ def test_verification_failure_exits_3(monkeypatch, capsys):
     code = cli.main(["body", str(CASES / "special_f2.json"), "--verify"])
     assert code == 3
     assert "verification failed" in capsys.readouterr().err
+
+
+def test_broken_invariant_exits_3_without_traceback():
+    # A failed internal invariant is a typed error: one stderr line, exit 3.
+    script = (
+        "import sys\n"
+        "import hirzebruch.seshadri as seshadri\n"
+        "from hirzebruch.cli import main\n"
+        "seshadri.lower_bound = lambda val, d: (1, 2, False)\n"
+        f"sys.exit(main(['body', {str(CASES / 'special_f2.json')!r}]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=False,
+        env={**os.environ, "PYTHONPATH": PACKAGE_ROOT},
+    )
+    assert out.returncode == 3, out.stderr
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith("verification failed: minimality: bound 1 vs 2")
+    assert len(out.stderr.splitlines()) == 1

@@ -148,18 +148,19 @@ def test_is_minimal_requires_nef_big():
 
 def test_is_minimal_cross_check_survives_optimisation():
     # The check against the volume bound must not be an ``assert``, which
-    # ``python -O`` strips.
+    # ``python -O`` strips; it raises the typed invariant error.
     script = (
         "import sys\n"
         "import hirzebruch.seshadri as seshadri\n"
         "from hirzebruch import Surface, build_configuration, divisorial_valuation\n"
+        "from hirzebruch.errors import InvariantBroken\n"
         "surface = Surface(0)\n"
         "config = build_configuration(surface, [{'on_f1': True, 'on_m': True}])\n"
         "seshadri.lower_bound = lambda val, d: (1, 2, False)\n"
         "try:\n"
         "    seshadri.is_minimal(divisorial_valuation(surface, config), (1, 1))\n"
-        "except AssertionError:\n"
-        "    print('raised', sys.flags.optimize)\n"
+        "except InvariantBroken as exc:\n"
+        "    print('raised', exc.clause, sys.flags.optimize)\n"
     )
     out = subprocess.run(
         [sys.executable, "-O", "-c", script],
@@ -168,7 +169,7 @@ def test_is_minimal_cross_check_survives_optimisation():
         check=False,
         env={**os.environ, "PYTHONPATH": PACKAGE_ROOT},
     )
-    assert out.stdout.strip() == "raised 1", out.stderr
+    assert out.stdout.strip() == "raised minimality 1", out.stderr
 
 
 def test_minimality_matches_squared_bound(corpus):

@@ -2,14 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import hirzebruch.lattice as lattice
+import hirzebruch.zariski as zariski
+import zariski_reference as reference
 from hirzebruch import (
     BigDivisor,
     alpha_beta,
     closed_form_decomposition,
     curve_basis,
+    div_class,
     exceptional,
     flag_valuation,
+    is_negative_definite,
     mu_hat,
     pair,
     pullback,
@@ -23,6 +29,8 @@ from hirzebruch.errors import NotPseudoeffective
 from conftest import (
     nonspecial_example_valuation,
     random_flag,
+    random_nef_big,
+    random_valuation,
     special_example_valuation,
 )
 
@@ -89,9 +97,9 @@ def test_fano_base_boundary():
 
 
 def test_fano_base_rejects_non_pseudoeffective():
-    with pytest.raises(NotPseudoeffective):
+    with pytest.raises(NotPseudoeffective, match=r"^-5 F \+ 2 M is not"):
         zariski_fano_base(2, (-5, 2))
-    with pytest.raises(NotPseudoeffective):
+    with pytest.raises(NotPseudoeffective, match=r"^-1 F \+ 1 M is not"):
         zariski_fano_base(0, (-1, 1))
 
 
@@ -121,14 +129,111 @@ def test_engine_soundness_on_shipped_sweeps():
 
 
 def test_engine_rejects_non_pseudoeffective_classes():
+    # The refusal names the support and the offending coefficient.
     val = special_example_valuation()
     basis = curve_basis(val)
-    with pytest.raises(NotPseudoeffective):
+    support = "support " + ", ".join(basis.names)
+    with pytest.raises(NotPseudoeffective) as excinfo:
         zariski_decompose(pullback(2, -1, 0, val.r), basis)
+    assert str(excinfo.value) == (
+        f"{support}: negative part would need a negative coefficient, E2 = -1"
+    )
     mu = mu_hat(val, BigDivisor(1, 2))
     beyond = pullback(2, 1, 2, val.r) - (40 * mu) * exceptional(2, val.r, val.r)
-    with pytest.raises(NotPseudoeffective):
+    with pytest.raises(
+        NotPseudoeffective, match=r"^support F1, M0, E1, .*, E12: negative part "
+        r"would need a negative coefficient, E12 = -6084$"
+    ):
         zariski_decompose(beyond, basis)
+
+
+def _outcome(engine, cls, basis):
+    try:
+        zp = engine(cls, basis)
+    except NotPseudoeffective as exc:
+        return "refused", str(exc)
+    return zp.positive, zp.components
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    inside=st.fractions(0, 1, max_denominator=64),
+    beyond=st.fractions(1, 8, max_denominator=64).filter(lambda x: x > 1),
+)
+def test_integer_engine_equals_dense_reference(seed, inside, beyond):
+    # On D* - t E_r for t in [0, mu_hat], at both breakpoints, and beyond
+    # mu_hat, where the class is refused: the integer engine returns what
+    # the dense Fraction engine returns, and refuses for the same reason.
+    rng = random.Random(seed)
+    val = random_valuation(rng, r_max=10)
+    d = random_nef_big(rng, val.delta)
+    basis = curve_basis(val)
+    mu = mu_hat(val, d)
+    base = pullback(val.delta, d.a, d.b, val.r)
+    e_last = exceptional(val.delta, val.r, val.r)
+    for t in (inside * mu, *t_values(val, d), beyond * mu):
+        cls = base - t * e_last
+        got = _outcome(zariski_decompose, cls, basis)
+        want = _outcome(reference.zariski_decompose, cls, basis)
+        if want[0] == "refused":
+            assert got[0] == "refused" and want[1] in got[1]
+        else:
+            assert got == want
+
+
+_coordinate = st.one_of(st.just(Fraction(0)), st.fractions(-4, 4, max_denominator=6))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    delta=st.integers(0, 3),
+    rows=st.lists(
+        st.tuples(_coordinate, _coordinate, st.lists(_coordinate, min_size=4, max_size=4)),
+        min_size=1,
+        max_size=5,
+    ),
+    exceptional_only=st.booleans(),
+)
+def test_is_negative_definite_equals_leading_minors(delta, rows, exceptional_only):
+    # Classes without fiber and section parts are mostly negative definite.
+    if exceptional_only:
+        rows = [(0, 0, e) for _, _, e in rows]
+    classes = [div_class(delta, f, m, e) for f, m, e in rows]
+    gram = [[pair(a, b) for b in classes] for a in classes]
+    minors = leading_minor_determinants(gram)
+    expected = all(det != 0 and (det > 0) == (k % 2 == 0) for k, det in enumerate(minors, 1))
+    assert is_negative_definite(classes) == expected
+    assert reference.is_negative_definite(classes) == expected
+
+
+def test_definiteness_failure_names_the_leading_minor():
+    assert lattice.definiteness_failure([[-2, 1], [1, -2]]) is None
+    assert lattice.definiteness_failure([[-1, 2], [2, -1]]) == (2, -3)
+    assert lattice.definiteness_failure([[0, 1], [1, -1]]) == (1, 0)
+    assert lattice.definiteness_failure([[-1, 0, 0], [0, -1, 0], [0, 0, 1]]) == (3, 1)
+
+
+def test_repeated_decomposition_pairs_only_the_input(monkeypatch):
+    # The Gram matrix is built once per basis and the remainder's pairings
+    # follow by linearity: a second call pairs the input with each
+    # generator and nothing else.
+    val = special_example_valuation()
+    basis = curve_basis(val)
+    lo, _ = t_values(val, BigDivisor(1, 2))
+    cls = pullback(2, 1, 2, val.r) - lo * exceptional(2, val.r, val.r)
+    first = zariski_decompose(cls, basis)
+    assert first.components
+    calls = []
+
+    def counting(x, y):
+        calls.append(1)
+        return pair(x, y)
+
+    monkeypatch.setattr(lattice, "pair", counting)
+    monkeypatch.setattr(zariski, "pair", counting)
+    assert zariski_decompose(cls, basis) == first
+    assert 0 < len(calls) <= len(basis.classes)
 
 
 # ---------------------------------------------------------------- closed forms
