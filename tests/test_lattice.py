@@ -5,6 +5,7 @@ import pytest
 
 from hirzebruch import (
     Configuration,
+    CurveBasis,
     Surface,
     build_configuration,
     curve_basis,
@@ -19,7 +20,7 @@ from hirzebruch import (
     pullback,
 )
 from hirzebruch.cluster import ClusterPoint
-from hirzebruch.errors import DimensionMismatch, NotATree
+from hirzebruch.errors import DimensionMismatch, InvariantBroken, NotATree
 
 from conftest import (
     nonspecial_example_valuation,
@@ -170,6 +171,24 @@ def test_nonspecial_nef_classes():
     d_cls, g_cls = delta_gamma_classes(val)
     assert is_nef_against(d_cls, basis)
     assert is_nef_against(g_cls, basis)
+
+
+def test_basis_gram_is_the_integer_pairing():
+    rng = random.Random(5)
+    vals = [special_example_valuation(), nonspecial_example_valuation()]
+    vals += [random_valuation(rng, r_max=12, require_npi=False) for _ in range(20)]
+    for val in vals:
+        basis = curve_basis(val)
+        dense = [[pair(a, b) for b in basis.classes] for a in basis.classes]
+        assert basis.gram == tuple(map(tuple, dense))
+        assert all(type(x) is int for row in basis.gram for x in row)
+
+
+def test_basis_gram_rejects_a_non_integral_generator():
+    half = div_class(2, 0, 0, [Fraction(1, 2), 0])
+    basis = CurveBasis(2, ("F1", "E1"), (div_class(2, 1, 0, [-1, 0]), half))
+    with pytest.raises(InvariantBroken, match=r"^integral basis: E1 = "):
+        basis.gram
 
 
 def test_negative_definite_examples():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -132,12 +133,12 @@ def test_engine_rejects_non_pseudoeffective_classes():
     # The refusal names the support and the offending coefficient.
     val = special_example_valuation()
     basis = curve_basis(val)
-    support = "support " + ", ".join(basis.names)
-    with pytest.raises(NotPseudoeffective) as excinfo:
+    support = re.escape("support " + ", ".join(basis.names))
+    with pytest.raises(
+        NotPseudoeffective,
+        match=rf"^{support}: negative part would need a negative coefficient, E2 = -1$",
+    ):
         zariski_decompose(pullback(2, -1, 0, val.r), basis)
-    assert str(excinfo.value) == (
-        f"{support}: negative part would need a negative coefficient, E2 = -1"
-    )
     mu = mu_hat(val, BigDivisor(1, 2))
     beyond = pullback(2, 1, 2, val.r) - (40 * mu) * exceptional(2, val.r, val.r)
     with pytest.raises(
