@@ -208,8 +208,13 @@ def classify_text(payload: dict) -> str:
 
 def body_payload(case: Case, verify: bool = False, oracle: bool = False):
     val, flag, d = case.valuation, case.flag, case.divisor
-    body = newton_okounkov_body(flag, d)
-    triangle = cone_triangle(flag, d)
+    if verify:
+        report = verify_body(flag, d)
+        body, triangle = report.body, report.triangle
+    else:
+        report = None
+        body = newton_okounkov_body(flag, d)
+        triangle = cone_triangle(flag, d)
     payload = {
         "classification": val.kind,
         "flag": {"kind": "satellite" if flag.is_satellite else "free"},
@@ -223,7 +228,6 @@ def body_payload(case: Case, verify: bool = False, oracle: bool = False):
     }
     if flag.is_satellite:
         payload["flag"]["eta"] = flag.eta
-    report = verify_body(flag, d) if verify else None
     if oracle:
         # Verification has already swept the body unless it skipped the oracle.
         sweep = report.sweep if report is not None else None

@@ -41,6 +41,7 @@ from .errors import (
     NotRealizable,
     NotSatellite,
     SemigroupOverflow,
+    TooManyPoints,
     raise_config_errors,
 )
 
@@ -50,6 +51,8 @@ NON_SPECIAL = "non-special"
 
 # Bit width cap for the semigroup sieve; germ values beyond this are refused.
 _SEMIGROUP_VALUE_CAP = 1 << 24
+# Cap on the number of points r, checked before any point is built.
+_POINT_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -163,8 +166,10 @@ def build_configuration(surface: Surface, points: Sequence) -> Configuration:
     """Validate raw point records and assemble a :class:`Configuration`.
 
     Every violated constraint is collected; the raised error carries the
-    full diagnostic list.
+    full diagnostic list.  Too many points are refused before any record is
+    read.
     """
+    _check_point_count(len(points))
     records = [_coerce_point(rec, i) for i, rec in enumerate(points, 1)]
     if not records:
         raise ChainBroken(["a configuration needs at least one point"])
@@ -217,6 +222,11 @@ def build_configuration(surface: Surface, points: Sequence) -> Configuration:
 
     raise_config_errors(violations)
     return Configuration(tuple(pts))
+
+
+def _check_point_count(r: int) -> None:
+    if r > _POINT_CAP:
+        raise TooManyPoints(f"r = {r} points exceed the cap of {_POINT_CAP}")
 
 
 def truncate(config: Configuration, k: int) -> Configuration:
@@ -329,15 +339,18 @@ def maximal_contact_values(config: Configuration, r: int | None = None) -> tuple
     return tuple(generators) + (total,)
 
 
-def _euclid_multiplicities(a: int, b: int) -> list[int]:
+def _euclid_steps(a: int, b: int) -> Iterable[tuple[int, int]]:
     # Staircase of a single Puiseux step: each division quotient repeats the
-    # smaller entry that many times, stopping at the gcd.
-    out = []
+    # smaller entry that many times, stopping at the gcd.  Yields
+    # (entry, quotient) pairs, so the length is known without expanding.
     while b:
         q, rem = divmod(a, b)
-        out.extend([b] * q)
+        yield b, q
         a, b = b, rem
-    return out
+
+
+def _euclid_multiplicities(a: int, b: int) -> list[int]:
+    return [x for x, q in _euclid_steps(a, b) for _ in range(q)]
 
 
 def _proximities_from_multiplicities(mults: Sequence[int]) -> list[int | None]:
@@ -374,7 +387,8 @@ def from_maximal_contact(
     satellite block; a shortfall of the final value against the blocks is
     filled with trailing free points.  The result is validated by an exact
     round trip through :func:`maximal_contact_values`.  A final value at or
-    above the semigroup cap is refused before any point is built.
+    above the semigroup cap, or more points than the point cap, is refused
+    before any point is built.
 
     ``on_f1`` and ``on_m`` give the lengths of the fiber and section chains;
     incidences are not determined by the value data.
@@ -414,6 +428,9 @@ def from_maximal_contact(
     tail = total - sum(a * b for a, b in blocks)
     if tail < 0:
         raise NotRealizable("final contact value is smaller than the blocks allow")
+    _check_point_count(
+        tail + sum(q for a, b in blocks for _, q in _euclid_steps(a, b))
+    )
     mults = [x for a, b in blocks for x in _euclid_multiplicities(a, b)]
     mults.extend([1] * tail)
     if not mults:

@@ -37,6 +37,10 @@ class SemigroupOverflow(HirzebruchError):
     """The semigroup computation would exceed the configured value bound."""
 
 
+class TooManyPoints(HirzebruchError):
+    """The configuration has more points than the library accepts."""
+
+
 class NotRealizable(HirzebruchError):
     """The given value sequence does not arise from any valuation."""
 

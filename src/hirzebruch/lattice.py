@@ -6,6 +6,11 @@ Divisor classes are written over the orthogonal pullback basis
 fiber, the distinguished sections and the exceptional divisors are derived
 classes; in the non-positive-at-infinity regime they generate the cone of
 curves, which is what the nefness test relies on.
+
+Each curve basis keeps the sparse integer coordinates of its generators in
+one table.  The Gram matrix, the pairings of a class with the generators
+(read by the Zariski engine and the nefness test) and the dual graph all
+read that table; the dense :func:`pair` is kept for callers and tests.
 """
 
 from __future__ import annotations
@@ -114,29 +119,58 @@ class CurveBasis:
         return self.get(f"E{i}")
 
     @cached_property
-    def gram(self) -> tuple[tuple[int, ...], ...]:
-        """The integer Gram matrix of the generators, built on first use.
+    def sparse(self) -> tuple[tuple[int, int, dict[int, int]], ...]:
+        """Integer coordinates of the generators, built on first use.
 
-        Every generator has integer coordinates, with at most a chain of
-        non-zero exceptional ones, so each entry is a short integer sum.
+        Generator ``k`` is ``(f, m, e)`` with ``e`` mapping the index of each
+        non-zero exceptional coordinate to its value: at most three entries
+        for an exceptional curve, a chain for the fiber and the sections.
+        The Gram matrix and :meth:`pairings` both read this table.
         """
-        sparse = []
+        table = []
         for name, c in self.items():
             coords = (c.f, c.m, *c.e)
             if any(x.denominator != 1 for x in coords):
                 raise InvariantBroken("integral basis", f"{name} = {coords}")
             e = {j: int(x) for j, x in enumerate(c.e) if x}
-            sparse.append((int(c.f), int(c.m), e))
-        delta = self.delta
-        rows = []
-        for f, m, e in sparse:
-            row = []
-            for g, n, e2 in sparse:
-                short, long_ = (e, e2) if len(e) <= len(e2) else (e2, e)
-                dot = sum(v * long_.get(j, 0) for j, v in short.items())
-                row.append(f * n + m * g + delta * m * n - dot)
-            rows.append(tuple(row))
-        return tuple(rows)
+            table.append((int(c.f), int(c.m), e))
+        return tuple(table)
+
+    @cached_property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        """The integer Gram matrix of the generators, built on first use."""
+        sparse = self.sparse
+        return tuple(
+            tuple(_sparse_pair(self.delta, x, y) for y in sparse) for x in sparse
+        )
+
+    def pairings(self, d: DivisorClassZ) -> tuple[list[int], int]:
+        """The pairings of ``d`` with every generator, as integers over a scale.
+
+        ``d`` is cleared to integers once, by the lcm of its coordinate
+        denominators; the pairing with generator ``k`` is
+        ``values[k] / scale``, and it costs one product per non-zero
+        exceptional coordinate of the sparser side.
+        """
+        d._check(self.classes[0])
+        scale = lcm(d.f.denominator, d.m.denominator, *(x.denominator for x in d.e))
+
+        def clear(x):
+            return x.numerator * (scale // x.denominator)
+
+        e = {j: clear(x) for j, x in enumerate(d.e) if x}
+        cleared = (clear(d.f), clear(d.m), e)
+        return [_sparse_pair(self.delta, cleared, y) for y in self.sparse], scale
+
+
+def _sparse_pair(delta: int, x, y) -> int:
+    """The intersection form on two sparse integer coordinate triples."""
+    f, m, e = x
+    g, n, e2 = y
+    if len(e2) < len(e):
+        e, e2 = e2, e
+    dot = sum(v * e2.get(j, 0) for j, v in e.items())
+    return f * n + m * g + delta * m * n - dot
 
 
 @lru_cache(maxsize=None)
@@ -228,7 +262,8 @@ def precedes(graph: tuple[tuple[int, ...], ...], alpha: int, beta: int) -> bool:
 
 def is_nef_against(d: DivisorClassZ, basis: CurveBasis) -> bool:
     """Nefness against the listed cone generators (valid in the NPI regime)."""
-    return all(pair(d, c) >= 0 for c in basis.classes)
+    values, _ = basis.pairings(d)
+    return all(v >= 0 for v in values)
 
 
 def bareiss(a: list[list[int]], pivoting: bool) -> list[int]:

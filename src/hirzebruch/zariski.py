@@ -10,19 +10,24 @@ generators until the remainder is nef, solving the orthogonality conditions
 exactly at each step; it and the sweep built on it (:func:`alpha_beta`) are
 the independent oracles that the closed forms are checked against.
 
-The engine runs on the integer Gram matrix held by the curve basis.  The
-pairings of the class with the generators are computed once; after each
-solve the remainder's pairings are updated by linearity, and the positive
-class is built once, at the end.  Each support system is solved by
-fraction-free Bareiss elimination, whose pivots without row exchanges also
-give the leading minors behind the definiteness check.  The dense
-``Fraction`` engine it replaced is kept in the tests as the reference.
+The engine and the sweep run in integers from input to output.  The curve
+basis holds the sparse integer coordinates of the generators and their
+Gram matrix.  The input class is cleared to integers once and paired with
+every generator in O(1) terms per exceptional curve; after each solve the
+remainder's pairings are updated by linearity.  Each support system is
+solved by fraction-free Bareiss elimination, whose pivots without row
+exchanges also give the leading minors behind the definiteness check.  The
+positive class is built only when a caller reads it: the sweep takes the
+pairing of the positive part with ``E_r`` from the input's pairing and the
+Gram column over the support.  The dense ``Fraction`` engine it replaced
+is kept in the tests as the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import NamedTuple
 
@@ -44,9 +49,7 @@ from .lattice import (
     bareiss,
     curve_basis,
     definiteness_failure,
-    exceptional,
-    pair,
-    pullback,
+    div_class,
 )
 from .seshadri import (
     BigDivisor,
@@ -61,17 +64,25 @@ from .seshadri import (
 
 @dataclass(frozen=True)
 class ZariskiPair:
-    """An exact decomposition ``input = positive + negative``.
+    """An exact decomposition ``divisor = positive + negative``.
 
     The negative part is stored as coefficients on named cone generators,
-    in the basis order.  The positive part is nef against the generator
-    list, orthogonal to every component and the support Gram matrix is
-    negative definite; these are enforced at construction sites.
+    in the basis order; the positive part is built from the two on first
+    read.  It is nef against the generator list, orthogonal to every
+    component and the support Gram matrix is negative definite; these are
+    enforced at construction sites.
     """
 
-    positive: DivisorClassZ
+    divisor: DivisorClassZ
     components: tuple[tuple[str, Fraction], ...]
     basis: CurveBasis
+
+    @cached_property
+    def positive(self) -> DivisorClassZ:
+        positive = self.divisor
+        for name, coeff in self.components:
+            positive = positive - coeff * self.basis.get(name)
+        return positive
 
     def coefficient(self, name: str) -> Fraction:
         for n, c in self.components:
@@ -80,13 +91,30 @@ class ZariskiPair:
         return Fraction(0)
 
     def negative_class(self) -> DivisorClassZ:
-        total = 0 * self.positive
+        total = 0 * self.divisor
         for name, coeff in self.components:
             total = total + coeff * self.basis.get(name)
         return total
 
     def support(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.components)
+
+    def positive_pairing(self, name: str) -> Fraction:
+        """The pairing of the positive part with the named generator.
+
+        Read from the integer pairing of the divisor and the generator's
+        Gram column over the support, summed over one common denominator,
+        without building the positive class.
+        """
+        names, gram = self.basis.names, self.basis.gram
+        k = names.index(name)
+        values, scale = self.basis.pairings(self.divisor)
+        denom = lcm(scale, *(c.denominator for _, c in self.components))
+        total = values[k] * (denom // scale)
+        for n, c in self.components:
+            column = gram[names.index(n)][k]
+            total -= c.numerator * (denom // c.denominator) * column
+        return Fraction(total, denom)
 
 
 @dataclass(frozen=True)
@@ -142,15 +170,13 @@ def zariski_decompose(d: DivisorClassZ, basis: CurveBasis) -> ZariskiPair:
     negative-definite support means the class is not pseudoeffective.
 
     Runs on the integer Gram matrix held by the basis: the pairings of
-    ``d`` with the generators are scaled to integers once, and those of the
-    remainder follow from them by linearity.
+    ``d`` with the generators are integers over one scale, and those of
+    the remainder follow from them by linearity.
     """
     names = basis.names
     gram = basis.gram
     n = len(names)
-    inner = [pair(d, c) for c in basis.classes]
-    scale = lcm(*(x.denominator for x in inner))
-    rhs = [int(x * scale) for x in inner]
+    rhs, scale = basis.pairings(d)
     # The remainder's pairings are ``rest[k] / (det * scale)``.
     support: list[int] = []
     x: list[int] = []
@@ -194,10 +220,7 @@ def zariski_decompose(d: DivisorClassZ, basis: CurveBasis) -> ZariskiPair:
                 f"{_named(names, rows)}: support Gram matrix is not negative "
                 f"definite, leading minor {order} is {minor}"
             )
-    positive = d
-    for idx, c in chosen:
-        positive = positive - c * basis.classes[idx]
-    return ZariskiPair(positive, tuple((names[idx], c) for idx, c in chosen), basis)
+    return ZariskiPair(d, tuple((names[idx], c) for idx, c in chosen), basis)
 
 
 def _named(names, indices) -> str:
@@ -286,14 +309,13 @@ def closed_form_decomposition(val: DivisorialValuation, d, which: str) -> Zarisk
     if which == "upper":
         comps.insert(0, (rec.named, Fraction(rec.sign * rec.theta, rec.denom)))
     comps = tuple((name, c) for name, c in comps if c != 0)
-    basis = curve_basis(val)
     t = rec.at_stage(val, val.r)[k]
-    positive = pullback(val.delta, d.a, d.b, val.r) - t * exceptional(
-        val.delta, val.r, val.r
-    )
-    for name, c in comps:
-        positive = positive - c * basis.get(name)
-    return ZariskiPair(positive, comps, basis)
+    return ZariskiPair(_swept_class(val, d, t), comps, curve_basis(val))
+
+
+def _swept_class(val: DivisorialValuation, d: BigDivisor, t) -> DivisorClassZ:
+    """The class ``D* - t E_r*``, built directly from its coordinates."""
+    return div_class(val.delta, d.a, d.b, (0,) * (val.r - 1) + (-t,))
 
 
 def alpha_beta(flag: FlagValuation, d, t) -> tuple[Fraction, Fraction]:
@@ -302,18 +324,14 @@ def alpha_beta(flag: FlagValuation, d, t) -> tuple[Fraction, Fraction]:
     Decomposes ``D* - t E_r``; the lower value is the negative-part
     coefficient on the second divisor through the flag point (zero for a
     free flag point), the upper value adds the pairing of the positive part
-    with the last exceptional curve.
+    with the last exceptional curve, read without building that class.
     """
     val = flag.base
     d = as_divisor(d)
     t = Fraction(t)
     if t < 0:
         raise ValueError("the sweep parameter must be non-negative")
-    basis = curve_basis(val)
-    cls = pullback(val.delta, d.a, d.b, val.r) - t * exceptional(
-        val.delta, val.r, val.r
-    )
-    zp = zariski_decompose(cls, basis)
+    zp = zariski_decompose(_swept_class(val, d, t), curve_basis(val))
     last = f"E{val.r}"
     if zp.coefficient(last) != 0:
         raise NegativePartOnEr(
@@ -321,5 +339,5 @@ def alpha_beta(flag: FlagValuation, d, t) -> tuple[Fraction, Fraction]:
             "the position contract is violated"
         )
     alpha = zp.coefficient(f"E{flag.eta}") if flag.is_satellite else Fraction(0)
-    beta = alpha + pair(zp.positive, basis.get(last))
+    beta = alpha + zp.positive_pairing(last)
     return alpha, beta

@@ -3,6 +3,7 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hirzebruch import (
     GENERAL,
@@ -35,6 +36,7 @@ from hirzebruch.errors import (
     NotRealizable,
     NotSatellite,
     SemigroupOverflow,
+    TooManyPoints,
 )
 from hirzebruch.okounkov import cone_rays
 
@@ -365,6 +367,52 @@ def test_contact_value_cap_is_checked_before_expansion(monkeypatch, tmp_path, ca
     path.write_text(json.dumps({**case, "beta_bar": beta_bar}), encoding="utf-8")
     assert cli.main(["classify", str(path)]) == 2
     assert "SemigroupOverflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ["free_tail", "satellite_block"])
+def test_point_cap_is_checked_before_expansion(monkeypatch, tmp_path, capsys, family):
+    from hirzebruch import cli
+
+    def expanded(*args):
+        raise AssertionError("the configuration was expanded before the cap check")
+
+    beta_bar = ladder_beta_bar(family, 92)
+    assert from_maximal_contact(Surface(2, SPECIAL), beta_bar, 1, 2).r == 92
+    # The count read from the Euclid data is exact: r = cap is accepted.
+    monkeypatch.setattr(cluster, "_POINT_CAP", 92)
+    assert from_maximal_contact(Surface(2, SPECIAL), beta_bar, 1, 2).r == 92
+    monkeypatch.setattr(cluster, "_POINT_CAP", 91)
+    monkeypatch.setattr(cluster, "_euclid_multiplicities", expanded)
+    monkeypatch.setattr(cluster, "_proximities_from_multiplicities", expanded)
+    monkeypatch.setattr(cluster, "_coerce_point", expanded)
+    with pytest.raises(TooManyPoints, match=r"^r = 92 points exceed the cap of 91$"):
+        from_maximal_contact(Surface(2, SPECIAL), beta_bar, 1, 2)
+    with pytest.raises(TooManyPoints, match=r"^r = 92 points exceed the cap of 91$"):
+        build_configuration(Surface(2, SPECIAL), [{}] * 92)
+
+    case = json.loads((CASES / "special_f2.json").read_text())
+    for key in ("beta_bar", "on_f1", "on_m"):
+        del case[key]
+    for name, body in (
+        ("beta_bar", {"beta_bar": beta_bar, "on_f1": 1, "on_m": 2}),
+        ("configuration", {"configuration": {"points": [{}] * 92}}),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**case, **body}), encoding="utf-8")
+        assert cli.main(["classify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "TooManyPoints: r = 92 points exceed the cap of 91\n"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_contact_value_round_trip_on_random_draws(seed):
+    val = random_valuation(random.Random(seed), r_max=15, require_npi=False)
+    config = val.config
+    rebuilt = from_maximal_contact(
+        val.surface, val.beta_bar, len(config.f1_chain), len(config.m_chain)
+    )
+    assert maximal_contact_values(rebuilt) == val.beta_bar
 
 
 def test_round_trip_reproduces_multiplicities():

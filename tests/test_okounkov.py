@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hirzebruch import (
     BigDivisor,
@@ -24,7 +25,10 @@ from hirzebruch import (
 from hirzebruch.errors import MinimalValuation, NotBig, VerificationFailed
 from hirzebruch.okounkov import _cross
 
+from hirzebruch import caseio, okounkov
+
 from conftest import (
+    CASES,
     minimal_four_point_valuation,
     nonspecial_example_valuation,
     random_valuation,
@@ -65,6 +69,16 @@ def test_polygon_contains():
     assert tri.contains((fr(2), fr(1)))
     assert tri.contains((fr(4), fr(4)))
     assert not tri.contains((fr(1), fr(2)))
+
+
+_coordinate = st.builds(Fraction, st.integers(-24, 24), st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(points=st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=12))
+def test_polygon_normalization_is_idempotent(points):
+    poly = Polygon.from_points(points)
+    assert Polygon.from_points(poly.vertices) == poly
 
 
 # ------------------------------------------------------------------- cone rays
@@ -244,6 +258,29 @@ def test_verify_shipped_examples():
     report = verify_body(flag_valuation(nonspecial_example_valuation(), 9), (2, 5))
     assert report.passed()
     assert report.body.area2 == 2 * 2 * 5 + 25 * 2
+
+
+def test_verified_body_payload_builds_the_body_once(monkeypatch):
+    # With verification on, the payload takes body and cone triangle from
+    # the report; its keys are those of the plain payload plus two, in order.
+    case = caseio.load_case(CASES / "special_f2.json")
+    plain = caseio.body_payload(case)[0]
+    calls = []
+    build = okounkov.newton_okounkov_body
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(okounkov, "newton_okounkov_body", counting)
+    monkeypatch.setattr(caseio, "newton_okounkov_body", counting)
+    payload, body, triangle, report = caseio.body_payload(
+        case, verify=True, oracle=True
+    )
+    assert len(calls) == 1
+    assert (body, triangle) == (report.body, report.triangle)
+    assert list(payload) == [*plain, "oracle_vertices", "verification"]
+    assert {k: payload[k] for k in plain} == plain
 
 
 def test_verify_minimal_example():

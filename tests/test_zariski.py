@@ -1,15 +1,17 @@
 import random
 import re
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hirzebruch.lattice as lattice
-import hirzebruch.zariski as zariski
 import zariski_reference as reference
 from hirzebruch import (
     BigDivisor,
+    DivisorClassZ,
     alpha_beta,
     closed_form_decomposition,
     curve_basis,
@@ -18,14 +20,16 @@ from hirzebruch import (
     flag_valuation,
     is_negative_definite,
     mu_hat,
+    newton_okounkov_body,
     pair,
     pullback,
+    sweep_body,
     t_values,
     theta,
     zariski_decompose,
     zariski_fano_base,
 )
-from hirzebruch.errors import NotPseudoeffective
+from hirzebruch.errors import NegativePartOnEr, NotPseudoeffective
 
 from conftest import (
     nonspecial_example_valuation,
@@ -215,26 +219,84 @@ def test_definiteness_failure_names_the_leading_minor():
     assert lattice.definiteness_failure([[-1, 0, 0], [0, -1, 0], [0, 0, 1]]) == (3, 1)
 
 
-def test_repeated_decomposition_pairs_only_the_input(monkeypatch):
-    # The Gram matrix is built once per basis and the remainder's pairings
-    # follow by linearity: a second call pairs the input with each
-    # generator and nothing else.
+def test_sweep_makes_no_dense_pairing_and_adds_no_class(monkeypatch):
+    # The engine pairs the input with the generators in integers and the
+    # sweep reads beta from the Gram column over the support: one sweep of
+    # the body calls the dense pairing 0 times and adds 0 classes.
     val = special_example_valuation()
+    flag = flag_valuation(val, 8)
+    d = BigDivisor(1, 2)
+    e_last = exceptional(2, val.r, val.r)
+    cls = pullback(2, 1, 2, val.r) - t_values(val, d)[0] * e_last
+    calls = Counter()
+    dense_pair = lattice.pair
+    dense_add = DivisorClassZ.__add__
+
+    def counting_pair(x, y):
+        calls["pair"] += 1
+        return dense_pair(x, y)
+
+    def counting_add(x, y):
+        calls["add"] += 1
+        return dense_add(x, y)
+
+    for name, module in list(sys.modules.items()):
+        holds_pair = getattr(module, "pair", None) is dense_pair
+        if name.split(".")[0] == "hirzebruch" and holds_pair:
+            monkeypatch.setattr(module, "pair", counting_pair)
+    monkeypatch.setattr(DivisorClassZ, "__add__", counting_add)
+    assert sweep_body(flag, d) == newton_okounkov_body(flag, d)
+    assert calls == Counter()
+    # The counters are live: reading the positive class adds classes, and
+    # its dense pairing with E_r is the Gram-column one.
+    zp = zariski_decompose(cls, curve_basis(val))
+    assert zp.components
+    assert lattice.pair(zp.positive, e_last) == zp.positive_pairing(f"E{val.r}")
+    assert calls["pair"] == 1 and calls["add"] > 0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), inside=st.fractions(0, 1, max_denominator=64))
+def test_alpha_beta_equals_dense_route(seed, inside):
+    # At t in [0, mu_hat] and at both breakpoints: alpha is the reference
+    # engine's coefficient on E_eta and beta adds the dense pairing of the
+    # reference's positive class with E_r.
+    rng = random.Random(seed)
+    val = random_valuation(rng, r_max=10)
+    d = random_nef_big(rng, val.delta)
+    flag = random_flag(rng, val, d)
     basis = curve_basis(val)
-    lo, _ = t_values(val, BigDivisor(1, 2))
-    cls = pullback(2, 1, 2, val.r) - lo * exceptional(2, val.r, val.r)
-    first = zariski_decompose(cls, basis)
-    assert first.components
-    calls = []
+    e_last = exceptional(val.delta, val.r, val.r)
+    for t in (inside * mu_hat(val, d), *t_values(val, d)):
+        cls = pullback(val.delta, d.a, d.b, val.r) - t * e_last
+        ref = reference.zariski_decompose(cls, basis)
+        if ref.coefficient(f"E{val.r}"):
+            with pytest.raises(NegativePartOnEr):
+                alpha_beta(flag, d, t)
+            continue
+        alpha = ref.coefficient(f"E{flag.eta}") if flag.is_satellite else 0
+        beta = alpha + pair(reference.positive_part(cls, basis), e_last)
+        assert alpha_beta(flag, d, t) == (alpha, beta)
 
-    def counting(x, y):
-        calls.append(1)
-        return pair(x, y)
 
-    monkeypatch.setattr(lattice, "pair", counting)
-    monkeypatch.setattr(zariski, "pair", counting)
-    assert zariski_decompose(cls, basis) == first
-    assert 0 < len(calls) <= len(basis.classes)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), inside=st.fractions(0, 1, max_denominator=64))
+def test_lazy_positive_equals_dense_positive(seed, inside):
+    # The positive class built on first read is the one the dense loop
+    # computes, and the Gram-column pairing equals the dense pairing with
+    # every generator.
+    rng = random.Random(seed)
+    val = random_valuation(rng, r_max=10)
+    d = random_nef_big(rng, val.delta)
+    basis = curve_basis(val)
+    e_last = exceptional(val.delta, val.r, val.r)
+    for t in (inside * mu_hat(val, d), *t_values(val, d)):
+        cls = pullback(val.delta, d.a, d.b, val.r) - t * e_last
+        zp = zariski_decompose(cls, basis)
+        dense = reference.positive_part(cls, basis)
+        assert zp.positive == dense
+        for name, c in basis.items():
+            assert zp.positive_pairing(name) == pair(dense, c)
 
 
 # ---------------------------------------------------------------- closed forms

@@ -5,7 +5,9 @@ matrix of the basis: it rebuilds the rational Gram matrix on every call,
 solves each support system by Gauss-Jordan elimination over ``Fraction``,
 re-pairs the remainder class with every generator in each round and tests
 definiteness by rational elimination.  The production engine must agree
-with it on positive parts, components and refusals.
+with it on positive parts, components and refusals.  Its result is built
+as production builds one, from the input class and the components; the
+positive class of its own dense loop is :func:`positive_part`.
 """
 
 from __future__ import annotations
@@ -64,6 +66,17 @@ def _solve(matrix, rhs):
 
 
 def zariski_decompose(d: DivisorClassZ, basis: CurveBasis) -> ZariskiPair:
+    """The dense decomposition of ``d``, as a :class:`ZariskiPair`."""
+    _, components = _decompose(d, basis)
+    return ZariskiPair(d, components, basis)
+
+
+def positive_part(d: DivisorClassZ, basis: CurveBasis) -> DivisorClassZ:
+    """The positive class as the dense loop computes it."""
+    return _decompose(d, basis)[0]
+
+
+def _decompose(d: DivisorClassZ, basis: CurveBasis):
     """Iterative decomposition over the finite cone-generator list.
 
     Starting from an empty support, repeatedly solve for the negative part
@@ -106,6 +119,4 @@ def zariski_decompose(d: DivisorClassZ, basis: CurveBasis) -> ZariskiPair:
     chosen.sort(key=lambda pc: pc[0])
     if chosen and not is_negative_definite([items[idx][1] for idx, _ in chosen]):
         raise NotPseudoeffective("support Gram matrix is not negative definite")
-    return ZariskiPair(
-        positive, tuple((items[idx][0], c) for idx, c in chosen), basis
-    )
+    return positive, tuple((items[idx][0], c) for idx, c in chosen)
