@@ -109,11 +109,13 @@ class CurveBasis:
     def items(self) -> tuple[tuple[str, DivisorClassZ], ...]:
         return tuple(zip(self.names, self.classes))
 
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """The position of each generator name."""
+        return {name: k for k, name in enumerate(self.names)}
+
     def get(self, name: str) -> DivisorClassZ:
-        try:
-            return self.classes[self.names.index(name)]
-        except ValueError:
-            raise KeyError(name) from None
+        return self.classes[self.index[name]]
 
     def exceptional(self, i: int) -> DivisorClassZ:
         return self.get(f"E{i}")
@@ -142,6 +144,17 @@ class CurveBasis:
         sparse = self.sparse
         return tuple(
             tuple(_sparse_pair(self.delta, x, y) for y in sparse) for x in sparse
+        )
+
+    @cached_property
+    def sparse_gram(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The non-zero entries of each Gram row, as ``(column, value)`` pairs.
+
+        An exceptional curve meets its neighbours in the dual graph and at
+        most the fiber and the sections, so its row holds O(1) entries.
+        """
+        return tuple(
+            tuple((k, v) for k, v in enumerate(row) if v) for row in self.gram
         )
 
     def pairings(self, d: DivisorClassZ) -> tuple[list[int], int]:

@@ -25,7 +25,7 @@ is kept in the tests as the reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -70,12 +70,19 @@ class ZariskiPair:
     in the basis order; the positive part is built from the two on first
     read.  It is nef against the generator list, orthogonal to every
     component and the support Gram matrix is negative definite; these are
-    enforced at construction sites.
+    enforced at construction sites.  ``pairings`` optionally seeds the
+    positive part's pairings with the generators (see :attr:`_pairings`).
     """
 
     divisor: DivisorClassZ
     components: tuple[tuple[str, Fraction], ...]
     basis: CurveBasis
+    pairings: InitVar[tuple[list[int], int] | None] = None
+
+    def __post_init__(self, pairings):
+        if pairings is not None:
+            # Seeds the cached property below, as its first read would.
+            self.__dict__["_pairings"] = pairings
 
     @cached_property
     def positive(self) -> DivisorClassZ:
@@ -83,6 +90,25 @@ class ZariskiPair:
         for name, coeff in self.components:
             positive = positive - coeff * self.basis.get(name)
         return positive
+
+    @cached_property
+    def _pairings(self) -> tuple[list[int], int]:
+        """The positive part's pairings with every generator, as integers
+        ``values`` over one denominator.
+
+        Unless the engine seeded them with its final remainder, they are
+        read from the integer pairing of the divisor and the non-zero Gram
+        entries of the components, without building the positive class.
+        """
+        values, scale = self.basis.pairings(self.divisor)
+        denom = lcm(scale, *(c.denominator for _, c in self.components))
+        values = [v * (denom // scale) for v in values]
+        sparse_gram, index = self.basis.sparse_gram, self.basis.index
+        for name, c in self.components:
+            weight = c.numerator * (denom // c.denominator)
+            for k, g in sparse_gram[index[name]]:
+                values[k] -= weight * g
+        return values, denom
 
     def coefficient(self, name: str) -> Fraction:
         for n, c in self.components:
@@ -100,21 +126,9 @@ class ZariskiPair:
         return tuple(name for name, _ in self.components)
 
     def positive_pairing(self, name: str) -> Fraction:
-        """The pairing of the positive part with the named generator.
-
-        Read from the integer pairing of the divisor and the generator's
-        Gram column over the support, summed over one common denominator,
-        without building the positive class.
-        """
-        names, gram = self.basis.names, self.basis.gram
-        k = names.index(name)
-        values, scale = self.basis.pairings(self.divisor)
-        denom = lcm(scale, *(c.denominator for _, c in self.components))
-        total = values[k] * (denom // scale)
-        for n, c in self.components:
-            column = gram[names.index(n)][k]
-            total -= c.numerator * (denom // c.denominator) * column
-        return Fraction(total, denom)
+        """The pairing of the positive part with the named generator."""
+        values, denom = self._pairings
+        return Fraction(values[self.basis.index[name]], denom)
 
 
 @dataclass(frozen=True)
@@ -143,8 +157,9 @@ def zariski_fano_base(delta: int, d) -> BaseDecomposition:
 def _solve(gram, support: list[int], rhs: list[int]) -> tuple[list[int], int] | None:
     """Integer solution ``x / det`` of the support system, or ``None``.
 
-    Fraction-free elimination with the first non-zero entry of each column
-    as pivot, then back substitution; ``None`` means singular.
+    Fraction-free elimination from scratch, with the first non-zero entry of
+    each column as pivot, then back substitution; ``None`` means singular.
+    The engine falls back to it once a leading minor of the support vanishes.
     """
     n = len(support)
     a = [[gram[i][j] for j in support] + [rhs[i]] for i in support]
@@ -152,12 +167,60 @@ def _solve(gram, support: list[int], rhs: list[int]) -> tuple[list[int], int] | 
     det = pivots[-1]
     if det == 0:
         return None
+    return _back_substitute(a, [row[n] for row in a], det), det
+
+
+def _back_substitute(rows: list[list[int]], b: list[int], det: int) -> list[int]:
+    """Back substitution on eliminated rows ``rows`` with right-hand side ``b``."""
+    n = len(rows)
     x = [0] * n
     for i in reversed(range(n)):
-        row = a[i]
-        s = det * row[n] - sum(row[j] * x[j] for j in range(i + 1, n))
+        row = rows[i]
+        s = det * b[i] - sum(row[j] * x[j] for j in range(i + 1, n))
         x[i] = s // row[i]
-    return x, det
+    return x
+
+
+class _Elimination:
+    """Fraction-free elimination of the support system, grown one row at a time.
+
+    Row ``k`` is the ``k``-th support generator's Gram row after elimination
+    steps ``0 .. k-1``, and its pivot is the leading minor of order ``k + 1``
+    in insertion order.  A new generator's row is eliminated against the
+    stored ones; by symmetry of the Gram matrix, stored row ``k``'s entry in
+    the new column is the new row's entry in column ``k`` just before step
+    ``k``.  Appending costs O(s) per stored row, with no row exchanges.
+    """
+
+    def __init__(self):
+        self.rows: list[list[int]] = []
+        self.rhs: list[int] = []
+        self.pivots: list[int] = []
+
+    def append(self, column: list[int], rhs: int) -> bool:
+        """Append the generator whose Gram column over the support, itself
+        last, is ``column``; ``False`` when its pivot is zero."""
+        new = list(column)
+        prev = 1
+        for k, (row, b, p) in enumerate(zip(self.rows, self.rhs, self.pivots)):
+            f = new[k]
+            row.append(f)
+            for j in range(k + 1, len(new)):
+                new[j] = (p * new[j] - f * row[j]) // prev
+            rhs = (p * rhs - f * b) // prev
+            prev = p
+        self.rows.append(new)
+        self.rhs.append(rhs)
+        self.pivots.append(new[-1])
+        return new[-1] != 0
+
+    def solve(self) -> tuple[list[int], int]:
+        det = self.pivots[-1]
+        return _back_substitute(self.rows, self.rhs, det), det
+
+    def negative_definite(self) -> bool:
+        """Whether the leading minors alternate in sign, starting negative."""
+        return all((p > 0) == (k % 2 == 1) for k, p in enumerate(self.pivots))
 
 
 def zariski_decompose(d: DivisorClassZ, basis: CurveBasis) -> ZariskiPair:
@@ -171,38 +234,46 @@ def zariski_decompose(d: DivisorClassZ, basis: CurveBasis) -> ZariskiPair:
 
     Runs on the integer Gram matrix held by the basis: the pairings of
     ``d`` with the generators are integers over one scale, and those of
-    the remainder follow from them by linearity.
+    the remainder follow from them by linearity, over the non-zero Gram
+    entries.  One elimination is grown in place across the rounds; after a
+    zero leading minor the rest of the call solves each round from scratch
+    with pivoting.  Alternating leading minors make the whole support, and
+    so every part of it, negative definite.
     """
     names = basis.names
-    gram = basis.gram
+    gram, sparse_gram = basis.gram, basis.sparse_gram
     n = len(names)
     rhs, scale = basis.pairings(d)
     # The remainder's pairings are ``rest[k] / (det * scale)``.
     support: list[int] = []
+    elim: _Elimination | None = _Elimination()
     x: list[int] = []
     det = 1
     rest = rhs
-    for _ in range(n + 1):
-        if support:
+    while True:
+        inside = set(support)
+        bad = [k for k in range(n) if k not in inside and rest[k] * det < 0]
+        if not bad:
+            break
+        for g in bad:
+            support.append(g)
+            if elim is not None and not elim.append(
+                [gram[g][i] for i in support], rhs[g]
+            ):
+                elim = None
+        if elim is not None:
+            x, det = elim.solve()
+        else:
             solved = _solve(gram, support, rhs)
             if solved is None:
                 raise NotPseudoeffective(
                     f"{_named(names, support)}: orthogonality system is singular"
                 )
             x, det = solved
-            rest = [
-                det * rhs[k] - sum(xi * gram[i][k] for i, xi in zip(support, x))
-                for k in range(n)
-            ]
-        inside = set(support)
-        bad = [k for k in range(n) if k not in inside and rest[k] * det < 0]
-        if not bad:
-            break
-        support.extend(bad)
-    else:
-        raise NotPseudoeffective(
-            f"{_named(names, support)}: support enlargement did not stabilize"
-        )
+        rest = [det * v for v in rhs]
+        for i, xi in zip(support, x):
+            for k, g in sparse_gram[i]:
+                rest[k] -= xi * g
     coeffs = [Fraction(xi, det * scale) for xi in x]
     for idx, c in zip(support, coeffs):
         if c < 0:
@@ -211,7 +282,7 @@ def zariski_decompose(d: DivisorClassZ, basis: CurveBasis) -> ZariskiPair:
                 f"coefficient, {names[idx]} = {c}"
             )
     chosen = sorted((idx, c) for idx, c in zip(support, coeffs) if c > 0)
-    if chosen:
+    if chosen and (elim is None or not elim.negative_definite()):
         rows = [idx for idx, _ in chosen]
         failure = definiteness_failure([[gram[i][j] for j in rows] for i in rows])
         if failure is not None:
@@ -220,7 +291,8 @@ def zariski_decompose(d: DivisorClassZ, basis: CurveBasis) -> ZariskiPair:
                 f"{_named(names, rows)}: support Gram matrix is not negative "
                 f"definite, leading minor {order} is {minor}"
             )
-    return ZariskiPair(d, tuple((names[idx], c) for idx, c in chosen), basis)
+    components = tuple((names[idx], c) for idx, c in chosen)
+    return ZariskiPair(d, components, basis, (rest, det * scale))
 
 
 def _named(names, indices) -> str:

@@ -64,6 +64,20 @@ def minimal_val():
     return minimal_four_point_valuation()
 
 
+def ladder_beta_bar(family, r):
+    """The benchmark ladder at ``r`` points: ``special_f2`` with its free tail
+    extended (``tail``), or one satellite block (``block``)."""
+    if family == "tail":
+        return [20, 28, 153, 612 + (r - 12)]
+    return [r - 1, r, (r - 1) * r]
+
+
+def ladder_configuration(family, r):
+    beta_bar = ladder_beta_bar(family, r)
+    on_m = 2 if family == "tail" else 1
+    return from_maximal_contact(Surface(2, SPECIAL), beta_bar, 1, on_m)
+
+
 def random_records(rng, r_max):
     r = rng.randint(1, r_max)
     extras = [None] * (r + 1)

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import CASES, PACKAGE_ROOT
 
@@ -230,3 +231,71 @@ def test_broken_invariant_exits_3_without_traceback():
     assert "Traceback" not in out.stderr
     assert out.stderr.startswith("verification failed: minimality: bound 1 vs 2")
     assert len(out.stderr.splitlines()) == 1
+
+
+def _json_paths(value, prefix=()):
+    """The path of every field of a JSON value, the value itself first."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _mutate(case, path, action, value):
+    """``case`` with the field at ``path`` replaced by ``value`` or deleted."""
+    case = json.loads(json.dumps(case))
+    if not path:
+        return value
+    *head, last = path
+    parent = case
+    for key in head:
+        parent = parent[key]
+    if action == "delete":
+        del parent[last]
+    else:
+        parent[last] = value
+    return case
+
+
+# Small integers keep every mutated case far below the cap on points.
+_small = st.integers(-3, 24)
+_junk = st.one_of(
+    _small,
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["", "free", "satellite", "special", "general"]),
+    st.lists(_small, max_size=4),
+    st.dictionaries(st.sampled_from(["kind", "eta", "a", "b", "points"]), _small, max_size=2),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_cases_exit_cleanly(data):
+    # Any mutation of a shipped case is either computed or refused with a
+    # typed error: exit code 0, 2 or 3 and no traceback, in process.
+    import contextlib
+    import io
+    import tempfile
+
+    from hirzebruch.cli import main
+
+    source = data.draw(st.sampled_from(sorted(CASES.glob("*.json"))), label="case")
+    case = json.loads(source.read_text(encoding="utf-8"))
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        paths = list(_json_paths(case))
+        path = data.draw(st.sampled_from(paths), label="path")
+        action = data.draw(st.sampled_from(["integer", "junk", "delete"]), label="action")
+        if action == "delete" and not path:
+            action = "junk"
+        value = data.draw(_small if action == "integer" else _junk, label="value")
+        case = _mutate(case, path, action, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "case.json"
+        path.write_text(json.dumps(case), encoding="utf-8")
+        for argv in (["classify", str(path)], ["body", str(path), "--verify", "--oracle"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2, 3), (argv[0], case, err.getvalue())
+            assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -42,6 +42,8 @@ from hirzebruch.okounkov import cone_rays
 
 from conftest import (
     CASES,
+    ladder_beta_bar,
+    ladder_configuration,
     minimal_four_point_valuation,
     nonspecial_example_valuation,
     random_valuation,
@@ -92,20 +94,6 @@ def brute_force_values(config):
 
     rec(r)
     return values
-
-
-def ladder_beta_bar(family, r):
-    """The benchmark ladder at ``r`` points: ``special_f2`` with its free tail
-    extended (``tail``), or one satellite block (``block``)."""
-    if family == "tail":
-        return [20, 28, 153, 612 + (r - 12)]
-    return [r - 1, r, (r - 1) * r]
-
-
-def ladder_configuration(family, r):
-    beta_bar = ladder_beta_bar(family, r)
-    on_m = 2 if family == "tail" else 1
-    return from_maximal_contact(Surface(2, SPECIAL), beta_bar, 1, on_m)
 
 
 def scanned_proximate_to(config, i, r):

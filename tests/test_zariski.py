@@ -10,12 +10,15 @@ from hypothesis import given, settings, strategies as st
 import hirzebruch.lattice as lattice
 import zariski_reference as reference
 from hirzebruch import (
+    SPECIAL,
     BigDivisor,
     DivisorClassZ,
+    Surface,
     alpha_beta,
     closed_form_decomposition,
     curve_basis,
     div_class,
+    divisorial_valuation,
     exceptional,
     flag_valuation,
     is_negative_definite,
@@ -30,8 +33,10 @@ from hirzebruch import (
     zariski_fano_base,
 )
 from hirzebruch.errors import NegativePartOnEr, NotPseudoeffective
+from hirzebruch.lattice import CurveBasis
 
 from conftest import (
+    ladder_configuration,
     nonspecial_example_valuation,
     random_flag,
     random_nef_big,
@@ -297,6 +302,131 @@ def test_lazy_positive_equals_dense_positive(seed, inside):
         assert zp.positive == dense
         for name, c in basis.items():
             assert zp.positive_pairing(name) == pair(dense, c)
+
+
+def _hand_basis(delta, rows):
+    """A basis of generators ``A, B, ...`` with integer coordinates
+    ``(f, m, e)``; it need not be the cone of curves of a surface."""
+    names = tuple("ABCDEFGH"[: len(rows)])
+    return CurveBasis(delta, names, tuple(div_class(delta, *row) for row in rows))
+
+
+def _count_bareiss(monkeypatch):
+    """Count the calls to ``lattice.bareiss``, by whether they pivot."""
+    calls = Counter()
+    dense = lattice.bareiss
+
+    def counting(a, pivoting):
+        calls["pivoting" if pivoting else "plain"] += 1
+        return dense(a, pivoting)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hirzebruch" and getattr(module, "bareiss", None) is dense:
+            monkeypatch.setattr(module, "bareiss", counting)
+    return calls
+
+
+# Gram (0, -1, -1; -1, -3, -2; -1, -2, -2), class pairings (-1, -3, -3): the
+# first round adds all three generators, and the first leading minor is 0.
+_ZERO_MINOR = (((1, 1, (0, -1, -1)), (1, 0, (1, -1, -1)), (0, 0, (1, 0, -1))), (1, -2, (1, 2, -2)))
+# Gram (0, 2, -1; 2, -2, 1; -1, 1, -2), pairings (-1, 1, -3): a zero first
+# minor, after which the pivoted solve gives a decomposition on B and C.
+_ZERO_MINOR_DECOMPOSED = (
+    ((1, 1, (-1, 0, 1)), (0, 0, (1, 0, -1)), (0, 0, (0, 1, 1))),
+    (1, -1, (1, 1, 2)),
+)
+# Gram (-1, 1, 2; 1, -3, -3; 2, -3, -1), pairings (2, -2, -1): B and C enter
+# together, with leading minors -3 and -6.
+_INDEFINITE = (((1, 0, (0, 0, -1)), (0, 0, (-1, 1, 1)), (1, 1, (-1, 1, 1))), (1, 0, (2, 2, 2)))
+
+
+def test_zero_leading_minor_falls_back_to_the_pivoted_solve(monkeypatch):
+    # A zero leading minor stops the grown elimination; the call goes on with
+    # the pivoted solve from scratch and refuses exactly as before.
+    calls = _count_bareiss(monkeypatch)
+    rows, d = _ZERO_MINOR
+    basis = _hand_basis(0, rows)
+    assert [basis.gram[i][i] for i in range(3)] == [0, -3, -2]
+    with pytest.raises(NotPseudoeffective) as exc:
+        zariski_decompose(div_class(0, *d), basis)
+    assert str(exc.value) == (
+        "support A, C: support Gram matrix is not negative definite, "
+        "leading minor 1 is 0"
+    )
+    assert calls["pivoting"] > 0
+    # A support whose only generator has square 0 is singular.
+    basis = _hand_basis(1, [(-1, -1, (1, 1)), (-1, 0, (1, 1)), (0, 1, (0, 1))])
+    with pytest.raises(NotPseudoeffective) as exc:
+        zariski_decompose(div_class(1, -1, -2, (0, -2)), basis)
+    assert str(exc.value) == "support C: orthogonality system is singular"
+    # After the fallback the decomposition is the reference's.
+    rows, d = _ZERO_MINOR_DECOMPOSED
+    basis = _hand_basis(0, rows)
+    cls = div_class(0, *d)
+    calls.clear()
+    zp = zariski_decompose(cls, basis)
+    assert calls["pivoting"] > 0
+    assert zp.components == (("B", Fraction(1, 3)), ("C", Fraction(5, 3)))
+    assert _outcome(zariski_decompose, cls, basis) == _outcome(
+        reference.zariski_decompose, cls, basis
+    )
+    for name, c in basis.items():
+        assert zp.positive_pairing(name) == pair(zp.positive, c)
+
+
+def test_indefinite_support_is_refused_from_the_grown_minors(monkeypatch):
+    # The grown elimination's minors do not alternate, so the chosen rows
+    # are eliminated again only to name the failing minor.
+    calls = _count_bareiss(monkeypatch)
+    rows, d = _INDEFINITE
+    basis = _hand_basis(0, rows)
+    with pytest.raises(NotPseudoeffective) as exc:
+        zariski_decompose(div_class(0, *d), basis)
+    assert str(exc.value) == (
+        "support B, C: support Gram matrix is not negative definite, "
+        "leading minor 2 is -6"
+    )
+    assert calls == Counter(plain=1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    f=st.fractions(-4, 24, max_denominator=6),
+    m=st.fractions(-4, 24, max_denominator=6),
+    e=st.lists(st.fractions(-16, 4, max_denominator=8), min_size=12, max_size=12),
+)
+def test_engine_equals_dense_reference_on_random_classes(seed, f, m, e):
+    # Any rational class, not only D* - t E_r: the same positive part and
+    # components, or a refusal for the same reason.
+    val = random_valuation(random.Random(seed), r_max=12)
+    basis = curve_basis(val)
+    cls = div_class(val.delta, f, m, e[: val.r])
+    got = _outcome(zariski_decompose, cls, basis)
+    want = _outcome(reference.zariski_decompose, cls, basis)
+    if want[0] == "refused":
+        assert got[0] == "refused" and want[1] in got[1]
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("family", ["tail", "block"])
+def test_sweep_grows_one_elimination_per_decomposition(monkeypatch, family):
+    # At r = 92 with eta = r - 1 a sweep solves every support by growing one
+    # elimination: 0 from-scratch eliminations, for solving or for
+    # definiteness.
+    surface = Surface(2, SPECIAL)
+    val = divisorial_valuation(surface, ladder_configuration(family, 92))
+    flag = flag_valuation(val, val.r - 1)
+    d = BigDivisor(1, 2)
+    calls = _count_bareiss(monkeypatch)
+    assert sweep_body(flag, d) == newton_okounkov_body(flag, d)
+    assert calls == Counter()
+    # The counter is live: a refused class eliminates from scratch.
+    rows, cls = _INDEFINITE
+    with pytest.raises(NotPseudoeffective):
+        zariski_decompose(div_class(0, *cls), _hand_basis(0, rows))
+    assert calls == Counter(plain=1)
 
 
 # ---------------------------------------------------------------- closed forms
