@@ -11,16 +11,23 @@ exactly at each step; it and the sweep built on it (:func:`alpha_beta`) are
 the independent oracles that the closed forms are checked against.
 
 The engine and the sweep run in integers from input to output.  The curve
-basis holds the sparse integer coordinates of the generators and their
-Gram matrix.  The input class is cleared to integers once and paired with
-every generator in O(1) terms per exceptional curve; after each solve the
-remainder's pairings are updated by linearity.  Each support system is
-solved by fraction-free Bareiss elimination, whose pivots without row
-exchanges also give the leading minors behind the definiteness check.  The
-positive class is built only when a caller reads it: the sweep takes the
-pairing of the positive part with ``E_r`` from the input's pairing and the
-Gram column over the support.  The dense ``Fraction`` engine it replaced
-is kept in the tests as the reference.
+basis holds the sparse integer coordinates of the generators, their Gram
+matrix and the non-zero entries of each Gram row.  The input class is
+cleared to integers once and paired with every generator in O(1) terms per
+exceptional curve; after each solve the remainder's pairings are updated by
+linearity over the non-zero Gram entries.  One decomposition grows one
+fraction-free Bareiss elimination across its support rounds: a generator
+joins as a new row eliminated against the stored pivot rows and as a new
+column filled by symmetry, in O(s^2) for a support of size ``s``.  The
+stored pivots are the support's leading minors in insertion order; when
+they alternate in sign the support is negative definite and the
+definiteness check is skipped.  A zero leading minor, which only a class
+that ends up refused meets on a cone of curves, sends the rest of the call
+to a pivoted solve from scratch.  The positive class is built only when a
+caller reads it: the engine hands over its final remainder pairings, and
+the sweep reads the pairing of the positive part with ``E_r`` from them.
+The dense ``Fraction`` engine it replaced is kept in the tests as the
+reference.
 """
 
 from __future__ import annotations

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from hirzebruch.cli import main
 
 from conftest import CASES, PACKAGE_ROOT
 
@@ -236,16 +241,19 @@ def test_broken_invariant_exits_3_without_traceback():
 def _json_paths(value, prefix=()):
     """The path of every field of a JSON value, the value itself first."""
     yield prefix
-    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    if isinstance(value, dict):
+        items = value.items()
+    else:
+        items = enumerate(value) if isinstance(value, list) else ()
     for key, child in items:
         yield from _json_paths(child, prefix + (key,))
 
 
 def _mutate(case, path, action, value):
     """``case`` with the field at ``path`` replaced by ``value`` or deleted."""
-    case = json.loads(json.dumps(case))
     if not path:
         return value
+    case = json.loads(json.dumps(case))
     *head, last = path
     parent = case
     for key in head:
@@ -274,12 +282,6 @@ _junk = st.one_of(
 def test_mutated_cases_exit_cleanly(data):
     # Any mutation of a shipped case is either computed or refused with a
     # typed error: exit code 0, 2 or 3 and no traceback, in process.
-    import contextlib
-    import io
-    import tempfile
-
-    from hirzebruch.cli import main
-
     source = data.draw(st.sampled_from(sorted(CASES.glob("*.json"))), label="case")
     case = json.loads(source.read_text(encoding="utf-8"))
     for _ in range(data.draw(st.integers(1, 3), label="mutations")):

@@ -314,21 +314,24 @@ def _hand_basis(delta, rows):
 def _count_bareiss(monkeypatch):
     """Count the calls to ``lattice.bareiss``, by whether they pivot."""
     calls = Counter()
-    dense = lattice.bareiss
+    original = lattice.bareiss
 
     def counting(a, pivoting):
         calls["pivoting" if pivoting else "plain"] += 1
-        return dense(a, pivoting)
+        return original(a, pivoting)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "hirzebruch" and getattr(module, "bareiss", None) is dense:
+        if name.split(".")[0] == "hirzebruch" and getattr(module, "bareiss", None) is original:
             monkeypatch.setattr(module, "bareiss", counting)
     return calls
 
 
 # Gram (0, -1, -1; -1, -3, -2; -1, -2, -2), class pairings (-1, -3, -3): the
 # first round adds all three generators, and the first leading minor is 0.
-_ZERO_MINOR = (((1, 1, (0, -1, -1)), (1, 0, (1, -1, -1)), (0, 0, (1, 0, -1))), (1, -2, (1, 2, -2)))
+_ZERO_MINOR = (
+    ((1, 1, (0, -1, -1)), (1, 0, (1, -1, -1)), (0, 0, (1, 0, -1))),
+    (1, -2, (1, 2, -2)),
+)
 # Gram (0, 2, -1; 2, -2, 1; -1, 1, -2), pairings (-1, 1, -3): a zero first
 # minor, after which the pivoted solve gives a decomposition on B and C.
 _ZERO_MINOR_DECOMPOSED = (
@@ -337,7 +340,10 @@ _ZERO_MINOR_DECOMPOSED = (
 )
 # Gram (-1, 1, 2; 1, -3, -3; 2, -3, -1), pairings (2, -2, -1): B and C enter
 # together, with leading minors -3 and -6.
-_INDEFINITE = (((1, 0, (0, 0, -1)), (0, 0, (-1, 1, 1)), (1, 1, (-1, 1, 1))), (1, 0, (2, 2, 2)))
+_INDEFINITE = (
+    ((1, 0, (0, 0, -1)), (0, 0, (-1, 1, 1)), (1, 1, (-1, 1, 1))),
+    (1, 0, (2, 2, 2)),
+)
 
 
 def test_zero_leading_minor_falls_back_to_the_pivoted_solve(monkeypatch):
