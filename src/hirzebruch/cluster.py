@@ -540,11 +540,6 @@ def truncate_valuation(val: DivisorialValuation, k: int) -> DivisorialValuation:
     return divisorial_valuation(val.surface, truncate(val.config, k))
 
 
-def chain_value(val: DivisorialValuation, chain: Iterable[int]) -> int:
-    """Value of the unit germ along ``chain``, restricted to this valuation."""
-    return sum(val.m[i - 1] for i in chain if i <= val.r)
-
-
 def truncation_pairing(config: Configuration, i: int, j: int) -> int:
     """Noether pairing of two stages: the value of one curvette under the
     other truncated valuation (symmetric in ``i`` and ``j``)."""

@@ -6,13 +6,18 @@ closed-form breakpoint data (:func:`newton_okounkov_body`) and certified
 against an independent oracle that sweeps Zariski decompositions across the
 breakpoint set (:func:`sweep_body`), plus exact area, containment and
 value-sequence identity checks (:func:`verify_body`).
+
+Polygon geometry runs in integers: hull, area and containment clear their
+points to one common denominator, and only the hull vertices are built as
+``Fraction`` again.  The ``Fraction`` geometry it replaced is the test
+reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .cluster import (
     FlagValuation,
@@ -42,8 +47,24 @@ from .zariski import alpha_beta, t_values, _regime
 Point = tuple[Fraction, Fraction]
 
 
-def _cross(o: Point, a: Point, b: Point) -> Fraction:
+def _cross(o, a, b):
+    """Twice the signed area of the triangle ``o, a, b``, for ``int`` or
+    ``Fraction`` coordinates alike."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _cleared(points) -> tuple[list[tuple[int, int]], int]:
+    """Rational points over one common denominator: the integer numerators
+    of each point and the denominator.
+
+    Scaling by a positive integer keeps the lexicographic order and the sign
+    of every cross product, so hull, area and containment run in ``int``.
+    """
+    den = lcm(*(c.denominator for p in points for c in p))
+    return [
+        (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
+        for x, y in points
+    ], den
 
 
 @dataclass(frozen=True)
@@ -58,23 +79,23 @@ class Polygon:
 
     @classmethod
     def from_points(cls, points) -> "Polygon":
-        pts = sorted({(Fraction(x), Fraction(y)) for x, y in points})
-        if len(pts) <= 2:
-            return cls(tuple(pts))
-        lower: list[Point] = []
-        for p in pts:
-            while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-                lower.pop()
-            lower.append(p)
-        upper: list[Point] = []
-        for p in reversed(pts):
-            while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-                upper.pop()
-            upper.append(p)
-        hull = lower[:-1] + upper[:-1]
-        if len(hull) <= 2:
-            return cls(tuple(sorted(hull)))
-        return cls(tuple(hull))
+        cleared, den = _cleared([(Fraction(x), Fraction(y)) for x, y in points])
+        hull = pts = sorted(set(cleared))
+        if len(pts) > 2:
+            # Both chains keep their first point, so a collinear set comes
+            # out as its two sorted end points.
+            lower: list[tuple[int, int]] = []
+            for p in pts:
+                while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
+                    lower.pop()
+                lower.append(p)
+            upper: list[tuple[int, int]] = []
+            for p in reversed(pts):
+                while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
+                    upper.pop()
+                upper.append(p)
+            hull = lower[:-1] + upper[:-1]
+        return cls(tuple((Fraction(x, den), Fraction(y, den)) for x, y in hull))
 
     def scaled(self, factor) -> "Polygon":
         s = Fraction(factor)
@@ -82,21 +103,15 @@ class Polygon:
 
     @property
     def area2(self) -> Fraction:
-        v = self.vertices
-        total = Fraction(0)
-        for i in range(len(v)):
-            x0, y0 = v[i]
-            x1, y1 = v[(i + 1) % len(v)]
-            total += x0 * y1 - x1 * y0
-        return total
+        v, den = _cleared(self.vertices)
+        total = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(v, v[1:] + v[:1]))
+        return Fraction(total, den * den)
 
     def contains(self, point: Point) -> bool:
-        v = self.vertices
-        if len(v) < 3:
-            return point in v
-        return all(
-            _cross(v[i], v[(i + 1) % len(v)], point) >= 0 for i in range(len(v))
-        )
+        if len(self.vertices) < 3:
+            return point in self.vertices
+        (*v, p), _ = _cleared((*self.vertices, point))
+        return all(_cross(a, b, p) >= 0 for a, b in zip(v, v[1:] + v[:1]))
 
     def shape(self) -> str:
         return {3: "triangle", 4: "quadrilateral"}.get(

@@ -41,8 +41,6 @@ from typing import NamedTuple
 from .cluster import (
     DivisorialValuation,
     FlagValuation,
-    chain_value,
-    truncate_valuation,
     truncation_pairing,
 )
 from .errors import (
@@ -122,15 +120,6 @@ class ZariskiPair:
             if n == name:
                 return c
         return Fraction(0)
-
-    def negative_class(self) -> DivisorClassZ:
-        total = 0 * self.divisor
-        for name, coeff in self.components:
-            total = total + coeff * self.basis.get(name)
-        return total
-
-    def support(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.components)
 
     def positive_pairing(self, name: str) -> Fraction:
         """The pairing of the positive part with the named generator."""
@@ -330,12 +319,14 @@ class _Regime(NamedTuple):
         """Values on the stage-``i`` curvette at the lower and upper breakpoint.
 
         Stage ``r`` gives the breakpoints themselves, stage ``i < r`` the
-        negative-part coefficient on ``E_i``.
+        negative-part coefficient on ``E_i``.  The chain is an initial run
+        of free points, so its germ is the curvette at its last point and,
+        by symmetry of the curvette pairing, ``c`` is entry ``i`` of that
+        curvette's row.
         """
-        # Stage r is the valuation itself: truncating would rebuild it.
-        stage = val if i == val.r else truncate_valuation(val, i)
         nu = truncation_pairing(val.config, val.r, i)
-        c = chain_value(stage, self.chain)
+        k = len(self.chain)
+        c = truncation_pairing(val.config, k, i) if k else 0
         return (
             self.lower * nu,
             Fraction(self.upper * nu + self.sign * self.theta * c, self.denom),

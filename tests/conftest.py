@@ -1,4 +1,5 @@
 import random
+import signal
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,33 @@ from hirzebruch.errors import ConfigurationError, EtaNotNPI
 CASES = Path(__file__).resolve().parent.parent / "cases"
 # Put on PYTHONPATH of subprocesses so they import the package under test.
 PACKAGE_ROOT = str(Path(hirzebruch.__file__).resolve().parents[1])
+# Wall-clock bound on each test's call phase; the slowest test takes a few
+# seconds, so only a runaway computation reaches it.
+TEST_TIME_BOUND_S = 120
+
+
+class TimeBoundExceeded(BaseException):
+    """Raised in a test that ran past the bound.  Not an ``Exception``, so
+    neither the library nor hypothesis (which would shrink and replay the
+    example) catches it; pytest reports the test as failed."""
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeBoundExceeded(f"{item.nodeid} ran past the {TEST_TIME_BOUND_S} s bound")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_BOUND_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def special_example_valuation():
@@ -62,6 +90,12 @@ def nonspecial_example():
 @pytest.fixture(scope="session")
 def minimal_val():
     return minimal_four_point_valuation()
+
+
+def chain_value(val, chain):
+    """Value of the unit germ along ``chain``, restricted to this valuation:
+    the germ paired with the valuation's multiplicities."""
+    return sum(val.m[i - 1] for i in chain if i <= val.r)
 
 
 def ladder_beta_bar(family, r):

@@ -27,7 +27,7 @@ from hirzebruch import (
     truncate_valuation,
 )
 from hirzebruch import cluster
-from hirzebruch.cluster import chain_value, truncation_pairing
+from hirzebruch.cluster import truncation_pairing
 from hirzebruch.errors import (
     BadIncidence,
     BadSatellite,
@@ -42,6 +42,7 @@ from hirzebruch.okounkov import cone_rays
 
 from conftest import (
     CASES,
+    chain_value,
     ladder_beta_bar,
     ladder_configuration,
     minimal_four_point_valuation,

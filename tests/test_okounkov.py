@@ -27,6 +27,8 @@ from hirzebruch.okounkov import _cross
 
 from hirzebruch import caseio, okounkov
 
+import polygon_reference
+
 from conftest import (
     CASES,
     minimal_four_point_valuation,
@@ -69,6 +71,64 @@ def test_polygon_contains():
     assert tri.contains((fr(2), fr(1)))
     assert tri.contains((fr(4), fr(4)))
     assert not tri.contains((fr(1), fr(2)))
+    # Boundary points, and points just outside, with large coprime denominators.
+    corner = (fr(10**9 + 7, 999983), fr(2**61 - 1, 1000003))
+    tri = Polygon.from_points([(0, 0), (corner[0], 0), corner])
+    s = fr(123456791, 987654323)  # a point of the hypotenuse, strictly inside it
+    on_hypotenuse = (s * corner[0], s * corner[1])
+    on_base = (s * corner[0], fr(0))
+    on_side = (corner[0], s * corner[1])
+    for p in (on_hypotenuse, on_base, on_side, corner):
+        assert tri.contains(p)
+        assert polygon_reference.contains(tri.vertices, p)
+    nudge = fr(1, 10**18 + 9)
+    for p in (
+        (on_hypotenuse[0], on_hypotenuse[1] + nudge),
+        (on_base[0], -nudge),
+        (corner[0] + nudge, on_side[1]),
+    ):
+        assert not tri.contains(p)
+        assert not polygon_reference.contains(tri.vertices, p)
+
+
+_rational = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
+_unit = st.builds(Fraction, st.integers(0, 10**6), st.integers(1, 10**6)).filter(
+    lambda s: s <= 1
+)
+
+
+@st.composite
+def _point_sets(draw):
+    """Rational point lists of 1-10 points with mixed denominators: free,
+    all on one line, or with extra points on the edges of their hull; plus
+    repeated points, in any order."""
+    pts = draw(st.lists(st.tuples(_rational, _rational), min_size=1, max_size=8))
+    kind = draw(st.sampled_from(["free", "collinear", "edge"]))
+    if kind == "collinear":
+        (x0, y0), (x1, y1) = pts[0], pts[-1]
+        steps = draw(st.lists(_rational, min_size=1, max_size=8))
+        pts = [(x0 + s * (x1 - x0), y0 + s * (y1 - y0)) for s in steps]
+    elif kind == "edge":
+        v = polygon_reference.hull(pts)
+        for a, b in zip(v, v[1:] + v[:1]):
+            s = draw(_unit)
+            pts.append((a[0] + s * (b[0] - a[0]), a[1] + s * (b[1] - a[1])))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    return draw(st.permutations(pts))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(points=_point_sets(), queries=st.lists(st.tuples(_rational, _rational), max_size=4))
+def test_polygon_geometry_equals_fraction_reference(points, queries):
+    poly = Polygon.from_points(points)
+    want = polygon_reference.hull(points)
+    assert poly.vertices == want
+    assert poly.area2 == polygon_reference.area2(want)
+    edge_points = [
+        ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2) for a, b in zip(want, want[1:] + want[:1])
+    ]
+    for q in (*want, *edge_points, *points, *queries):
+        assert poly.contains(q) == polygon_reference.contains(want, q)
 
 
 _coordinate = st.builds(Fraction, st.integers(-24, 24), st.integers(1, 4))

@@ -32,10 +32,13 @@ from hirzebruch import (
     zariski_decompose,
     zariski_fano_base,
 )
+from hirzebruch.cluster import truncate_valuation
 from hirzebruch.errors import NegativePartOnEr, NotPseudoeffective
 from hirzebruch.lattice import CurveBasis
+from hirzebruch.zariski import _Regime
 
 from conftest import (
+    chain_value,
     ladder_configuration,
     nonspecial_example_valuation,
     random_flag,
@@ -72,7 +75,9 @@ def leading_minor_determinants(matrix):
 
 def assert_sound(zp, input_class, basis):
     """The three decomposition invariants, checked independently."""
-    total = zp.positive + zp.negative_class()
+    total = zp.positive + sum(
+        (c * basis.get(name) for name, c in zp.components), 0 * zp.divisor
+    )
     assert total == input_class
     support = [basis.get(name) for name, _ in zp.components]
     for cls in support:
@@ -488,6 +493,34 @@ def test_closed_form_fiber_regime():
         assert closed.positive == zariski_decompose(cls, basis).positive
         assert_sound(closed, cls, basis)
     assert closed.coefficient("F1") > 0
+
+
+def assert_at_stage_matches_truncation(val):
+    """The chain value read by ``at_stage`` equals the value of the chain
+    under each truncated valuation, for both chains and every stage."""
+    for chain in (val.config.f1_chain, val.config.m_chain):
+        # theta = 1 and zero affine parts: the upper value is the chain value.
+        rec = _Regime(1, Fraction(0), 0, 1, "F1", chain, 1)
+        for i in range(1, val.r + 1):
+            stage = val if i == val.r else truncate_valuation(val, i)
+            assert rec.at_stage(val, i)[1] == chain_value(stage, chain)
+
+
+@pytest.mark.parametrize("family", ["tail", "block"])
+@pytest.mark.parametrize("r", [92, 212])
+def test_at_stage_matches_truncation_on_ladders(family, r):
+    surface = Surface(2, SPECIAL)
+    assert_at_stage_matches_truncation(
+        divisorial_valuation(surface, ladder_configuration(family, r))
+    )
+
+
+def test_at_stage_matches_truncation_on_random_valuations():
+    rng = random.Random(5)
+    for _ in range(400):
+        assert_at_stage_matches_truncation(
+            random_valuation(rng, r_max=10, require_npi=False)
+        )
 
 
 # --------------------------------------------------------------------- sweeps
