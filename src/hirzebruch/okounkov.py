@@ -60,7 +60,9 @@ def _cleared(points) -> tuple[list[tuple[int, int]], int]:
     Scaling by a positive integer keeps the lexicographic order and the sign
     of every cross product, so hull, area and containment run in ``int``.
     """
-    den = lcm(*(c.denominator for p in points for c in p))
+    den = 1
+    for x, y in points:
+        den = lcm(den, x.denominator, y.denominator)
     return [
         (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
         for x, y in points
