@@ -9,8 +9,8 @@ value-sequence identity checks (:func:`verify_body`).
 
 Polygon geometry runs in integers: hull, area and containment clear their
 points to one common denominator, and only the hull vertices are built as
-``Fraction`` again.  The ``Fraction`` geometry it replaced is the test
-reference.
+``Fraction`` again.  A ``Fraction`` version of the same geometry is kept
+in the tests as the reference.
 """
 
 from __future__ import annotations
