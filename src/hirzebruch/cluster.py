@@ -471,6 +471,8 @@ class DivisorialValuation:
     phi_f1: int
     phi_m: int
     kind: str
+    # The curve basis and the dual graph, kept per instance by ``lattice``.
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def delta(self) -> int:

@@ -7,17 +7,18 @@ fiber, the distinguished sections and the exceptional divisors are derived
 classes; in the non-positive-at-infinity regime they generate the cone of
 curves, which is what the nefness test relies on.
 
-Each curve basis keeps the sparse integer coordinates of its generators in
-one table.  The Gram matrix, the pairings of a class with the generators
-(read by the Zariski engine and the nefness test) and the dual graph all
-read that table; the dense :func:`pair` is kept for callers and tests.
+A curve basis keeps the sparse integer coordinates of its generators,
+built in O(r) from the proximities and the chains, and its non-zero Gram
+entries, a forest, from an inverted index on the exceptional coordinates.
+The engine, the nefness test and :func:`dual_graph` read these tables; the
+classes are built only on request.  Both tables stay on the valuation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import lcm
 
 from .cluster import NON_SPECIAL, SPECIAL, DivisorialValuation
@@ -98,13 +99,37 @@ def pair(x: DivisorClassZ, y: DivisorClassZ) -> Fraction:
 class CurveBasis:
     """Strict-transform classes generating the cone of curves.
 
-    ``names`` and ``classes`` run in the fixed order ``F1``, ``M0``,
+    ``names`` and ``rows`` run in the fixed order ``F1``, ``M0``,
     optionally ``M1`` (non-special valuations only), then ``E1 .. Er``.
+    Row ``k`` holds the integer coordinates ``(f, m, e)`` of generator
+    ``k``, with ``e`` mapping the index of each non-zero exceptional
+    coordinate (from 0) to its value: at most three entries for an
+    exceptional curve, a chain for the fiber and the sections.
     """
 
     delta: int
+    r: int
     names: tuple[str, ...]
-    classes: tuple[DivisorClassZ, ...]
+    rows: tuple[tuple[int, int, dict[int, int]], ...]
+
+    @classmethod
+    def from_classes(cls, delta: int, names, classes) -> "CurveBasis":
+        """The basis of the given classes; their coordinates must be integers."""
+        rows = []
+        for name, c in zip(names, classes):
+            coords = (c.f, c.m, *c.e)
+            if any(x.denominator != 1 for x in coords):
+                raise InvariantBroken("integral basis", f"{name} = {coords}")
+            rows.append((int(c.f), int(c.m), {j: int(x) for j, x in enumerate(c.e) if x}))
+        return cls(delta, classes[0].r, tuple(names), tuple(rows))
+
+    @cached_property
+    def classes(self) -> tuple[DivisorClassZ, ...]:
+        """The generators as classes, built on first read."""
+        return tuple(
+            div_class(self.delta, f, m, [e.get(j, 0) for j in range(self.r)])
+            for f, m, e in self.rows
+        )
 
     def items(self) -> tuple[tuple[str, DivisorClassZ], ...]:
         return tuple(zip(self.names, self.classes))
@@ -121,41 +146,32 @@ class CurveBasis:
         return self.get(f"E{i}")
 
     @cached_property
-    def sparse(self) -> tuple[tuple[int, int, dict[int, int]], ...]:
-        """Integer coordinates of the generators, built on first use.
+    def sparse_gram(self) -> tuple[dict[int, int], ...]:
+        """The non-zero Gram entries of each generator, diagonal included,
+        as ``{column: value}``, built on first use.
 
-        Generator ``k`` is ``(f, m, e)`` with ``e`` mapping the index of each
-        non-zero exceptional coordinate to its value: at most three entries
-        for an exceptional curve, a chain for the fiber and the sections.
-        The Gram matrix and :meth:`pairings` both read this table.
+        Two generators pair to non-zero only through their fiber and
+        section coordinates or through a shared exceptional coordinate.  An
+        inverted index lists the generators non-zero at each exceptional
+        coordinate, a handful each, so the entries cost O(r) on a basis
+        of a valuation.
         """
-        table = []
-        for name, c in self.items():
-            coords = (c.f, c.m, *c.e)
-            if any(x.denominator != 1 for x in coords):
-                raise InvariantBroken("integral basis", f"{name} = {coords}")
-            e = {j: int(x) for j, x in enumerate(c.e) if x}
-            table.append((int(c.f), int(c.m), e))
-        return tuple(table)
-
-    @cached_property
-    def gram(self) -> tuple[tuple[int, ...], ...]:
-        """The integer Gram matrix of the generators, built on first use."""
-        sparse = self.sparse
-        return tuple(
-            tuple(_sparse_pair(self.delta, x, y) for y in sparse) for x in sparse
-        )
-
-    @cached_property
-    def sparse_gram(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The non-zero entries of each Gram row, as ``(column, value)`` pairs.
-
-        An exceptional curve meets its neighbours in the dual graph and at
-        most the fiber and the sections, so its row holds O(1) entries.
-        """
-        return tuple(
-            tuple((k, v) for k, v in enumerate(row) if v) for row in self.gram
-        )
+        delta, rows = self.delta, self.rows
+        gram: list[dict[int, int]] = [{} for _ in rows]
+        based = [(k, f, m) for k, (f, m, _) in enumerate(rows) if f or m]
+        for k, f, m in based:
+            for l, g, n in based:
+                gram[k][l] = f * n + m * g + delta * m * n
+        sharing: dict[int, list[tuple[int, int]]] = {}
+        for k, (_, _, e) in enumerate(rows):
+            for j, v in e.items():
+                sharing.setdefault(j, []).append((k, v))
+        for entries in sharing.values():
+            for k, v in entries:
+                row = gram[k]
+                for l, w in entries:
+                    row[l] = row.get(l, 0) - v * w
+        return tuple({l: x for l, x in row.items() if x} for row in gram)
 
     def pairings(self, d: DivisorClassZ) -> tuple[list[int], int]:
         """The pairings of ``d`` with every generator, as integers over a scale.
@@ -165,7 +181,8 @@ class CurveBasis:
         ``values[k] / scale``, and it costs one product per non-zero
         exceptional coordinate of the sparser side.
         """
-        d._check(self.classes[0])
+        if d.delta != self.delta or d.r != self.r:
+            raise DimensionMismatch("classes live on different surfaces")
         scale = lcm(d.f.denominator, d.m.denominator, *(x.denominator for x in d.e))
 
         def clear(x):
@@ -173,7 +190,7 @@ class CurveBasis:
 
         e = {j: clear(x) for j, x in enumerate(d.e) if x}
         cleared = (clear(d.f), clear(d.m), e)
-        return [_sparse_pair(self.delta, cleared, y) for y in self.sparse], scale
+        return [_sparse_pair(self.delta, cleared, y) for y in self.rows], scale
 
 
 def _sparse_pair(delta: int, x, y) -> int:
@@ -186,58 +203,53 @@ def _sparse_pair(delta: int, x, y) -> int:
     return f * n + m * g + delta * m * n - dot
 
 
-@lru_cache(maxsize=None)
 def curve_basis(val: DivisorialValuation) -> CurveBasis:
-    delta, r = val.delta, val.r
-    config = val.config
+    """The cone generators, built once per valuation: ``E_i`` is ``E_i*``
+    less the ``E_j*`` of the points proximate to ``p_i``, and ``F1``, ``M0``
+    and ``M1`` are pullbacks less the ``E_j*`` of their chains."""
+    tables = val._tables
+    if "basis" not in tables:
+        delta, config = val.delta, val.config
 
-    def strict_exceptional(i):
-        coords = [0] * r
-        coords[i - 1] = 1
-        for j in config.proximate_to(i):
-            coords[j - 1] = -1
-        return div_class(delta, 0, 0, coords)
+        def chain(f, m, points):
+            return f, m, {i - 1: -1 for i in points}
 
-    def chain_class(f, m, chain):
-        coords = [-1 if i in chain else 0 for i in range(1, r + 1)]
-        return div_class(delta, f, m, coords)
-
-    f1 = chain_class(1, 0, set(config.f1_chain))
-    names = ["F1", "M0"]
-    if val.kind == NON_SPECIAL:
-        classes = [
-            f1,
-            chain_class(-delta, 1, set()),
-            chain_class(0, 1, set(config.m_chain)),
-        ]
-        names.append("M1")
-    else:
-        m0_chain = set(config.m_chain) if val.surface.point_kind == SPECIAL else set()
-        classes = [f1, chain_class(-delta, 1, m0_chain)]
-    for i in range(1, r + 1):
-        names.append(f"E{i}")
-        classes.append(strict_exceptional(i))
-    return CurveBasis(delta, tuple(names), tuple(classes))
+        names = ["F1", "M0"]
+        rows = [chain(1, 0, config.f1_chain)]
+        if val.kind == NON_SPECIAL:
+            rows += [chain(-delta, 1, ()), chain(0, 1, config.m_chain)]
+            names.append("M1")
+        else:
+            special = val.surface.point_kind == SPECIAL
+            rows.append(chain(-delta, 1, config.m_chain if special else ()))
+        for i in range(1, val.r + 1):
+            names.append(f"E{i}")
+            e = {i - 1: 1}
+            for j in config.proximate_to(i):
+                e[j - 1] = -1
+            rows.append((0, 0, e))
+        tables["basis"] = CurveBasis(delta, val.r, tuple(names), tuple(rows))
+    return tables["basis"]
 
 
-@lru_cache(maxsize=None)
 def dual_graph(val: DivisorialValuation) -> tuple[tuple[int, ...], ...]:
     """Adjacency lists of the exceptional curves, checked to form a tree."""
+    if "graph" in val._tables:
+        return val._tables["graph"]
     basis = curve_basis(val)
     r = val.r
-    first = basis.names.index("E1")
-    strict = basis.gram[first:]
+    first = basis.index["E1"] - 1
     adj: list[list[int]] = [[] for _ in range(r + 1)]
     edges = 0
     for i in range(1, r + 1):
-        for j in range(i + 1, r + 1):
-            p = strict[i - 1][first + j - 1]
-            if p not in (0, 1):
+        row = basis.sparse_gram[first + i]
+        for j in sorted(k - first for k in row if k - first > i):
+            p = row[first + j]
+            if p != 1:
                 raise NotATree(f"E{i}.E{j} = {p}")
-            if p == 1:
-                adj[i].append(j)
-                adj[j].append(i)
-                edges += 1
+            adj[i].append(j)
+            adj[j].append(i)
+            edges += 1
     if edges != r - 1:
         raise NotATree(f"{edges} edges on {r} vertices")
     seen = {1}
@@ -250,7 +262,8 @@ def dual_graph(val: DivisorialValuation) -> tuple[tuple[int, ...], ...]:
                 stack.append(w)
     if len(seen) != r:
         raise NotATree("intersection graph is disconnected")
-    return tuple(tuple(a) for a in adj)
+    graph = val._tables["graph"] = tuple(tuple(a) for a in adj)
+    return graph
 
 
 def precedes(graph: tuple[tuple[int, ...], ...], alpha: int, beta: int) -> bool:
@@ -279,51 +292,29 @@ def is_nef_against(d: DivisorClassZ, basis: CurveBasis) -> bool:
     return all(v >= 0 for v in values)
 
 
-def bareiss(a: list[list[int]], pivoting: bool) -> list[int]:
-    """Fraction-free elimination of an integer matrix, in place (Bareiss 1968).
-
-    The rows of ``a`` are eliminated below the diagonal of the leading
-    square block; further columns, such as a right-hand side, are carried
-    along.  Every division is exact.  Returns the pivots, stopping after the
-    first zero one.  Without ``pivoting`` pivot ``k`` is the leading
-    principal minor of order ``k + 1``.  With it a zero pivot is replaced by
-    the first non-zero entry below it in its column; the matrix is singular
-    exactly when a zero pivot remains, and otherwise the last pivot is its
-    determinant up to sign.
-    """
-    n = len(a)
-    pivots = []
-    prev = 1
-    for k in range(n):
-        if pivoting and a[k][k] == 0:
-            below = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if below is not None:
-                a[k], a[below] = a[below], a[k]
-        row = a[k]
-        p = row[k]
-        pivots.append(p)
-        if p == 0:
-            break
-        for i in range(k + 1, n):
-            other = a[i]
-            f = other[k]
-            for j in range(k + 1, len(row)):
-                other[j] = (p * other[j] - f * row[j]) // prev
-        prev = p
-    return pivots
-
-
 def definiteness_failure(gram) -> tuple[int, int] | None:
     """The first leading principal minor of an integer Gram matrix whose sign
     breaks negative definiteness, as ``(order, minor)``, or ``None``.
 
-    The minor of order ``k`` of a negative definite matrix has sign
-    ``(-1)^k``.
+    Fraction-free elimination without row exchanges (Bareiss 1968): pivot
+    ``k`` is the leading principal minor of order ``k + 1`` and every
+    division is exact.  The minor of order ``k`` of a negative definite
+    matrix has sign ``(-1)^k``.
     """
-    pivots = bareiss([list(row) for row in gram], pivoting=False)
-    for k, minor in enumerate(pivots, 1):
-        if minor == 0 or (minor > 0) != (k % 2 == 0):
-            return k, minor
+    a = [list(row) for row in gram]
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        row = a[k]
+        p = row[k]
+        if p == 0 or (p > 0) != (k % 2 == 1):
+            return k + 1, p
+        for i in range(k + 1, n):
+            other = a[i]
+            f = other[k]
+            for j in range(k + 1, n):
+                other[j] = (p * other[j] - f * row[j]) // prev
+        prev = p
     return None
 
 

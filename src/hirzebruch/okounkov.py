@@ -81,7 +81,11 @@ class Polygon:
 
     @classmethod
     def from_points(cls, points) -> "Polygon":
-        cleared, den = _cleared([(Fraction(x), Fraction(y)) for x, y in points])
+        # Only coordinates other than ``int`` and ``Fraction`` are converted.
+        exact = (int, Fraction)
+        cleared, den = _cleared(
+            [tuple(c if isinstance(c, exact) else Fraction(c) for c in p) for p in points]
+        )
         hull = pts = sorted(set(cleared))
         if len(pts) > 2:
             # Both chains keep their first point, so a collinear set comes

@@ -10,20 +10,12 @@ generators until the remainder is nef, solving the orthogonality conditions
 exactly at each step; it and the sweep built on it (:func:`alpha_beta`) are
 the independent oracles that the closed forms are checked against.
 
-The engine and the sweep run in integers from input to output.  The curve
-basis holds the sparse integer coordinates of the generators, their Gram
-matrix and the non-zero entries of each Gram row.  The input class is
-cleared to integers once and paired with every generator in O(1) terms per
-exceptional curve; after each solve the remainder's pairings are updated by
-linearity over the non-zero Gram entries.  One decomposition grows one
-fraction-free Bareiss elimination across its support rounds: a generator
-joins as a new row eliminated against the stored pivot rows and as a new
-column filled by symmetry, in O(s^2) for a support of size ``s``.  The
-stored pivots are the support's leading minors in insertion order; when
-they alternate in sign the support is negative definite and the
-definiteness check is skipped.  A zero leading minor, which only a class
-that ends up refused meets on a cone of curves, sends the rest of the call
-to a pivoted solve from scratch.  The positive class is built only when a
+The engine and the sweep run in integers from input to output, on the
+sparse integer rows of the basis.  The generators are strict transforms of
+a tree of smooth rational curves, so every support system is a principal
+submatrix of a forest Gram matrix; each round solves it from scratch by
+leaf-first elimination (:func:`_forest_solve`), which also tells whether
+the support is negative definite.  The positive class is built only when a
 caller reads it: the engine hands over its final remainder pairings, and
 the sweep reads the pairing of the positive part with ``E_r`` from them.
 The dense ``Fraction`` engine it replaced is kept in the tests as the
@@ -51,7 +43,6 @@ from .errors import (
 from .lattice import (
     CurveBasis,
     DivisorClassZ,
-    bareiss,
     curve_basis,
     definiteness_failure,
     div_class,
@@ -111,7 +102,7 @@ class ZariskiPair:
         sparse_gram, index = self.basis.sparse_gram, self.basis.index
         for name, c in self.components:
             weight = c.numerator * (denom // c.denominator)
-            for k, g in sparse_gram[index[name]]:
+            for k, g in sparse_gram[index[name]].items():
                 values[k] -= weight * g
         return values, denom
 
@@ -150,73 +141,91 @@ def zariski_fano_base(delta: int, d) -> BaseDecomposition:
     return BaseDecomposition((Fraction(0), scale), d.b - scale)
 
 
-def _solve(gram, support: list[int], rhs: list[int]) -> tuple[list[int], int] | None:
-    """Integer solution ``x / det`` of the support system, or ``None``.
+def _forest_solve(
+    gram, names, support: list[int], rhs: list[int]
+) -> tuple[list[int], int, bool] | None:
+    """Integer solution ``x / det`` of the support system and whether the
+    support is negative definite, or ``None`` when the system is singular.
 
-    Fraction-free elimination from scratch, with the first non-zero entry of
-    each column as pivot, then back substitution; ``None`` means singular.
-    The engine falls back to it once a leading minor of the support vanishes.
+    ``gram`` holds the non-zero Gram entries of each generator by row; on
+    the support they must form a forest, and a cycle is refused.  A walk
+    fixes a parent for every vertex.  Leaves first, each vertex ``v``
+    carries the integers ``(P, Q, R)`` of its reduced pivot ``P / Q`` and
+    reduced right-hand side ``R / Q``, and is eliminated into its parent
+    ``u`` over the edge weight ``w``: ``P_u <- P_u P_v - w^2 Q_v Q_u``,
+    ``R_u <- R_u P_v - w R_v Q_u``, ``Q_u <- Q_u P_v``.  So ``P`` is the
+    determinant of the subtree and ``Q`` the product of the children's.
+
+    A vertex whose reduced pivot is zero pairs with its parent instead: the
+    2x2 block has determinant ``-w^2``, the child's equation fixes the
+    parent's value, and the grandparent keeps its pivot while its
+    right-hand side moves.  A zero pivot at a root, or a second zero-pivot
+    child of one parent, makes the system singular.  Back substitution
+    divides exactly, since ``det * x`` is integral by Cramer's rule.  The
+    support is negative definite exactly when every reduced pivot is
+    negative and no pair was formed.
     """
-    n = len(support)
-    a = [[gram[i][j] for j in support] + [rhs[i]] for i in support]
-    pivots = bareiss(a, pivoting=True)
-    det = pivots[-1]
-    if det == 0:
-        return None
-    return _back_substitute(a, [row[n] for row in a], det), det
-
-
-def _back_substitute(rows: list[list[int]], b: list[int], det: int) -> list[int]:
-    """Back substitution on eliminated rows ``rows`` with right-hand side ``b``."""
-    n = len(rows)
-    x = [0] * n
-    for i in reversed(range(n)):
-        row = rows[i]
-        s = det * b[i] - sum(row[j] * x[j] for j in range(i + 1, n))
-        x[i] = s // row[i]
-    return x
-
-
-class _Elimination:
-    """Fraction-free elimination of the support system, grown one row at a time.
-
-    Row ``k`` is the ``k``-th support generator's Gram row after elimination
-    steps ``0 .. k-1``, and its pivot is the leading minor of order ``k + 1``
-    in insertion order.  A new generator's row is eliminated against the
-    stored ones; by symmetry of the Gram matrix, stored row ``k``'s entry in
-    the new column is the new row's entry in column ``k`` just before step
-    ``k``.  Appending costs O(s) per stored row, with no row exchanges.
-    """
-
-    def __init__(self):
-        self.rows: list[list[int]] = []
-        self.rhs: list[int] = []
-        self.pivots: list[int] = []
-
-    def append(self, column: list[int], rhs: int) -> bool:
-        """Append the generator whose Gram column over the support, itself
-        last, is ``column``; ``False`` when its pivot is zero."""
-        new = list(column)
-        prev = 1
-        for k, (row, b, p) in enumerate(zip(self.rows, self.rhs, self.pivots)):
-            f = new[k]
-            row.append(f)
-            for j in range(k + 1, len(new)):
-                new[j] = (p * new[j] - f * row[j]) // prev
-            rhs = (p * rhs - f * b) // prev
-            prev = p
-        self.rows.append(new)
-        self.rhs.append(rhs)
-        self.pivots.append(new[-1])
-        return new[-1] != 0
-
-    def solve(self) -> tuple[list[int], int]:
-        det = self.pivots[-1]
-        return _back_substitute(self.rows, self.rhs, det), det
-
-    def negative_definite(self) -> bool:
-        """Whether the leading minors alternate in sign, starting negative."""
-        return all((p > 0) == (k % 2 == 1) for k, p in enumerate(self.pivots))
+    inside = set(support)
+    parent: dict[int, int | None] = {}
+    up: dict[int, int] = {}  # the weight of the edge to the parent, 0 at a root
+    order: list[int] = []
+    for root in support:
+        if root in parent:
+            continue
+        parent[root], up[root] = None, 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for g, w in gram[v].items():
+                if g == v or g == parent[v] or g not in inside:
+                    continue
+                if g in parent:
+                    raise InvariantBroken(
+                        "generator forest",
+                        f"{_named(names, support)}: {names[v]} and {names[g]} close a cycle",
+                    )
+                parent[g], up[g] = v, w
+                stack.append(g)
+    # The roots hang under a vertex ``None`` of pivot 1, whose pivot ends as
+    # the product of the roots' subtree determinants.
+    P = {g: gram[g].get(g, 0) for g in support}
+    Q = dict.fromkeys(support, 1)
+    R = {g: rhs[g] for g in support}
+    P[None], Q[None], R[None] = 1, 1, 0
+    mate: dict[int, int] = {}  # the zero-pivot child paired with a vertex
+    definite = True
+    for v in reversed(order):
+        u = parent[v]
+        if v in mate:
+            c = mate[v]
+            block = -up[c] * up[c] * Q[c] * Q[v]
+            R[u] = R[u] * block + up[v] * up[c] * R[c] * Q[v] * Q[u]
+            P[u] *= block
+            Q[u] *= block
+        elif P[v] == 0:
+            if u is None or u in mate:
+                return None
+            mate[u] = v
+            definite = False
+        else:
+            definite = definite and (P[v] < 0) != (Q[v] < 0)
+            P[u] = P[u] * P[v] - up[v] * up[v] * Q[v] * Q[u]
+            R[u] = R[u] * P[v] - up[v] * R[v] * Q[u]
+            Q[u] *= P[v]
+    det = P[None]
+    x = {None: 0}
+    for v in order:
+        u = parent[v]
+        if v in mate:
+            c = mate[v]
+            x[v] = det * R[c] // (Q[c] * up[c])
+        elif mate.get(u) == v:
+            rest = det * R[u] - P[u] * x[u] - up[u] * Q[u] * x[parent[u]]
+            x[v] = rest // (Q[u] * up[v])
+        else:
+            x[v] = (det * R[v] - up[v] * Q[v] * x[u]) // P[v]
+    return [x[g] for g in support], det, definite
 
 
 def zariski_decompose(d: DivisorClassZ, basis: CurveBasis) -> ZariskiPair:
@@ -228,47 +237,35 @@ def zariski_decompose(d: DivisorClassZ, basis: CurveBasis) -> ZariskiPair:
     loop stabilizes; failure to produce non-negative coefficients with a
     negative-definite support means the class is not pseudoeffective.
 
-    Runs on the integer Gram matrix held by the basis: the pairings of
-    ``d`` with the generators are integers over one scale, and those of
-    the remainder follow from them by linearity, over the non-zero Gram
-    entries.  One elimination is grown in place across the rounds; after a
-    zero leading minor the rest of the call solves each round from scratch
-    with pivoting.  Alternating leading minors make the whole support, and
-    so every part of it, negative definite.
+    The pairings of ``d`` with the generators are integers over one
+    scale, and those of the remainder follow from them by linearity over
+    the non-zero Gram entries.  A support the solve finds negative definite
+    makes every part of it so; only otherwise are the chosen rows checked.
     """
-    names = basis.names
-    gram, sparse_gram = basis.gram, basis.sparse_gram
+    names, gram = basis.names, basis.sparse_gram
     n = len(names)
     rhs, scale = basis.pairings(d)
     # The remainder's pairings are ``rest[k] / (det * scale)``.
     support: list[int] = []
-    elim: _Elimination | None = _Elimination()
     x: list[int] = []
     det = 1
+    definite = True
     rest = rhs
     while True:
         inside = set(support)
         bad = [k for k in range(n) if k not in inside and rest[k] * det < 0]
         if not bad:
             break
-        for g in bad:
-            support.append(g)
-            if elim is not None and not elim.append(
-                [gram[g][i] for i in support], rhs[g]
-            ):
-                elim = None
-        if elim is not None:
-            x, det = elim.solve()
-        else:
-            solved = _solve(gram, support, rhs)
-            if solved is None:
-                raise NotPseudoeffective(
-                    f"{_named(names, support)}: orthogonality system is singular"
-                )
-            x, det = solved
+        support += bad
+        solved = _forest_solve(gram, names, support, rhs)
+        if solved is None:
+            raise NotPseudoeffective(
+                f"{_named(names, support)}: orthogonality system is singular"
+            )
+        x, det, definite = solved
         rest = [det * v for v in rhs]
         for i, xi in zip(support, x):
-            for k, g in sparse_gram[i]:
+            for k, g in gram[i].items():
                 rest[k] -= xi * g
     coeffs = [Fraction(xi, det * scale) for xi in x]
     for idx, c in zip(support, coeffs):
@@ -278,9 +275,9 @@ def zariski_decompose(d: DivisorClassZ, basis: CurveBasis) -> ZariskiPair:
                 f"coefficient, {names[idx]} = {c}"
             )
     chosen = sorted((idx, c) for idx, c in zip(support, coeffs) if c > 0)
-    if chosen and (elim is None or not elim.negative_definite()):
+    if chosen and not definite:
         rows = [idx for idx, _ in chosen]
-        failure = definiteness_failure([[gram[i][j] for j in rows] for i in rows])
+        failure = definiteness_failure([[gram[i].get(j, 0) for j in rows] for i in rows])
         if failure is not None:
             order, minor = failure
             raise NotPseudoeffective(

@@ -2,6 +2,11 @@ import random
 import signal
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 import pytest
 
 import hirzebruch
@@ -25,6 +30,18 @@ PACKAGE_ROOT = str(Path(hirzebruch.__file__).resolve().parents[1])
 # Wall-clock bound on each test's call phase; the slowest test takes a few
 # seconds, so only a runaway computation reaches it.
 TEST_TIME_BOUND_S = 120
+
+
+# Address-space cap on the test process, inherited by the subprocesses it
+# starts.  A Tier-1 run peaks at about 70 MB of virtual memory, so only a
+# runaway computation reaches the cap, and it then fails with MemoryError
+# instead of exhausting the machine's memory.
+TEST_MEMORY_CAP_BYTES = 1 << 30
+
+if resource is not None:
+    _soft, _hard = resource.getrlimit(resource.RLIMIT_AS)
+    if _soft == resource.RLIM_INFINITY or _soft > TEST_MEMORY_CAP_BYTES:
+        resource.setrlimit(resource.RLIMIT_AS, (TEST_MEMORY_CAP_BYTES, _hard))
 
 
 class TimeBoundExceeded(BaseException):

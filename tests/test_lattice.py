@@ -174,21 +174,35 @@ def test_nonspecial_nef_classes():
 
 
 def test_basis_gram_is_the_integer_pairing():
+    # The sparse entries equal the dense pairing on every generator pair,
+    # an absent entry meaning 0.
     rng = random.Random(5)
     vals = [special_example_valuation(), nonspecial_example_valuation()]
     vals += [random_valuation(rng, r_max=12, require_npi=False) for _ in range(20)]
     for val in vals:
         basis = curve_basis(val)
-        dense = [[pair(a, b) for b in basis.classes] for a in basis.classes]
-        assert basis.gram == tuple(map(tuple, dense))
-        assert all(type(x) is int for row in basis.gram for x in row)
+        for k, a in enumerate(basis.classes):
+            row = basis.sparse_gram[k]
+            assert all(type(x) is int and x != 0 for x in row.values())
+            for l, b in enumerate(basis.classes):
+                assert row.get(l, 0) == pair(a, b)
 
 
 def test_basis_gram_rejects_a_non_integral_generator():
     half = div_class(2, 0, 0, [Fraction(1, 2), 0])
-    basis = CurveBasis(2, ("F1", "E1"), (div_class(2, 1, 0, [-1, 0]), half))
     with pytest.raises(InvariantBroken, match=r"^integral basis: E1 = "):
-        basis.gram
+        CurveBasis.from_classes(2, ("F1", "E1"), (div_class(2, 1, 0, [-1, 0]), half))
+
+
+def test_basis_tables_stay_on_the_valuation():
+    # Built once per valuation instance; an equal valuation built apart
+    # builds its own.
+    val = special_example_valuation()
+    assert curve_basis(val) is curve_basis(val)
+    assert dual_graph(val) is dual_graph(val)
+    other = special_example_valuation()
+    assert other == val and curve_basis(other) is not curve_basis(val)
+    assert curve_basis(other) == curve_basis(val)
 
 
 def test_negative_definite_examples():

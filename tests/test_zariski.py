@@ -33,9 +33,9 @@ from hirzebruch import (
     zariski_fano_base,
 )
 from hirzebruch.cluster import truncate_valuation
-from hirzebruch.errors import NegativePartOnEr, NotPseudoeffective
+from hirzebruch.errors import InvariantBroken, NegativePartOnEr, NotPseudoeffective
 from hirzebruch.lattice import CurveBasis
-from hirzebruch.zariski import _Regime
+from hirzebruch.zariski import _Regime, _forest_solve
 
 from conftest import (
     chain_value,
@@ -313,91 +313,124 @@ def _hand_basis(delta, rows):
     """A basis of generators ``A, B, ...`` with integer coordinates
     ``(f, m, e)``; it need not be the cone of curves of a surface."""
     names = tuple("ABCDEFGH"[: len(rows)])
-    return CurveBasis(delta, names, tuple(div_class(delta, *row) for row in rows))
+    return CurveBasis.from_classes(delta, names, [div_class(delta, *row) for row in rows])
 
 
-def _count_bareiss(monkeypatch):
-    """Count the calls to ``lattice.bareiss``, by whether they pivot."""
+def _count_definiteness_checks(monkeypatch):
+    """Count the calls to ``lattice.definiteness_failure``."""
     calls = Counter()
-    original = lattice.bareiss
+    original = lattice.definiteness_failure
 
-    def counting(a, pivoting):
-        calls["pivoting" if pivoting else "plain"] += 1
-        return original(a, pivoting)
+    def counting(gram):
+        calls["definiteness_failure"] += 1
+        return original(gram)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "hirzebruch" and getattr(module, "bareiss", None) is original:
-            monkeypatch.setattr(module, "bareiss", counting)
+        held = getattr(module, "definiteness_failure", None)
+        if name.split(".")[0] == "hirzebruch" and held is original:
+            monkeypatch.setattr(module, "definiteness_failure", counting)
     return calls
 
 
-# Gram (0, -1, -1; -1, -3, -2; -1, -2, -2), class pairings (-1, -3, -3): the
-# first round adds all three generators, and the first leading minor is 0.
-_ZERO_MINOR = (
-    ((1, 1, (0, -1, -1)), (1, 0, (1, -1, -1)), (0, 0, (1, 0, -1))),
-    (1, -2, (1, 2, -2)),
-)
-# Gram (0, 2, -1; 2, -2, 1; -1, 1, -2), pairings (-1, 1, -3): a zero first
-# minor, after which the pivoted solve gives a decomposition on B and C.
-_ZERO_MINOR_DECOMPOSED = (
-    ((1, 1, (-1, 0, 1)), (0, 0, (1, 0, -1)), (0, 0, (0, 1, 1))),
-    (1, -1, (1, 1, 2)),
-)
-# Gram (-1, 1, 2; 1, -3, -3; 2, -3, -1), pairings (2, -2, -1): B and C enter
-# together, with leading minors -3 and -6.
-_INDEFINITE = (
-    ((1, 0, (0, 0, -1)), (0, 0, (-1, 1, 1)), (1, 1, (-1, 1, 1))),
-    (1, 0, (2, 2, 2)),
-)
+# On F_2 with three points: A = E1* - E2*, B = E2* - E3* and
+# C = M* - E2* - E3*.  Gram (-2, 1, -1; 1, -2, 0; -1, 0, 0), a star at A:
+# C has square 0, and as a leaf under A its reduced pivot is 0.
+_STAR = ((0, 0, (1, -1, 0)), (0, 0, (0, 1, -1)), (0, 1, (0, -1, -1)))
+# Pairings (-2, -2, -2): C pairs with A, whose value C's equation fixes;
+# the solution (2, 2, 0) leaves C out of the negative part.
+_STAR_DECOMPOSED = (0, 0, (2, 0, -2))
+# Pairings (-4, -2, -2): the solution (2, 2, 2) is positive on the whole
+# star, whose leading minors are -2, 3 and 2.
+_STAR_INDEFINITE = (0, 0, (4, 0, -2))
+# -F* meets only C, negatively: C alone is a zero-pivot root.
+_STAR_SINGULAR = (-1, 0, (0, 0, 0))
 
 
-def test_zero_leading_minor_falls_back_to_the_pivoted_solve(monkeypatch):
-    # A zero leading minor stops the grown elimination; the call goes on with
-    # the pivoted solve from scratch and refuses exactly as before.
-    calls = _count_bareiss(monkeypatch)
-    rows, d = _ZERO_MINOR
-    basis = _hand_basis(0, rows)
-    assert [basis.gram[i][i] for i in range(3)] == [0, -3, -2]
-    with pytest.raises(NotPseudoeffective) as exc:
-        zariski_decompose(div_class(0, *d), basis)
-    assert str(exc.value) == (
-        "support A, C: support Gram matrix is not negative definite, "
-        "leading minor 1 is 0"
-    )
-    assert calls["pivoting"] > 0
-    # A support whose only generator has square 0 is singular.
-    basis = _hand_basis(1, [(-1, -1, (1, 1)), (-1, 0, (1, 1)), (0, 1, (0, 1))])
-    with pytest.raises(NotPseudoeffective) as exc:
-        zariski_decompose(div_class(1, -1, -2, (0, -2)), basis)
-    assert str(exc.value) == "support C: orthogonality system is singular"
-    # After the fallback the decomposition is the reference's.
-    rows, d = _ZERO_MINOR_DECOMPOSED
-    basis = _hand_basis(0, rows)
-    cls = div_class(0, *d)
-    calls.clear()
+def test_zero_pivot_pairs_with_its_parent():
+    # A zero reduced pivot pairs the leaf with its parent, and the
+    # decomposition is the reference's.
+    basis = _hand_basis(2, _STAR)
+    assert [basis.sparse_gram[k].get(k, 0) for k in range(3)] == [-2, -2, 0]
+    assert basis.sparse_gram[2] == {0: -1}
+    cls = div_class(2, *_STAR_DECOMPOSED)
+    assert basis.pairings(cls) == ([-2, -2, -2], 1)
     zp = zariski_decompose(cls, basis)
-    assert calls["pivoting"] > 0
-    assert zp.components == (("B", Fraction(1, 3)), ("C", Fraction(5, 3)))
+    assert zp.components == (("A", Fraction(2)), ("B", Fraction(2)))
     assert _outcome(zariski_decompose, cls, basis) == _outcome(
         reference.zariski_decompose, cls, basis
     )
     for name, c in basis.items():
         assert zp.positive_pairing(name) == pair(zp.positive, c)
-
-
-def test_indefinite_support_is_refused_from_the_grown_minors(monkeypatch):
-    # The grown elimination's minors do not alternate, so the chosen rows
-    # are eliminated again only to name the failing minor.
-    calls = _count_bareiss(monkeypatch)
-    rows, d = _INDEFINITE
-    basis = _hand_basis(0, rows)
+    # A support whose only generator has square 0 is singular.
     with pytest.raises(NotPseudoeffective) as exc:
-        zariski_decompose(div_class(0, *d), basis)
+        zariski_decompose(div_class(2, *_STAR_SINGULAR), basis)
+    assert str(exc.value) == "support C: orthogonality system is singular"
+
+
+def test_indefinite_support_names_its_leading_minor(monkeypatch):
+    # A pair was formed, so the chosen rows are eliminated again, once, only
+    # to name the failing minor.
+    calls = _count_definiteness_checks(monkeypatch)
+    basis = _hand_basis(2, _STAR)
+    with pytest.raises(NotPseudoeffective) as exc:
+        zariski_decompose(div_class(2, *_STAR_INDEFINITE), basis)
     assert str(exc.value) == (
-        "support B, C: support Gram matrix is not negative definite, "
-        "leading minor 2 is -6"
+        "support A, B, C: support Gram matrix is not negative definite, "
+        "leading minor 3 is 2"
     )
-    assert calls == Counter(plain=1)
+    assert calls == Counter(definiteness_failure=1)
+
+
+def test_engine_refuses_a_cycle_in_the_support():
+    # A = E1* - E2*, B = E2* - E3*, C = E1* - E3* meet pairwise: no basis of
+    # a valuation looks like this, and the solve's walk refuses it.
+    basis = _hand_basis(0, [(0, 0, (1, -1, 0)), (0, 0, (0, 1, -1)), (0, 0, (1, 0, -1))])
+    cls = div_class(0, 0, 0, (1, 0, -1))
+    assert basis.pairings(cls) == ([-1, -1, -2], 1)
+    with pytest.raises(InvariantBroken, match=r"^generator forest: support A, B, C: "):
+        zariski_decompose(cls, basis)
+
+
+@st.composite
+def _forest_systems(draw):
+    """A forest Gram on 1 to 12 vertices, as rows of non-zero entries, with
+    a walk order and an integer right-hand side."""
+    n = draw(st.integers(1, 12))
+    gram = [{} for _ in range(n)]
+    for v in range(n):
+        # Zero is drawn often, so that two zero-pivot leaves share a parent.
+        diagonal = draw(st.one_of(st.just(0), st.integers(-3, 1)))
+        if diagonal:
+            gram[v][v] = diagonal
+    for v in range(1, n):
+        u = draw(st.one_of(st.none(), st.integers(0, v - 1)))
+        if u is not None:
+            gram[u][v] = gram[v][u] = draw(st.sampled_from([-2, -1, 1, 2]))
+    support = draw(st.permutations(range(n)))
+    rhs = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+    return tuple(gram), support, rhs
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(system=_forest_systems())
+def test_forest_solve_equals_dense_reference(system):
+    # Zero and positive pivots occur: the solve equals the dense Fraction
+    # solve, or both call the system singular, and it calls the support
+    # negative definite exactly when the leading minors say so.
+    gram, support, rhs = system
+    names = [f"G{k}" for k in range(len(gram))]
+    dense = [[gram[i].get(j, 0) for j in support] for i in support]
+    want = reference._solve(
+        [[Fraction(x) for x in row] for row in dense], [Fraction(rhs[i]) for i in support]
+    )
+    solved = _forest_solve(gram, names, list(support), rhs)
+    if want is None:
+        assert solved is None
+        return
+    assert solved is not None
+    x, det, definite = solved
+    assert [Fraction(v, det) for v in x] == want
+    assert definite == (lattice.definiteness_failure(dense) is None)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -422,22 +455,20 @@ def test_engine_equals_dense_reference_on_random_classes(seed, f, m, e):
 
 
 @pytest.mark.parametrize("family", ["tail", "block"])
-def test_sweep_grows_one_elimination_per_decomposition(monkeypatch, family):
-    # At r = 92 with eta = r - 1 a sweep solves every support by growing one
-    # elimination: 0 from-scratch eliminations, for solving or for
-    # definiteness.
+def test_sweep_runs_no_definiteness_check(monkeypatch, family):
+    # At r = 92 with eta = r - 1 every support a sweep solves is negative
+    # definite by its own pivots: 0 separate definiteness checks.
     surface = Surface(2, SPECIAL)
     val = divisorial_valuation(surface, ladder_configuration(family, 92))
     flag = flag_valuation(val, val.r - 1)
     d = BigDivisor(1, 2)
-    calls = _count_bareiss(monkeypatch)
+    calls = _count_definiteness_checks(monkeypatch)
     assert sweep_body(flag, d) == newton_okounkov_body(flag, d)
     assert calls == Counter()
-    # The counter is live: a refused class eliminates from scratch.
-    rows, cls = _INDEFINITE
+    # The counter is live: a refused class is checked once.
     with pytest.raises(NotPseudoeffective):
-        zariski_decompose(div_class(0, *cls), _hand_basis(0, rows))
-    assert calls == Counter(plain=1)
+        zariski_decompose(div_class(2, *_STAR_INDEFINITE), _hand_basis(2, _STAR))
+    assert calls == Counter(definiteness_failure=1)
 
 
 # ---------------------------------------------------------------- closed forms
