@@ -411,7 +411,7 @@ def _forest_systems(draw):
     return tuple(gram), support, rhs
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(system=_forest_systems())
 def test_forest_solve_equals_dense_reference(system):
     # Zero and positive pivots occur: the solve equals the dense Fraction
