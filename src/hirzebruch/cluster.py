@@ -89,9 +89,13 @@ class Configuration:
 
     points: tuple[ClusterPoint, ...]
     # Derived per instance and left out of equality and hashing: the
-    # proximity lists, and the curvette-value rows by stage.
+    # proximity lists, the curvette-value rows by stage, and the sieved
+    # maximal contact values by stage.
     _prox: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _rows: dict[int, tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _values: dict[int, tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -312,9 +316,12 @@ def maximal_contact_values(config: Configuration, r: int | None = None) -> tuple
     subset-sum sieve; the appended last entry is the self-pairing of the
     multiplicity vector, the reciprocal volume of the valuation.  Both are
     read from :meth:`Configuration.curvette_values`, so no truncated
-    configuration is built.
+    configuration is built.  The sieve runs once per stage and
+    configuration; its result is kept on the configuration.
     """
     r = config.r if r is None else r
+    if r in config._values:
+        return config._values[r]
     row = config.curvette_values(r)[:r]
     total = row[-1]
     if total >= _SEMIGROUP_VALUE_CAP:
@@ -336,7 +343,8 @@ def maximal_contact_values(config: Configuration, r: int | None = None) -> tuple
         g = gcd(g, v)
     if g != 1:
         raise NotRealizable(f"value semigroup has non-trivial content {g}")
-    return tuple(generators) + (total,)
+    config._values[r] = tuple(generators) + (total,)
+    return config._values[r]
 
 
 def _euclid_steps(a: int, b: int) -> Iterable[tuple[int, int]]:

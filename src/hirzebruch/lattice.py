@@ -8,10 +8,13 @@ classes; in the non-positive-at-infinity regime they generate the cone of
 curves, which is what the nefness test relies on.
 
 A curve basis keeps the sparse integer coordinates of its generators,
-built in O(r) from the proximities and the chains, and its non-zero Gram
-entries, a forest, from an inverted index on the exceptional coordinates.
-The engine, the nefness test and :func:`dual_graph` read these tables; the
-classes are built only on request.  Both tables stay on the valuation.
+built in O(r) from the proximities and the chains, and one inverted column
+index: the generators non-zero at each exceptional coordinate, plus the
+rows with a fiber or section part.  Its non-zero Gram entries, a forest,
+and the pairings of any class with every generator are read from that
+index, the latter in O(non-zero coordinates of the class).  The engine,
+the nefness test and :func:`dual_graph` read these tables; the classes are
+built only on request.  Both tables stay on the valuation.
 """
 
 from __future__ import annotations
@@ -146,26 +149,34 @@ class CurveBasis:
         return self.get(f"E{i}")
 
     @cached_property
+    def _columns(self) -> tuple[list[tuple[int, int, int]], dict[int, list[tuple[int, int]]]]:
+        """The inverted column index, built on first use: the rows with a
+        fiber or section part as ``(k, f, m)``, and for each exceptional
+        coordinate the ``(k, value)`` of the generators non-zero there, a
+        handful each on a basis of a valuation."""
+        based = [(k, f, m) for k, (f, m, _) in enumerate(self.rows) if f or m]
+        sharing: dict[int, list[tuple[int, int]]] = {}
+        for k, (_, _, e) in enumerate(self.rows):
+            for j, v in e.items():
+                sharing.setdefault(j, []).append((k, v))
+        return based, sharing
+
+    @cached_property
     def sparse_gram(self) -> tuple[dict[int, int], ...]:
         """The non-zero Gram entries of each generator, diagonal included,
         as ``{column: value}``, built on first use.
 
         Two generators pair to non-zero only through their fiber and
-        section coordinates or through a shared exceptional coordinate.  An
-        inverted index lists the generators non-zero at each exceptional
-        coordinate, a handful each, so the entries cost O(r) on a basis
-        of a valuation.
+        section coordinates or through a shared exceptional coordinate, so
+        the entries come from the column index in O(r) on a basis of a
+        valuation.
         """
-        delta, rows = self.delta, self.rows
-        gram: list[dict[int, int]] = [{} for _ in rows]
-        based = [(k, f, m) for k, (f, m, _) in enumerate(rows) if f or m]
+        delta = self.delta
+        based, sharing = self._columns
+        gram: list[dict[int, int]] = [{} for _ in self.rows]
         for k, f, m in based:
             for l, g, n in based:
                 gram[k][l] = f * n + m * g + delta * m * n
-        sharing: dict[int, list[tuple[int, int]]] = {}
-        for k, (_, _, e) in enumerate(rows):
-            for j, v in e.items():
-                sharing.setdefault(j, []).append((k, v))
         for entries in sharing.values():
             for k, v in entries:
                 row = gram[k]
@@ -178,29 +189,26 @@ class CurveBasis:
 
         ``d`` is cleared to integers once, by the lcm of its coordinate
         denominators; the pairing with generator ``k`` is
-        ``values[k] / scale``, and it costs one product per non-zero
-        exceptional coordinate of the sparser side.
+        ``values[k] / scale``.  The column index gives them at the cost of
+        the fiber and section rows plus the generators at the non-zero
+        exceptional coordinates of ``d``.
         """
         if d.delta != self.delta or d.r != self.r:
             raise DimensionMismatch("classes live on different surfaces")
-        scale = lcm(d.f.denominator, d.m.denominator, *(x.denominator for x in d.e))
-
-        def clear(x):
-            return x.numerator * (scale // x.denominator)
-
-        e = {j: clear(x) for j, x in enumerate(d.e) if x}
-        cleared = (clear(d.f), clear(d.m), e)
-        return [_sparse_pair(self.delta, cleared, y) for y in self.rows], scale
-
-
-def _sparse_pair(delta: int, x, y) -> int:
-    """The intersection form on two sparse integer coordinate triples."""
-    f, m, e = x
-    g, n, e2 = y
-    if len(e2) < len(e):
-        e, e2 = e2, e
-    dot = sum(v * e2.get(j, 0) for j, v in e.items())
-    return f * n + m * g + delta * m * n - dot
+        e = [(j, x) for j, x in enumerate(d.e) if x]
+        scale = lcm(d.f.denominator, d.m.denominator, *(x.denominator for _, x in e))
+        f = d.f.numerator * (scale // d.f.denominator)
+        m = d.m.numerator * (scale // d.m.denominator)
+        delta = self.delta
+        based, sharing = self._columns
+        values = [0] * len(self.rows)
+        for k, g, n in based:
+            values[k] = f * n + m * g + delta * m * n
+        for j, x in e:
+            c = x.numerator * (scale // x.denominator)
+            for k, v in sharing.get(j, ()):
+                values[k] -= c * v
+        return values, scale
 
 
 def curve_basis(val: DivisorialValuation) -> CurveBasis:

@@ -5,7 +5,9 @@ divisor is a polygon with rational vertices.  It is assembled here from the
 closed-form breakpoint data (:func:`newton_okounkov_body`) and certified
 against an independent oracle that sweeps Zariski decompositions across the
 breakpoint set (:func:`sweep_body`), plus exact area, containment and
-value-sequence identity checks (:func:`verify_body`).
+value-sequence identity checks (:func:`verify_body`).  The sweep visits its
+samples in ascending order and hands each sample's support on to the next
+as the engine's start.
 
 Polygon geometry runs in integers: hull, area and containment clear their
 points to one common denominator, and only the hull vertices are built as
@@ -286,14 +288,17 @@ def sweep_body(flag: FlagValuation, d) -> Polygon:
 
     Between breakpoints both boundary functions are affine, so the hull
     over breakpoints and midpoints reconstructs the body exactly; a hidden
-    breakpoint would make the comparison with the closed form fail.
+    breakpoint would make the comparison with the closed form fail.  The
+    samples ascend, and each starts the engine from the support of the one
+    before.
     """
     val = flag.base
     d = as_divisor(d)
     _require_npi(val)
     pts = [(Fraction(0), Fraction(0))]
+    carry: list[int] = []
     for t in sweep_breakpoints(flag, d):
-        lo, hi = alpha_beta(flag, d, t)
+        lo, hi = alpha_beta(flag, d, t, _carry=carry)
         pts.append((t, lo))
         pts.append((t, hi))
     return Polygon.from_points(pts)

@@ -20,6 +20,16 @@ caller reads it: the engine hands over its final remainder pairings, and
 the sweep reads the pairing of the positive part with ``E_r`` from them.
 The dense ``Fraction`` engine it replaced is kept in the tests as the
 reference.
+
+A sweep carries its support from one sample to the next.  The negative
+part of ``D* - t E_r`` only grows with ``t`` while ``E_r`` stays out of it
+(Lazarsfeld-Mustata, *Convex bodies associated to linear series*, section
+6), and the engine reaches the same decomposition from any subset of the
+support (Bauer, *A simple proof for the existence of Zariski decompositions
+on surfaces*, 2009).  So each sample starts from the previous sample's
+components, and only the first sample with a negative part grows it from
+nothing; the engine refuses a start generator that ends without a positive
+coefficient as a broken invariant.
 """
 
 from __future__ import annotations
@@ -45,7 +55,6 @@ from .lattice import (
     DivisorClassZ,
     curve_basis,
     definiteness_failure,
-    div_class,
 )
 from .seshadri import (
     BigDivisor,
@@ -228,7 +237,9 @@ def _forest_solve(
     return [x[g] for g in support], det, definite
 
 
-def zariski_decompose(d: DivisorClassZ, basis: CurveBasis) -> ZariskiPair:
+def zariski_decompose(
+    d: DivisorClassZ, basis: CurveBasis, *, _start: list[int] | tuple[int, ...] = ()
+) -> ZariskiPair:
     """Iterative decomposition over the finite cone-generator list.
 
     Starting from an empty support, repeatedly solve for the negative part
@@ -241,6 +252,13 @@ def zariski_decompose(d: DivisorClassZ, basis: CurveBasis) -> ZariskiPair:
     scale, and those of the remainder follow from them by linearity over
     the non-zero Gram entries.  A support the solve finds negative definite
     makes every part of it so; only otherwise are the chosen rows checked.
+
+    ``_start`` is state the sweep carries from one sample to the next, not
+    an option: indices of generators in the support of the negative part,
+    from which the loop starts instead of the empty support.  From any such
+    subset the loop reaches the same decomposition (Bauer 2009), with a
+    positive coefficient on each of them; a start generator that ends
+    without one is a broken invariant, not a refusal of ``d``.
     """
     names, gram = basis.names, basis.sparse_gram
     n = len(names)
@@ -251,12 +269,9 @@ def zariski_decompose(d: DivisorClassZ, basis: CurveBasis) -> ZariskiPair:
     det = 1
     definite = True
     rest = rhs
-    while True:
-        inside = set(support)
-        bad = [k for k in range(n) if k not in inside and rest[k] * det < 0]
-        if not bad:
-            break
-        support += bad
+    joining = list(_start) or [k for k in range(n) if rhs[k] < 0]
+    while joining:
+        support += joining
         solved = _forest_solve(gram, names, support, rhs)
         if solved is None:
             raise NotPseudoeffective(
@@ -267,7 +282,15 @@ def zariski_decompose(d: DivisorClassZ, basis: CurveBasis) -> ZariskiPair:
         for i, xi in zip(support, x):
             for k, g in gram[i].items():
                 rest[k] -= xi * g
+        inside = set(support)
+        joining = [k for k in range(n) if k not in inside and rest[k] * det < 0]
     coeffs = [Fraction(xi, det * scale) for xi in x]
+    for idx, c in zip(support[: len(_start)], coeffs):
+        if c <= 0:
+            raise InvariantBroken(
+                "sweep support",
+                f"{_named(names, support)}: start generator {names[idx]} ends at {c}",
+            )
     for idx, c in zip(support, coeffs):
         if c < 0:
             raise NotPseudoeffective(
@@ -380,31 +403,44 @@ def closed_form_decomposition(val: DivisorialValuation, d, which: str) -> Zarisk
     return ZariskiPair(_swept_class(val, d, t), comps, curve_basis(val))
 
 
-def _swept_class(val: DivisorialValuation, d: BigDivisor, t) -> DivisorClassZ:
-    """The class ``D* - t E_r*``, built directly from its coordinates."""
-    return div_class(val.delta, d.a, d.b, (0,) * (val.r - 1) + (-t,))
+def _swept_class(val: DivisorialValuation, d: BigDivisor, t: Fraction) -> DivisorClassZ:
+    """The class ``D* - t E_r*``, built directly from its coordinates, with
+    one zero shared by the first ``r - 1`` of them."""
+    zero = Fraction(0)
+    e = (zero,) * (val.r - 1) + (-t,)
+    return DivisorClassZ(val.delta, Fraction(d.a), Fraction(d.b), e)
 
 
-def alpha_beta(flag: FlagValuation, d, t) -> tuple[Fraction, Fraction]:
+def alpha_beta(
+    flag: FlagValuation, d, t, *, _carry: list[int] | None = None
+) -> tuple[Fraction, Fraction]:
     """Lower and upper boundary values of the body above abscissa ``t``.
 
     Decomposes ``D* - t E_r``; the lower value is the negative-part
     coefficient on the second divisor through the flag point (zero for a
     free flag point), the upper value adds the pairing of the positive part
     with the last exceptional curve, read without building that class.
+
+    ``_carry`` is state a sweep passes between its ascending samples, not
+    an option: the previous sample's component indices, which start the
+    engine and are replaced by this sample's (see the module notes on why
+    that is exact).
     """
     val = flag.base
     d = as_divisor(d)
     t = Fraction(t)
     if t < 0:
         raise ValueError("the sweep parameter must be non-negative")
-    zp = zariski_decompose(_swept_class(val, d, t), curve_basis(val))
+    basis = curve_basis(val)
+    zp = zariski_decompose(_swept_class(val, d, t), basis, _start=_carry or ())
     last = f"E{val.r}"
     if zp.coefficient(last) != 0:
         raise NegativePartOnEr(
             f"E{val.r} entered the negative part at t = {t}; "
             "the position contract is violated"
         )
+    if _carry is not None:
+        _carry[:] = [basis.index[name] for name, _ in zp.components]
     alpha = zp.coefficient(f"E{flag.eta}") if flag.is_satellite else Fraction(0)
     beta = alpha + zp.positive_pairing(last)
     return alpha, beta

@@ -175,7 +175,9 @@ def test_nonspecial_nef_classes():
 
 def test_basis_gram_is_the_integer_pairing():
     # The sparse entries equal the dense pairing on every generator pair,
-    # an absent entry meaning 0.
+    # an absent entry meaning 0; and the pairings of a class read from the
+    # column index equal its dense pairing with every generator, for sparse
+    # classes D* - t E_r* and dense random rational ones.
     rng = random.Random(5)
     vals = [special_example_valuation(), nonspecial_example_valuation()]
     vals += [random_valuation(rng, r_max=12, require_npi=False) for _ in range(20)]
@@ -186,6 +188,21 @@ def test_basis_gram_is_the_integer_pairing():
             assert all(type(x) is int and x != 0 for x in row.values())
             for l, b in enumerate(basis.classes):
                 assert row.get(l, 0) == pair(a, b)
+
+        def rational():
+            return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+        t = Fraction(rng.randint(0, 40), rng.randint(1, 7))
+        swept = pullback(val.delta, rng.randint(-3, 9), rng.randint(0, 9), val.r)
+        classes = [swept - t * exceptional(val.delta, val.r, val.r)]
+        classes += [
+            div_class(val.delta, rational(), rational(), [rational() for _ in range(val.r)])
+            for _ in range(3)
+        ]
+        for cls in classes:
+            values, scale = basis.pairings(cls)
+            assert all(type(v) is int for v in values) and scale > 0
+            assert [Fraction(v, scale) for v in values] == [pair(cls, c) for c in basis.classes]
 
 
 def test_basis_gram_rejects_a_non_integral_generator():

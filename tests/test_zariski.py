@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hirzebruch.lattice as lattice
+import hirzebruch.zariski as zariski_module
 import zariski_reference as reference
 from hirzebruch import (
+    GENERAL,
     SPECIAL,
     BigDivisor,
     DivisorClassZ,
@@ -35,7 +37,8 @@ from hirzebruch import (
 from hirzebruch.cluster import truncate_valuation
 from hirzebruch.errors import InvariantBroken, NegativePartOnEr, NotPseudoeffective
 from hirzebruch.lattice import CurveBasis
-from hirzebruch.zariski import _Regime, _forest_solve
+from hirzebruch.okounkov import sweep_breakpoints
+from hirzebruch.zariski import _Regime, _forest_solve, _swept_class
 
 from conftest import (
     chain_value,
@@ -469,6 +472,93 @@ def test_sweep_runs_no_definiteness_check(monkeypatch, family):
     with pytest.raises(NotPseudoeffective):
         zariski_decompose(div_class(2, *_STAR_INDEFINITE), _hand_basis(2, _STAR))
     assert calls == Counter(definiteness_failure=1)
+
+
+def _count_solves(monkeypatch):
+    """Count the calls to ``zariski._forest_solve``."""
+    calls = Counter()
+    original = zariski_module._forest_solve
+
+    def counting(*args):
+        calls["solve"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(zariski_module, "_forest_solve", counting)
+    return calls
+
+
+@pytest.mark.parametrize("family", ["tail", "block"])
+def test_sweep_carries_its_support(monkeypatch, family):
+    # Each sample starts from the previous sample's support, so only the
+    # first sample with a negative part grows it from nothing: at most
+    # r + 2 solves per sample in one sweep, where cold samples take about
+    # r each.
+    surface = Surface(2, SPECIAL)
+    val = divisorial_valuation(surface, ladder_configuration(family, 92))
+    flag = flag_valuation(val, val.r - 1)
+    d = BigDivisor(1, 2)
+    samples = len(sweep_breakpoints(flag, d))
+    calls = _count_solves(monkeypatch)
+    assert sweep_body(flag, d) == newton_okounkov_body(flag, d)
+    assert 0 < calls["solve"] <= val.r + 2 * samples
+    # The counter is live: a cold decomposition in the sweep's chamber
+    # grows its support one round at a time.
+    before = calls["solve"]
+    t = t_values(val, d)[1]
+    zariski_decompose(_swept_class(val, d, t), curve_basis(val))
+    assert calls["solve"] - before > val.r // 2
+
+
+def _sweep_case(rng, case):
+    """A valuation, flag and big class for the warm-start property test:
+    a nef class at a center of the given kind, or a non-nef one at a
+    general center."""
+    if case == "non-nef":
+        val = random_valuation(rng, r_max=10, point_kind=GENERAL)
+        b = rng.randint(2 if val.delta == 1 else 1, 6)
+        d = BigDivisor(rng.randint(-b * val.delta + 1, -1), b)
+        return val, random_flag(rng, val, BigDivisor(0, 1)), d
+    val = random_valuation(rng, r_max=10, point_kind=case)
+    d = random_nef_big(rng, val.delta)
+    return val, random_flag(rng, val, d), d
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    case=st.sampled_from([SPECIAL, GENERAL, None, "non-nef"]),
+)
+def test_warm_sweep_equals_cold_engine(seed, case):
+    # At every sample of the sweep, the engine started from the previous
+    # sample's support gives the cold engine's components and E_r pairing
+    # of the positive part, and the carrying alpha_beta the cold (alpha,
+    # beta); what it carries on is the cold support.
+    val, flag, d = _sweep_case(random.Random(seed), case)
+    basis = curve_basis(val)
+    last = f"E{val.r}"
+    carry: list[int] = []
+    for t in sweep_breakpoints(flag, d):
+        cls = _swept_class(val, d, t)
+        cold = zariski_decompose(cls, basis)
+        warm = zariski_decompose(cls, basis, _start=list(carry))
+        assert warm.components == cold.components
+        assert warm.positive_pairing(last) == cold.positive_pairing(last)
+        assert alpha_beta(flag, d, t, _carry=carry) == alpha_beta(flag, d, t)
+        assert carry == [basis.index[name] for name, _ in cold.components]
+
+
+def test_start_outside_the_negative_part_is_refused():
+    # -E1* on the star meets A positively and B, C not at all, so it is nef:
+    # the cold engine finds no negative part.  Started from A it pulls C in
+    # and ends with A at 0, which the warm start's theorem rules out.
+    basis = _hand_basis(2, _STAR)
+    cls = div_class(2, 0, 0, (-1, 0, 0))
+    assert basis.pairings(cls) == ([1, 0, 0], 1)
+    assert zariski_decompose(cls, basis).components == ()
+    with pytest.raises(
+        InvariantBroken, match=r"^sweep support: support A, C: start generator A ends at 0$"
+    ):
+        zariski_decompose(cls, basis, _start=[0])
 
 
 # ---------------------------------------------------------------- closed forms
