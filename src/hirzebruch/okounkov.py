@@ -5,9 +5,7 @@ divisor is a polygon with rational vertices.  It is assembled here from the
 closed-form breakpoint data (:func:`newton_okounkov_body`) and certified
 against an independent oracle that sweeps Zariski decompositions across the
 breakpoint set (:func:`sweep_body`), plus exact area, containment and
-value-sequence identity checks (:func:`verify_body`).  The sweep visits its
-samples in ascending order and hands each sample's support on to the next
-as the engine's start.
+value-sequence identity checks (:func:`verify_body`).
 
 Polygon geometry runs in integers: hull, area and containment clear their
 points to one common denominator, and only the hull vertices are built as

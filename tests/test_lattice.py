@@ -181,6 +181,10 @@ def test_basis_gram_is_the_integer_pairing():
     rng = random.Random(5)
     vals = [special_example_valuation(), nonspecial_example_valuation()]
     vals += [random_valuation(rng, r_max=12, require_npi=False) for _ in range(20)]
+
+    def rational():
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
     for val in vals:
         basis = curve_basis(val)
         for k, a in enumerate(basis.classes):
@@ -188,9 +192,6 @@ def test_basis_gram_is_the_integer_pairing():
             assert all(type(x) is int and x != 0 for x in row.values())
             for l, b in enumerate(basis.classes):
                 assert row.get(l, 0) == pair(a, b)
-
-        def rational():
-            return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
 
         t = Fraction(rng.randint(0, 40), rng.randint(1, 7))
         swept = pullback(val.delta, rng.randint(-3, 9), rng.randint(0, 9), val.r)
