@@ -10,6 +10,7 @@ failure or a broken internal invariant.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -24,7 +25,10 @@ from .errors import HirzebruchError, VerificationFailed
 from .svg import render_svg
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on the first call and kept: parsing leaves the parser unchanged,
+    # so in-process callers of ``main`` share one.
     parser = argparse.ArgumentParser(
         prog="hirzebruch",
         description="Exact Seshadri-type constants and Newton-Okounkov polygons "

@@ -24,14 +24,22 @@ stage.  Each configuration builds its proximity lists once and keeps the
 curvette-value rows it has computed.  Pairing the materialised truncated
 multiplicity vectors gives the same values in O(r^2) per stage; the tests
 keep that route as an oracle.
+
+The rows carry everything else too.  The numbers of a stage that the
+non-positivity test and the constant read (fiber and section values, last
+value, kind) are entries of its row (:func:`_stage`), so no production
+route builds a truncated valuation.  The semigroup sieve looks each row
+value up in a byte snapshot of the reached sums, retaken only when a
+generator joins: O(g * beta_bar[-1]) bit work for ``g`` generators plus
+O(r).  Points rebuilt from maximal contact values skip the record parser
+and go through the same validation as parsed records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BadIncidence,
@@ -118,12 +126,9 @@ class Configuration:
     def is_free(self, i: int) -> bool:
         return self.points[i - 1].extra is None
 
-    def proximate_to(self, i: int, r: int | None = None) -> tuple[int, ...]:
-        """Indices ``j <= r`` of the points proximate to ``p_i``."""
-        prox = self._prox[i - 1]
-        if r is None or r >= self.r:
-            return prox
-        return tuple(j for j in prox if j <= r)
+    def proximate_to(self, i: int) -> tuple[int, ...]:
+        """Indices of the points proximate to ``p_i``."""
+        return self._prox[i - 1]
 
     def curvette_values(self, k: int) -> tuple[int, ...]:
         """Values ``nu_k(phi_1), ..., nu_k(phi_r)`` of the stage curvettes
@@ -151,9 +156,10 @@ class Configuration:
         return tuple(i for i, p in enumerate(self.points, 1) if p.on_m)
 
 
-def _coerce_point(rec, index: int):
+def _coerce_point(rec, index: int) -> tuple[int | None, ClusterPoint]:
+    """The declared parent of a point record and the point it describes."""
     if isinstance(rec, ClusterPoint):
-        return None, rec.extra, rec.on_f1, rec.on_m
+        return None, rec
     if isinstance(rec, Mapping):
         known = {"parent", "extra_proximity", "extra", "on_f1", "on_m"}
         unknown = set(rec) - known
@@ -162,7 +168,13 @@ def _coerce_point(rec, index: int):
         extra = rec.get("extra_proximity", rec.get("extra"))
         if isinstance(extra, bool) or not isinstance(extra, (int, type(None))):
             raise ChainBroken([f"p{index}: extra_proximity must be an integer"])
-        return rec.get("parent"), extra, bool(rec.get("on_f1")), bool(rec.get("on_m"))
+        on_f1, on_m = rec.get("on_f1"), rec.get("on_m")
+        # An incidence is true, false or absent; "false" or 0 must not
+        # count by its truth value.
+        for name, flag in (("on_f1", on_f1), ("on_m", on_m)):
+            if not isinstance(flag, (bool, type(None))):
+                raise ChainBroken([f"p{index}: {name} must be true or false"])
+        return rec.get("parent"), ClusterPoint(extra, bool(on_f1), bool(on_m))
     raise ChainBroken([f"p{index}: unsupported point record {rec!r}"])
 
 
@@ -175,12 +187,31 @@ def build_configuration(surface: Surface, points: Sequence) -> Configuration:
     """
     _check_point_count(len(points))
     records = [_coerce_point(rec, i) for i, rec in enumerate(points, 1)]
-    if not records:
+    return _validated(
+        surface, [p for _, p in records], [parent for parent, _ in records]
+    )
+
+
+def _validated(
+    surface: Surface,
+    pts: Sequence[ClusterPoint],
+    parents: Sequence[int | None] | None = None,
+) -> Configuration:
+    """Check built points against the chain, proximity and incidence rules
+    and assemble the :class:`Configuration`.
+
+    ``parents`` holds each point's declared parent, ``None`` where none is
+    declared; omitted, no point declares one.  Violations are collected in
+    point order, each point's parent check before its satellite check, and
+    the class of the first one is raised.
+    """
+    if not pts:
         raise ChainBroken(["a configuration needs at least one point"])
 
     violations = []
-    pts = []
-    for i, (parent, extra, on_f1, on_m) in enumerate(records, 1):
+    prev_extra = None
+    for i, p in enumerate(pts, 1):
+        parent = None if parents is None else parents[i - 1]
         if i == 1:
             if parent is not None:
                 violations.append((ChainBroken, "p1 has no parent"))
@@ -188,18 +219,12 @@ def build_configuration(surface: Surface, points: Sequence) -> Configuration:
             violations.append(
                 (ChainBroken, f"parent of p{i} must be p{i - 1}, got p{parent}")
             )
-        if extra is not None:
-            allowed = set()
-            if i >= 3:
-                allowed.add(i - 2)
-                prev_extra = records[i - 2][1]
-                if prev_extra is not None:
-                    allowed.add(prev_extra)
-            if extra not in allowed:
-                violations.append(
-                    (BadSatellite, f"p{i} cannot be proximate to p{extra}")
-                )
-        pts.append(ClusterPoint(extra, on_f1, on_m))
+        # A satellite point lies on the divisor two steps back or on the
+        # one its predecessor is proximate to.
+        extra = p.extra
+        if extra is not None and not (i >= 3 and extra in (i - 2, prev_extra)):
+            violations.append((BadSatellite, f"p{i} cannot be proximate to p{extra}"))
+        prev_extra = extra
 
     f1 = [i for i, p in enumerate(pts, 1) if p.on_f1]
     m = [i for i, p in enumerate(pts, 1) if p.on_m]
@@ -245,16 +270,18 @@ def multiplicities(config: Configuration, r: int | None = None) -> tuple[int, ..
 
     Solves the proximity equalities backwards: the last point has
     multiplicity one and each earlier multiplicity is the sum over the
-    points proximate to it.
+    points proximate to it.  Points past ``r`` keep multiplicity zero, so
+    the full proximity lists serve every stage.
     """
     r = config.r if r is None else r
     if not 1 <= r <= config.r:
         raise ValueError(f"index {r} out of range 1..{config.r}")
-    m = [0] * (r + 1)
-    for i in range(r, 0, -1):
-        prox = config.proximate_to(i, r)
-        m[i] = sum(m[j] for j in prox) if prox else 1
-    return tuple(m[1:])
+    m = [0] * (config.r + 1)
+    m[r] = 1
+    prox = config._prox
+    for i in range(r - 1, 0, -1):
+        m[i] = sum(map(m.__getitem__, prox[i - 1]))
+    return tuple(m[1 : r + 1])
 
 
 @dataclass(frozen=True)
@@ -313,38 +340,51 @@ def maximal_contact_values(config: Configuration, r: int | None = None) -> tuple
     curvettes at the cluster points (the proximity excesses are the
     coefficients), so the value semigroup is generated by the curvette
     values.  The minimal generating set is extracted with an exact
-    subset-sum sieve; the appended last entry is the self-pairing of the
-    multiplicity vector, the reciprocal volume of the valuation.  Both are
-    read from :meth:`Configuration.curvette_values`, so no truncated
-    configuration is built.  The sieve runs once per stage and
-    configuration; its result is kept on the configuration.
+    subset-sum sieve (:func:`_sieve`); the appended last entry is the
+    self-pairing of the multiplicity vector, the reciprocal volume of the
+    valuation.  Both are read from :meth:`Configuration.curvette_values`,
+    so no truncated configuration is built.  The sieve runs once per stage
+    and configuration; its result is kept on the configuration.
     """
     r = config.r if r is None else r
-    if r in config._values:
-        return config._values[r]
-    row = config.curvette_values(r)[:r]
+    if r not in config._values:
+        config._values[r] = _sieve(config.curvette_values(r)[:r])
+    return config._values[r]
+
+
+def _sieve(row: Sequence[int]) -> tuple[int, ...]:
+    """Minimal generators of the semigroup spanned by ``row``, plus its last
+    entry ``total``, which no entry exceeds.
+
+    ``reach`` holds the sums up to ``total`` reached so far as bits.  Each
+    entry is looked up in a little-endian byte snapshot of it, taken again
+    only when a generator joins, so the sieve costs O(g * total) bit work
+    for ``g`` generators plus O(1) per entry, where a shift of ``reach``
+    per entry would cost O(r * total).
+    """
     total = row[-1]
     if total >= _SEMIGROUP_VALUE_CAP:
         raise SemigroupOverflow(f"semigroup value bound {total} exceeds cap")
-    values = sorted(set(row))
+    size = total // 8 + 1
     mask = (1 << (total + 1)) - 1
     reach = 1
+    snapshot = reach.to_bytes(size, "little")
     generators = []
-    for v in values:
-        if (reach >> v) & 1:
+    for v in sorted(set(row)):
+        if snapshot[v >> 3] >> (v & 7) & 1:
             continue
         generators.append(v)
         step = v
         while step <= total:
             reach |= (reach << step) & mask
             step <<= 1
+        snapshot = reach.to_bytes(size, "little")
     g = 0
     for v in generators:
         g = gcd(g, v)
     if g != 1:
         raise NotRealizable(f"value semigroup has non-trivial content {g}")
-    config._values[r] = tuple(generators) + (total,)
-    return config._values[r]
+    return tuple(generators) + (total,)
 
 
 def _euclid_steps(a: int, b: int) -> Iterable[tuple[int, int]]:
@@ -447,15 +487,10 @@ def from_maximal_contact(
     extras = _proximities_from_multiplicities(mults)
     if on_m is None:
         on_m = 1 if surface.point_kind == SPECIAL else 0
-    records = [
-        {
-            "extra_proximity": extras[i],
-            "on_f1": i <= on_f1,
-            "on_m": i <= on_m,
-        }
-        for i in range(1, len(mults) + 1)
+    points = [
+        ClusterPoint(extras[i], i <= on_f1, i <= on_m) for i in range(1, len(mults) + 1)
     ]
-    config = build_configuration(surface, records)
+    config = _validated(surface, points)
     if maximal_contact_values(config) != tuple(seq):
         raise NotRealizable("round trip through the value semigroup failed")
     return config
@@ -495,22 +530,51 @@ class DivisorialValuation:
         return self.beta_bar[-1]
 
 
-def divisorial_valuation(surface: Surface, config: Configuration) -> DivisorialValuation:
-    m = multiplicities(config)
-    beta = maximal_contact_values(config)
-    f1 = config.f1_chain
-    mc = config.m_chain
-    phi_f1 = sum(m[i - 1] for i in f1)
-    if surface.point_kind == GENERAL and surface.delta - len(mc) < 0:
+class _Stage(NamedTuple):
+    """What the non-positivity test and the constant read of the stage-``k``
+    valuation: its fiber and section values, last value and kind."""
+
+    delta: int
+    kind: str
+    phi_f1: int
+    phi_m: int
+    last_contact: int
+
+    @property
+    def is_special(self) -> bool:
+        return self.kind == SPECIAL
+
+
+def _stage(surface: Surface, config: Configuration, k: int) -> _Stage:
+    """The stage-``k`` numbers of a configuration, read from one curvette row.
+
+    Both chains are initial runs of free points, so the germ along a chain
+    is the curvette at its last point ``j <= k``; by symmetry of the
+    curvette pairing its stage-``k`` value is entry ``j`` of the stage-``k``
+    row, and the last value is entry ``k``.  No truncated configuration is
+    built.
+    """
+    row = config.curvette_values(k)
+    n_f1 = min(len(config.f1_chain), k)
+    n_m = min(len(config.m_chain), k)
+    if surface.point_kind == GENERAL and surface.delta - n_m < 0:
         kind = NON_SPECIAL
     else:
         kind = SPECIAL
-    if kind == NON_SPECIAL or surface.point_kind == SPECIAL:
-        phi_m = sum(m[i - 1] for i in mc)
+    phi_f1 = row[n_f1 - 1] if n_f1 else 0
+    if n_m and (kind == NON_SPECIAL or surface.point_kind == SPECIAL):
+        phi_m = row[n_m - 1]
     else:
         # The negative section misses a general center; curves declared in
         # on_m keep non-negative self-intersection and play no further role.
         phi_m = 0
+    return _Stage(surface.delta, kind, phi_f1, phi_m, row[k - 1])
+
+
+def divisorial_valuation(surface: Surface, config: Configuration) -> DivisorialValuation:
+    beta = maximal_contact_values(config)
+    _, kind, phi_f1, phi_m, _ = _stage(surface, config, config.r)
+    m = multiplicities(config)
     return DivisorialValuation(surface, config, config.r, m, beta, phi_f1, phi_m, kind)
 
 
@@ -519,12 +583,13 @@ def classify(val: DivisorialValuation) -> str:
     return val.kind
 
 
-def npi_excess(val: DivisorialValuation) -> int:
+def npi_excess(val: DivisorialValuation | _Stage) -> int:
     """Excess of ``2*phi_m*phi_f1 + delta*phi_f1**2`` over ``beta_bar[-1]``.
 
     Non-special valuations take the opposite sign on the quadratic term.
     The valuation is non-positive at infinity when the excess is
-    non-negative, and never minimal when it is positive.
+    non-negative, and never minimal when it is positive.  A stage record
+    of a truncation is read the same way.
     """
     sign = 1 if val.is_special else -1
     quad = sign * val.delta * val.phi_f1 * val.phi_f1
@@ -545,8 +610,9 @@ def germ_value(val: DivisorialValuation, germ: GermVector) -> int:
     return sum(a * b for a, b in zip(germ.mult, val.m))
 
 
-@lru_cache(maxsize=None)
 def truncate_valuation(val: DivisorialValuation, k: int) -> DivisorialValuation:
+    """The valuation of the first ``k`` points; the tests' oracle for
+    :func:`_stage`."""
     return divisorial_valuation(val.surface, truncate(val.config, k))
 
 

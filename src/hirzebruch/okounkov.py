@@ -11,6 +11,11 @@ Polygon geometry runs in integers: hull, area and containment clear their
 points to one common denominator, and only the hull vertices are built as
 ``Fraction`` again.  A ``Fraction`` version of the same geometry is kept
 in the tests as the reference.
+
+Nothing here builds a truncated valuation: the cap reads the stage-``eta``
+numbers from a curvette row, the unimodularity clause reads the stage's
+sieved values from the configuration, and the cone rays compare integer
+slopes along two rows.
 """
 
 from __future__ import annotations
@@ -21,8 +26,9 @@ from math import gcd, lcm
 
 from .cluster import (
     FlagValuation,
-    eta_valuation,
+    maximal_contact_values,
     truncation_pairing,
+    _stage,
 )
 from .errors import (
     EtaNotNPI,
@@ -130,25 +136,28 @@ def cone_rays(flag: FlagValuation) -> tuple[tuple[int, int], tuple[int, int]]:
 
     For a free flag point the cone sits between the horizontal axis and the
     ray of the final curvette pair.  For a satellite flag point the value
-    pairs of all stage curvettes are computed exactly and the extreme
-    slopes are taken; on flags continuing a satellite block these are the
-    ratios of the matching semigroup generators of the two valuations.
+    pairs of all stage curvettes are read from the two curvette rows and
+    the extreme slopes are taken; on flags continuing a satellite block
+    these are the ratios of the matching semigroup generators of the two
+    valuations.  First coordinates are positive, so slopes compare by
+    integer cross-multiplication; on a tie the first pair is kept.
     """
     val = flag.base
     if not flag.is_satellite:
         return (1, 0), (val.last_contact, 1)
     config = val.config
-    pairs = [
-        (truncation_pairing(config, val.r, i), truncation_pairing(config, flag.eta, i))
-        for i in range(1, val.r + 1)
-    ]
+    pairs = zip(config.curvette_values(val.r), config.curvette_values(flag.eta))
+    low = high = next(pairs)
+    for p in pairs:
+        if p[1] * low[0] < low[1] * p[0]:
+            low = p
+        elif p[1] * high[0] > high[1] * p[0]:
+            high = p
 
     def primitive(p):
         g = gcd(p[0], p[1])
         return (p[0] // g, p[1] // g)
 
-    low = min(pairs, key=lambda p: Fraction(p[1], p[0]))
-    high = max(pairs, key=lambda p: Fraction(p[1], p[0]))
     return primitive(low), primitive(high)
 
 
@@ -201,7 +210,7 @@ def q_points(flag: FlagValuation, d) -> QPoints:
     if flag.is_satellite:
         bot_lo, bot_hi = rec.at_stage(val, flag.eta)
         try:
-            cap_y = mu_hat(eta_valuation(flag), d)
+            cap_y = mu_hat(_stage(val.surface, val.config, flag.eta), d)
         except NotNPI as exc:
             raise EtaNotNPI(
                 f"the truncation at E{flag.eta} is not non-positive at infinity"
@@ -357,19 +366,19 @@ def verify_body(flag: FlagValuation, d) -> BodyReport:
     checks.append(("containment", "pass"))
 
     if flag.is_satellite and _flag_precedes(flag):
-        eta_val = eta_valuation(flag)
+        eta_beta = maximal_contact_values(val.config, flag.eta)
         g = len(val.beta_bar) - 2
         nrpe = truncation_pairing(val.config, val.r, flag.eta)
         total = val.last_contact
         ok = (
-            g < len(eta_val.beta_bar)
-            and nrpe * val.beta_bar[0] == total * eta_val.beta_bar[0]
-            and (nrpe + 1) * val.beta_bar[g] == total * eta_val.beta_bar[g]
+            g < len(eta_beta)
+            and nrpe * val.beta_bar[0] == total * eta_beta[0]
+            and (nrpe + 1) * val.beta_bar[g] == total * eta_beta[g]
         )
         if not ok:
             raise VerificationFailed(
                 "unimodularity",
-                f"value sequences {val.beta_bar} / {eta_val.beta_bar} fail the "
+                f"value sequences {val.beta_bar} / {eta_beta} fail the "
                 f"index identities at {nrpe}",
             )
         checks.append(("unimodularity", "pass"))

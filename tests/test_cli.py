@@ -164,10 +164,17 @@ def test_case_schema_violations_exit_2(tmp_path):
         (("divisor", "b"), 2.0, "divisor.b"),
         (("beta_bar", 1), True, "beta_bar[1]"),
         (("flag", "eta"), True, "flag.eta"),
+        (("configuration", "points", 1, "on_f1"), "false", "p2: on_f1"),
+        (("configuration", "points", 1, "on_m"), 0.0, "p2: on_m"),
     ],
 )
 def test_mistyped_case_fields_exit_2(tmp_path, path, value, field):
-    case = json.loads((CASES / "special_f2.json").read_text())
+    # Point records live in the configuration case; their incidences are
+    # booleans.
+    source, expected = "special_f2.json", f"CaseFormatError: {field} must be an integer"
+    if path[0] == "configuration":
+        source, expected = "minimal_f0.json", f"ChainBroken: {field} must be true or false"
+    case = json.loads((CASES / source).read_text())
     *outer, last = path
     target = case
     for key in outer:
@@ -176,7 +183,7 @@ def test_mistyped_case_fields_exit_2(tmp_path, path, value, field):
     out = run_cli("classify", str(write_case(tmp_path, "typed.json", case)))
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
-    assert f"CaseFormatError: {field} must be an integer" in out.stderr
+    assert expected in out.stderr
 
 
 def test_output_is_deterministic(tmp_path):
@@ -201,6 +208,33 @@ def test_output_is_deterministic(tmp_path):
 def test_missing_file_exits_2(tmp_path):
     out = run_cli("classify", str(tmp_path / "nope.json"))
     assert out.returncode == 2
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_serves_calls_in_one_process(tmp_path):
+    # main keeps its parser between calls: a refused call followed by a
+    # computed one prints what two fresh processes print.
+    bad = write_case(tmp_path, "bad.json", {"surface": {"delta": 2}})
+    calls = (["classify", str(bad)], ["body", str(CASES / "special_f2.json")])
+    for argv in calls:
+        fresh = run_cli(*argv)
+        assert _in_process(argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert [_in_process(argv)[0] for argv in calls] == [2, 0]
+
+
+def test_usage_error_still_exits_2(capsys):
+    for argv in (["frobnicate"], ["body"], ["body", "x.json", "--nope"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "usage: hirzebruch" in capsys.readouterr().err
+    assert main(["classify", str(CASES / "minimal_f0.json")]) == 0
 
 
 def test_verification_failure_exits_3(monkeypatch, capsys):

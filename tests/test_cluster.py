@@ -9,6 +9,7 @@ from hirzebruch import (
     GENERAL,
     NON_SPECIAL,
     SPECIAL,
+    BigDivisor,
     Surface,
     build_configuration,
     classify,
@@ -23,22 +24,28 @@ from hirzebruch import (
     is_npi,
     maximal_contact_values,
     multiplicities,
+    mu_hat,
     section_germ,
     truncate_valuation,
 )
 from hirzebruch import cluster
-from hirzebruch.cluster import truncation_pairing
+from hirzebruch.cluster import npi_excess, truncation_pairing
 from hirzebruch.errors import (
     BadIncidence,
     BadSatellite,
     ChainBroken,
     DimensionMismatch,
+    EtaNotNPI,
+    NotNPI,
     NotRealizable,
     NotSatellite,
     SemigroupOverflow,
     TooManyPoints,
 )
-from hirzebruch.okounkov import cone_rays
+from hirzebruch.okounkov import cone_rays, cone_triangle, newton_okounkov_body, q_points
+from hirzebruch.seshadri import is_minimal
+
+from sieve_reference import reference_sieve
 
 from conftest import (
     CASES,
@@ -134,8 +141,6 @@ def assert_matches_truncation_oracle(config):
             assert truncation_pairing(config, i, j) == expected, (i, j)
             assert truncation_pairing(config, j, i) == expected, (j, i)
     for k in {1, r // 2 or 1, r - 1 or 1, r}:
-        for i in range(1, k + 1):
-            assert config.proximate_to(i, k) == scanned_proximate_to(config, i, k)
         assert maximal_contact_values(config, k) == sieved_contact_values(config, k)
 
 
@@ -189,6 +194,19 @@ def test_extra_proximity_must_be_an_integer(extra):
             Surface(0),
             [{"on_f1": True, "on_m": True}, {}, {"extra_proximity": extra}],
         )
+
+
+@pytest.mark.parametrize("field", ["on_f1", "on_m"])
+@pytest.mark.parametrize("value", ["false", "no", 0.0, 0, 1, [], {}])
+def test_incidences_must_be_booleans(field, value):
+    # A non-boolean incidence used to count by its truth value, so "false"
+    # put the point on the chain.
+    records = [{"on_f1": True, "on_m": True}, {field: value}]
+    with pytest.raises(ChainBroken, match=rf"^p2: {field} must be true or false$"):
+        build_configuration(Surface(1), records)
+    for flag in (False, None):
+        records[1][field] = flag
+        assert build_configuration(Surface(1), records).points[1] == cluster.ClusterPoint()
 
 
 def test_incidence_chains_must_be_initial_and_free():
@@ -312,6 +330,47 @@ def test_contact_value_invariants(corpus):
             for v in beta[:-2]:
                 e_prev = gcd(e_prev, v)
             assert beta[-1] == e_prev * beta[-2]
+
+
+def _sieve_outcome(sieve, row):
+    try:
+        return sieve(row)
+    except (NotRealizable, SemigroupOverflow) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_sieve_matches_reference_on_random_rows(data):
+    # Rows end in their largest entry, as curvette rows do; narrow ranges
+    # repeat values and a common factor makes the semigroup refuse.
+    total = data.draw(
+        st.one_of(
+            st.integers(1, 400),
+            st.integers(1, 200_000),
+            st.just(cluster._SEMIGROUP_VALUE_CAP),
+        ),
+        label="total",
+    )
+    factor = data.draw(st.sampled_from([1, 1, 1, 1, 2, 3, 7]), label="factor")
+    top = data.draw(st.sampled_from([6, 60, total]), label="top")
+    values = data.draw(
+        st.lists(st.integers(1, max(1, min(top, total) // factor)), min_size=1, max_size=40),
+        label="values",
+    )
+    row = [factor * v for v in values if factor * v <= total]
+    row.append(total - total % factor if total >= factor else total)
+    assert _sieve_outcome(cluster._sieve, row) == _sieve_outcome(reference_sieve, row)
+
+
+@pytest.mark.parametrize("r", [92, 212, 512])
+@pytest.mark.parametrize("family", ["tail", "block"])
+def test_sieve_matches_reference_on_ladder(family, r):
+    config = ladder_configuration(family, r)
+    for k in (r, r - 1, r // 2):
+        row = config.curvette_values(k)[:k]
+        assert maximal_contact_values(config, k) == reference_sieve(row)
+    assert maximal_contact_values(config) == tuple(ladder_beta_bar(family, r))
 
 
 # ------------------------------------------------------------------ conversion
@@ -478,12 +537,94 @@ def test_curvette_values_match_truncation_oracle_on_ladder(family, r):
     assert_matches_truncation_oracle(config)
 
 
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotNPI as exc:
+        return NotNPI, str(exc)
+
+
+def truncation_stage(val, k):
+    """Stage-``k`` kind, fiber value, section value and last value from the
+    truncated valuation's multiplicities, the route the closed forms used
+    before they read rows."""
+    tv = truncate_valuation(val, k)
+    config = val.config
+    phi_m = chain_value(tv, config.m_chain)
+    if tv.kind == SPECIAL and val.surface.point_kind == GENERAL:
+        phi_m = 0
+    return tv, (tv.kind, chain_value(tv, config.f1_chain), phi_m, sum(x * x for x in tv.m))
+
+
+def assert_stages_match_truncations(val):
+    d = BigDivisor(1, 2)
+    for k in range(1, val.r + 1):
+        stage = cluster._stage(val.surface, val.config, k)
+        tv, expected = truncation_stage(val, k)
+        assert stage[1:] == expected, k
+        assert stage.delta == val.delta
+        assert stage.last_contact == tv.last_contact
+        assert npi_excess(stage) == npi_excess(tv)
+        assert _outcome(mu_hat, stage, d) == _outcome(mu_hat, tv, d)
+    if not is_npi(val):
+        return
+    positions = {val.r - 1, val.config.extra(val.r)} - {None, 0}
+    for eta in sorted(positions):
+        flag = flag_valuation(val, eta)
+        if is_minimal(val, d):
+            continue
+        try:
+            cap = q_points(flag, d).cap[1]
+        except EtaNotNPI as exc:
+            cap = EtaNotNPI, str(exc)
+        expected = _outcome(mu_hat, eta_valuation(flag), d)
+        if isinstance(expected, tuple):
+            expected = EtaNotNPI, f"the truncation at E{eta} is not non-positive at infinity"
+        assert cap == expected, eta
+
+
+def test_stage_values_match_truncations_on_corpus(corpus):
+    for val in dict.fromkeys(val for val, _, _ in corpus):
+        assert_stages_match_truncations(val)
+
+
+def test_stage_values_match_truncations_on_random_draws():
+    rng = random.Random(20261019)
+    refused = 0
+    for _ in range(400):
+        val = random_valuation(rng, r_max=12, max_total=20_000, require_npi=False)
+        assert_stages_match_truncations(val)
+        refused += any(
+            npi_excess(cluster._stage(val.surface, val.config, k)) < 0
+            for k in range(1, val.r + 1)
+        )
+    # Both sides of the non-positivity test are exercised.
+    assert 0 < refused < 400
+
+
+@pytest.mark.parametrize("r", [92, 212])
+@pytest.mark.parametrize("family", ["tail", "block"])
+def test_stage_values_match_truncations_on_ladder(family, r):
+    assert_stages_match_truncations(
+        divisorial_valuation(Surface(2, SPECIAL), ladder_configuration(family, r))
+    )
+
+
 @pytest.mark.parametrize("family", ["tail", "block"])
 def test_cluster_layer_calls_stay_constant_in_r(monkeypatch, family):
     # At r = 1012 the materialised truncations took one multiplicity solve
-    # per stage; the curvette-value rows need one per stage asked for.
-    counts = {"multiplicities": 0, "truncate": 0}
-    for name in counts:
+    # per stage; the curvette-value rows need one per stage asked for.  The
+    # points of a beta_bar case skip the record parser, and the closed forms
+    # read stage eta from rows, not from a truncated valuation.
+    names = (
+        "multiplicities",
+        "truncate",
+        "truncate_valuation",
+        "divisorial_valuation",
+        "_coerce_point",
+    )
+    counts = dict.fromkeys(names, 0)
+    for name in names:
         original = getattr(cluster, name)
 
         def counted(*args, _name=name, _original=original):
@@ -493,12 +634,17 @@ def test_cluster_layer_calls_stay_constant_in_r(monkeypatch, family):
         monkeypatch.setattr(cluster, name, counted)
     r = 1012
     config = ladder_configuration(family, r)
+    assert counts["_coerce_point"] == 0
     val = divisorial_valuation(Surface(2, SPECIAL), config)
     assert val.r == r
     assert val.beta_bar == tuple(ladder_beta_bar(family, r))
-    cone_rays(flag_valuation(val, r - 1))
+    flag = flag_valuation(val, r - 1)
+    cone_rays(flag)
     assert counts["multiplicities"] <= 3
-    assert counts["truncate"] == 0
+    newton_okounkov_body(flag, BigDivisor(1, 2))
+    cone_triangle(flag, BigDivisor(1, 2))
+    for name in names[1:]:
+        assert counts[name] == 0, name
 
 
 def test_eta_valuation_requires_satellite_flag():

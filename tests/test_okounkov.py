@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,7 @@ from hirzebruch import (
     verify_body,
 )
 from hirzebruch.errors import MinimalValuation, NotBig, VerificationFailed
+from hirzebruch.cluster import truncation_pairing
 from hirzebruch.okounkov import _cross
 
 from hirzebruch import caseio, okounkov
@@ -31,6 +33,7 @@ import polygon_reference
 
 from conftest import (
     CASES,
+    ladder_configuration,
     minimal_four_point_valuation,
     nonspecial_example_valuation,
     random_valuation,
@@ -166,6 +169,50 @@ def test_cone_ray_gap_is_reciprocal_volume(corpus):
         (x0, y0), (x1, y1) = cone_rays(flag)
         gap = abs(Fraction(y1, x1) - Fraction(y0, x0))
         assert gap == Fraction(1, val.last_contact)
+
+
+def fraction_cone_rays(flag):
+    """Reference for :func:`cone_rays`: one pairing call per stage and
+    ``Fraction`` slope keys, the first extreme pair kept on ties."""
+    val = flag.base
+    if not flag.is_satellite:
+        return (1, 0), (val.last_contact, 1)
+    pairs = [
+        (truncation_pairing(val.config, val.r, i), truncation_pairing(val.config, flag.eta, i))
+        for i in range(1, val.r + 1)
+    ]
+
+    def primitive(p):
+        g = gcd(p[0], p[1])
+        return (p[0] // g, p[1] // g)
+
+    low = min(pairs, key=lambda p: Fraction(p[1], p[0]))
+    high = max(pairs, key=lambda p: Fraction(p[1], p[0]))
+    return primitive(low), primitive(high)
+
+
+def satellite_flags(val):
+    return [
+        flag_valuation(val, eta)
+        for eta in sorted({val.r - 1, val.config.extra(val.r)} - {None, 0})
+    ]
+
+
+def test_cone_rays_match_fraction_reference_on_corpus(corpus):
+    checked = 0
+    for val in dict.fromkeys(val for val, _, _ in corpus):
+        for flag in [flag_valuation(val, None), *satellite_flags(val)]:
+            assert cone_rays(flag) == fraction_cone_rays(flag)
+            checked += flag.is_satellite
+    assert checked >= 50
+
+
+@pytest.mark.parametrize("r", [17, 92, 212])
+@pytest.mark.parametrize("family", ["tail", "block"])
+def test_cone_rays_match_fraction_reference_on_ladder(family, r):
+    val = divisorial_valuation(Surface(2, "special"), ladder_configuration(family, r))
+    for flag in satellite_flags(val):
+        assert cone_rays(flag) == fraction_cone_rays(flag)
 
 
 # --------------------------------------------------------------- cone triangle
