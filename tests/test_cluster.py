@@ -199,8 +199,8 @@ def test_extra_proximity_must_be_an_integer(extra):
 @pytest.mark.parametrize("field", ["on_f1", "on_m"])
 @pytest.mark.parametrize("value", ["false", "no", 0.0, 0, 1, [], {}])
 def test_incidences_must_be_booleans(field, value):
-    # A non-boolean incidence used to count by its truth value, so "false"
-    # put the point on the chain.
+    # A non-boolean incidence must not count by its truth value: "false"
+    # would put the point on the chain.
     records = [{"on_f1": True, "on_m": True}, {field: value}]
     with pytest.raises(ChainBroken, match=rf"^p2: {field} must be true or false$"):
         build_configuration(Surface(1), records)
@@ -545,9 +545,9 @@ def _outcome(fn, *args):
 
 
 def truncation_stage(val, k):
-    """Stage-``k`` kind, fiber value, section value and last value from the
-    truncated valuation's multiplicities, the route the closed forms used
-    before they read rows."""
+    """Oracle for :func:`cluster._stage`: the stage-``k`` kind, fiber value,
+    section value and last value from the truncated valuation's
+    multiplicities."""
     tv = truncate_valuation(val, k)
     config = val.config
     phi_m = chain_value(tv, config.m_chain)
