@@ -8,22 +8,14 @@ from .cluster import (
     Configuration,
     DivisorialValuation,
     FlagValuation,
-    GermVector,
     Surface,
     build_configuration,
-    classify,
-    curvette,
     divisorial_valuation,
-    eta_valuation,
-    fiber_germ,
     flag_valuation,
     from_maximal_contact,
-    germ_value,
-    germ_vector,
     is_npi,
     maximal_contact_values,
     multiplicities,
-    section_germ,
     truncate_valuation,
 )
 from .lattice import (
@@ -34,7 +26,6 @@ from .lattice import (
     dual_graph,
     exceptional,
     is_negative_definite,
-    is_nef_against,
     pair,
     precedes,
     pullback,
@@ -54,7 +45,6 @@ from .seshadri import (
     is_minimal,
     lower_bound,
     mu_hat,
-    mu_hat_bisection_check,
     never_minimal,
     theta,
     vol,
@@ -62,24 +52,19 @@ from .seshadri import (
 from .zariski import (
     ZariskiPair,
     alpha_beta,
-    closed_form_decomposition,
     t_values,
     zariski_decompose,
-    zariski_fano_base,
 )
 
 __all__ = [
     "GENERAL", "NON_SPECIAL", "SPECIAL", "Configuration", "DivisorialValuation",
-    "FlagValuation", "GermVector", "Surface", "build_configuration", "classify",
-    "curvette", "divisorial_valuation", "eta_valuation", "fiber_germ", "flag_valuation",
-    "from_maximal_contact", "germ_value", "germ_vector", "is_npi",
-    "maximal_contact_values", "multiplicities", "section_germ", "truncate_valuation",
-    "CurveBasis", "DivisorClassZ", "curve_basis", "div_class", "dual_graph",
-    "exceptional", "is_negative_definite", "is_nef_against", "pair", "precedes",
-    "pullback", "Polygon", "QPoints", "cone_rays", "cone_triangle",
+    "FlagValuation", "Surface", "build_configuration", "divisorial_valuation",
+    "flag_valuation", "from_maximal_contact", "is_npi", "maximal_contact_values",
+    "multiplicities", "truncate_valuation", "CurveBasis", "DivisorClassZ",
+    "curve_basis", "div_class", "dual_graph", "exceptional", "is_negative_definite",
+    "pair", "precedes", "pullback", "Polygon", "QPoints", "cone_rays", "cone_triangle",
     "newton_okounkov_body", "q_points", "sweep_body", "verify_body", "BigDivisor",
-    "is_minimal", "lower_bound", "mu_hat", "mu_hat_bisection_check", "never_minimal",
-    "theta", "vol", "ZariskiPair", "alpha_beta", "closed_form_decomposition",
-    "t_values", "zariski_decompose", "zariski_fano_base",
+    "is_minimal", "lower_bound", "mu_hat", "never_minimal", "theta", "vol",
+    "ZariskiPair", "alpha_beta", "t_values", "zariski_decompose",
 ]
 __version__ = "0.1.0"

@@ -11,9 +11,10 @@ kinds of combinatorial data:
   through ``p_1`` (``on_f1``) or of the distinguished section (``on_m``).
 
 Everything else is derived from this data by exact integer arithmetic: the
-multiplicity vector of the associated divisorial valuation, values of curve
-germs, the minimal generators of the value semigroup, the special or
-non-special classification and the non-positivity-at-infinity test.
+multiplicity vector of the associated divisorial valuation, the values of
+the stage curvettes, the minimal generators of the value semigroup, the
+special or non-special classification and the non-positivity-at-infinity
+test.
 
 With ``P`` the proximity matrix, the multiplicities of the stage-``k``
 valuation solve ``P m = e_k`` and the values of the stage curvettes solve
@@ -45,9 +46,7 @@ from .errors import (
     BadIncidence,
     BadSatellite,
     ChainBroken,
-    DimensionMismatch,
     NotRealizable,
-    NotSatellite,
     SemigroupOverflow,
     TooManyPoints,
     raise_config_errors,
@@ -123,9 +122,6 @@ class Configuration:
     def extra(self, i: int) -> int | None:
         return self.points[i - 1].extra
 
-    def is_free(self, i: int) -> bool:
-        return self.points[i - 1].extra is None
-
     def proximate_to(self, i: int) -> tuple[int, ...]:
         """Indices of the points proximate to ``p_i``."""
         return self._prox[i - 1]
@@ -165,16 +161,18 @@ def _coerce_point(rec, index: int) -> tuple[int | None, ClusterPoint]:
         unknown = set(rec) - known
         if unknown:
             raise ChainBroken([f"p{index}: unknown fields {sorted(unknown)}"])
+        parent = rec.get("parent")
         extra = rec.get("extra_proximity", rec.get("extra"))
-        if isinstance(extra, bool) or not isinstance(extra, (int, type(None))):
-            raise ChainBroken([f"p{index}: extra_proximity must be an integer"])
+        for name, value in (("parent", parent), ("extra_proximity", extra)):
+            if isinstance(value, bool) or not isinstance(value, (int, type(None))):
+                raise ChainBroken([f"p{index}: {name} must be an integer"])
         on_f1, on_m = rec.get("on_f1"), rec.get("on_m")
         # An incidence is true, false or absent; "false" or 0 must not
         # count by its truth value.
         for name, flag in (("on_f1", on_f1), ("on_m", on_m)):
             if not isinstance(flag, (bool, type(None))):
                 raise ChainBroken([f"p{index}: {name} must be true or false"])
-        return rec.get("parent"), ClusterPoint(extra, bool(on_f1), bool(on_m))
+        return parent, ClusterPoint(extra, bool(on_f1), bool(on_m))
     raise ChainBroken([f"p{index}: unsupported point record {rec!r}"])
 
 
@@ -282,55 +280,6 @@ def multiplicities(config: Configuration, r: int | None = None) -> tuple[int, ..
     for i in range(r - 1, 0, -1):
         m[i] = sum(map(m.__getitem__, prox[i - 1]))
     return tuple(m[1 : r + 1])
-
-
-@dataclass(frozen=True)
-class GermVector:
-    """Multiplicities of a curve germ at the points of a configuration."""
-
-    mult: tuple[int, ...]
-
-    def __add__(self, other: "GermVector") -> "GermVector":
-        if len(self.mult) != len(other.mult):
-            raise DimensionMismatch("germ vectors index different configurations")
-        return GermVector(tuple(x + y for x, y in zip(self.mult, other.mult)))
-
-    def scale(self, k: int) -> "GermVector":
-        return GermVector(tuple(k * x for x in self.mult))
-
-
-def germ_vector(config: Configuration, mult: Iterable[int]) -> GermVector:
-    """Validate germ multiplicities against the proximity inequalities."""
-    v = tuple(int(x) for x in mult)
-    if len(v) != config.r:
-        raise DimensionMismatch(
-            f"expected {config.r} multiplicities, got {len(v)}"
-        )
-    if any(x < 0 for x in v):
-        raise ValueError("germ multiplicities must be non-negative")
-    for i in range(1, config.r + 1):
-        s = sum(v[j - 1] for j in config.proximate_to(i))
-        if v[i - 1] < s:
-            raise ValueError(f"proximity inequality fails at p{i}: {v[i - 1]} < {s}")
-    return GermVector(v)
-
-
-def curvette(config: Configuration, i: int) -> GermVector:
-    """Generic irreducible germ whose resolution ends transversally at stage ``i``.
-
-    Its multiplicities are those of the truncated valuation, padded by zeros.
-    """
-    return GermVector(multiplicities(config, i) + (0,) * (config.r - i))
-
-
-def fiber_germ(config: Configuration) -> GermVector:
-    """Germ of the fiber through the center (multiplicity one along its chain)."""
-    return GermVector(tuple(1 if p.on_f1 else 0 for p in config.points))
-
-
-def section_germ(config: Configuration) -> GermVector:
-    """Germ of the declared section through the center (zero if it misses it)."""
-    return GermVector(tuple(1 if p.on_m else 0 for p in config.points))
 
 
 def maximal_contact_values(config: Configuration, r: int | None = None) -> tuple[int, ...]:
@@ -578,11 +527,6 @@ def divisorial_valuation(surface: Surface, config: Configuration) -> DivisorialV
     return DivisorialValuation(surface, config, config.r, m, beta, phi_f1, phi_m, kind)
 
 
-def classify(val: DivisorialValuation) -> str:
-    """``special`` or ``non-special``, from the center and the section chain."""
-    return val.kind
-
-
 def npi_excess(val: DivisorialValuation | _Stage) -> int:
     """Excess of ``2*phi_m*phi_f1 + delta*phi_f1**2`` over ``beta_bar[-1]``.
 
@@ -599,15 +543,6 @@ def npi_excess(val: DivisorialValuation | _Stage) -> int:
 def is_npi(val: DivisorialValuation) -> bool:
     """Exact test for non-positivity at infinity."""
     return npi_excess(val) >= 0
-
-
-def germ_value(val: DivisorialValuation, germ: GermVector) -> int:
-    """Value of a germ under the valuation: the product with the multiplicities."""
-    if len(germ.mult) != val.r:
-        raise DimensionMismatch(
-            f"germ indexes {len(germ.mult)} points, valuation has {val.r}"
-        )
-    return sum(a * b for a, b in zip(germ.mult, val.m))
 
 
 def truncate_valuation(val: DivisorialValuation, k: int) -> DivisorialValuation:
@@ -655,9 +590,3 @@ def flag_valuation(base: DivisorialValuation, eta: int | None = None) -> FlagVal
         )
     return FlagValuation(base, eta)
 
-
-def eta_valuation(flag: FlagValuation) -> DivisorialValuation:
-    """The truncated valuation at the second divisor through the flag point."""
-    if flag.eta is None:
-        raise NotSatellite("a free flag point has no second exceptional divisor")
-    return truncate_valuation(flag.base, flag.eta)

@@ -49,10 +49,6 @@ class DimensionMismatch(HirzebruchError):
     """Operands are indexed by different numbers of cluster points."""
 
 
-class NotSatellite(HirzebruchError):
-    """The flag point is free, so there is no second exceptional divisor."""
-
-
 class NotATree(HirzebruchError):
     """The intersection graph of exceptional curves is not a tree."""
 

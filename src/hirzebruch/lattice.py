@@ -5,16 +5,17 @@ Divisor classes are written over the orthogonal pullback basis
 ``M*^2 = delta`` and ``E_i*.E_j* = -delta_ij``.  Strict transforms of the
 fiber, the distinguished sections and the exceptional divisors are derived
 classes; in the non-positive-at-infinity regime they generate the cone of
-curves, which is what the nefness test relies on.
+curves, so a class that meets each of them non-negatively is nef, which is
+what the Zariski engine's stopping rule relies on.
 
 A curve basis keeps the sparse integer coordinates of its generators,
 built in O(r) from the proximities and the chains, and one inverted column
 index: the generators non-zero at each exceptional coordinate, plus the
 rows with a fiber or section part.  Its non-zero Gram entries, a forest,
 and the pairings of any class with every generator are read from that
-index, the latter in O(non-zero coordinates of the class).  The engine,
-the nefness test and :func:`dual_graph` read these tables; the classes are
-built only on request.  Both tables stay on the valuation.
+index, the latter in O(non-zero coordinates of the class).  The engine
+and :func:`dual_graph` read these tables; the classes are built only on
+request.  Both tables stay on the valuation.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import cached_property
 from math import lcm
 
 from .cluster import NON_SPECIAL, SPECIAL, DivisorialValuation
-from .errors import DimensionMismatch, InvariantBroken, NotATree
+from .errors import DimensionMismatch, NotATree
 
 
 def _frac(x) -> Fraction:
@@ -115,17 +116,6 @@ class CurveBasis:
     names: tuple[str, ...]
     rows: tuple[tuple[int, int, dict[int, int]], ...]
 
-    @classmethod
-    def from_classes(cls, delta: int, names, classes) -> "CurveBasis":
-        """The basis of the given classes; their coordinates must be integers."""
-        rows = []
-        for name, c in zip(names, classes):
-            coords = (c.f, c.m, *c.e)
-            if any(x.denominator != 1 for x in coords):
-                raise InvariantBroken("integral basis", f"{name} = {coords}")
-            rows.append((int(c.f), int(c.m), {j: int(x) for j, x in enumerate(c.e) if x}))
-        return cls(delta, classes[0].r, tuple(names), tuple(rows))
-
     @cached_property
     def classes(self) -> tuple[DivisorClassZ, ...]:
         """The generators as classes, built on first read."""
@@ -144,9 +134,6 @@ class CurveBasis:
 
     def get(self, name: str) -> DivisorClassZ:
         return self.classes[self.index[name]]
-
-    def exceptional(self, i: int) -> DivisorClassZ:
-        return self.get(f"E{i}")
 
     @cached_property
     def _columns(self) -> tuple[list[tuple[int, int, int]], dict[int, list[tuple[int, int]]]]:
@@ -292,12 +279,6 @@ def precedes(graph: tuple[tuple[int, ...], ...], alpha: int, beta: int) -> bool:
             return True
         v = parent[v]
     return False
-
-
-def is_nef_against(d: DivisorClassZ, basis: CurveBasis) -> bool:
-    """Nefness against the listed cone generators (valid in the NPI regime)."""
-    values, _ = basis.pairings(d)
-    return all(v >= 0 for v in values)
 
 
 def definiteness_failure(gram) -> tuple[int, int] | None:

@@ -130,30 +130,3 @@ def never_minimal(val: DivisorialValuation) -> bool:
     _require_npi(val)
     return npi_excess(val) > 0
 
-
-def mu_hat_bisection_check(val: DivisorialValuation, d) -> bool:
-    """Certify the constant as the bigness threshold through decompositions.
-
-    Checks a strictly positive volume just below the constant and a zero
-    self-pairing of the positive part exactly at it.
-    """
-    from .lattice import curve_basis, pair, pullback
-    from .zariski import zariski_decompose
-
-    d = as_divisor(d)
-    _require_npi(val)
-    _require_nef_big(val, d)
-    mu = mu_hat(val, d)
-    basis = curve_basis(val)
-    base = pullback(val.delta, d.a, d.b, val.r)
-
-    def positive_part(t):
-        from .lattice import exceptional
-
-        cls = base - t * exceptional(val.delta, val.r, val.r)
-        return zariski_decompose(cls, basis).positive
-
-    just_below = mu * Fraction(1023, 1024)
-    p_below = positive_part(just_below)
-    p_at = positive_part(mu)
-    return pair(p_below, p_below) > 0 and pair(p_at, p_at) == 0

@@ -1,10 +1,11 @@
-"""Zariski decompositions on the base surface and on the blown-up surface.
+"""Zariski decompositions on the blown-up surface.
 
 The closed forms are the production route.  One sign-regime record
 (fiber, special section or non-special section) yields the breakpoints
-(:func:`t_values`), the negative parts there
-(:func:`closed_form_decomposition`) and the breakpoint vertices of the
-Newton-Okounkov body.  The iterative engine (:func:`zariski_decompose`)
+(:func:`t_values`) and, read at stage ``eta``, the breakpoint vertices of
+the Newton-Okounkov body; read at the stages below ``r`` it gives the
+negative parts at the breakpoints, which the tests compare with the
+engine.  The iterative engine (:func:`zariski_decompose`)
 grows the support of the negative part inside the finite list of cone
 generators until the remainder is nef, solving the orthogonality conditions
 exactly at each step; it and the sweep built on it (:func:`alpha_beta`) are
@@ -16,8 +17,9 @@ a tree of smooth rational curves, so every support system is a principal
 submatrix of a forest Gram matrix; each round solves it from scratch by
 leaf-first elimination (:func:`_forest_solve`), which also tells whether
 the support is negative definite.  The positive class is built only when a
-caller reads it: the engine hands over its final remainder pairings, and
-the sweep reads the pairing of the positive part with ``E_r`` from them.
+caller reads it: every decomposition carries the engine's final remainder
+pairings, and the sweep reads the pairing of the positive part with
+``E_r`` from them.
 The dense ``Fraction`` engine it replaced is kept in the tests as the
 reference.
 
@@ -34,10 +36,9 @@ coefficient as a broken invariant.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import NamedTuple
 
 from .cluster import (
@@ -61,7 +62,6 @@ from .seshadri import (
     as_divisor,
     mu_hat,
     theta,
-    _positive_scale,
     _require_nef_big,
     _require_npi,
 )
@@ -75,19 +75,15 @@ class ZariskiPair:
     in the basis order; the positive part is built from the two on first
     read.  It is nef against the generator list, orthogonal to every
     component and the support Gram matrix is negative definite; these are
-    enforced at construction sites.  ``pairings`` optionally seeds the
-    positive part's pairings with the generators (see :attr:`_pairings`).
+    enforced at construction sites.  ``pairings`` are the positive part's
+    pairings with every generator, as integers ``values`` over one
+    denominator ``denom``: the engine's final remainder.
     """
 
     divisor: DivisorClassZ
     components: tuple[tuple[str, Fraction], ...]
     basis: CurveBasis
-    pairings: InitVar[tuple[list[int], int] | None] = None
-
-    def __post_init__(self, pairings):
-        if pairings is not None:
-            # Seeds the cached property below, as its first read would.
-            self.__dict__["_pairings"] = pairings
+    pairings: tuple[list[int], int]
 
     @cached_property
     def positive(self) -> DivisorClassZ:
@@ -95,25 +91,6 @@ class ZariskiPair:
         for name, coeff in self.components:
             positive = positive - coeff * self.basis.get(name)
         return positive
-
-    @cached_property
-    def _pairings(self) -> tuple[list[int], int]:
-        """The positive part's pairings with every generator, as integers
-        ``values`` over one denominator.
-
-        Unless the engine seeded them with its final remainder, they are
-        read from the integer pairing of the divisor and the non-zero Gram
-        entries of the components, without building the positive class.
-        """
-        values, scale = self.basis.pairings(self.divisor)
-        denom = lcm(scale, *(c.denominator for _, c in self.components))
-        values = [v * (denom // scale) for v in values]
-        sparse_gram, index = self.basis.sparse_gram, self.basis.index
-        for name, c in self.components:
-            weight = c.numerator * (denom // c.denominator)
-            for k, g in sparse_gram[index[name]].items():
-                values[k] -= weight * g
-        return values, denom
 
     def coefficient(self, name: str) -> Fraction:
         for n, c in self.components:
@@ -123,31 +100,8 @@ class ZariskiPair:
 
     def positive_pairing(self, name: str) -> Fraction:
         """The pairing of the positive part with the named generator."""
-        values, denom = self._pairings
+        values, denom = self.pairings
         return Fraction(values[self.basis.index[name]], denom)
-
-
-@dataclass(frozen=True)
-class BaseDecomposition:
-    """Decomposition of ``a F + b M`` on the base surface itself."""
-
-    positive: tuple[Fraction, Fraction]
-    negative_m0: Fraction
-
-
-def zariski_fano_base(delta: int, d) -> BaseDecomposition:
-    """Positive and negative parts of a pseudoeffective class on the base.
-
-    Nef classes are their own positive part; a big-but-not-nef class sheds a
-    multiple of the negative section.
-    """
-    d = as_divisor(d)
-    if not d.is_pseudoeffective(delta):
-        raise NotPseudoeffective(f"{d.a} F + {d.b} M is not pseudoeffective")
-    if d.a >= 0:
-        return BaseDecomposition((Fraction(d.a), Fraction(d.b)), Fraction(0))
-    scale = _positive_scale(delta, d)
-    return BaseDecomposition((Fraction(0), scale), d.b - scale)
 
 
 def _forest_solve(
@@ -381,26 +335,6 @@ def t_values(val: DivisorialValuation, d) -> tuple[Fraction, Fraction]:
     if not (0 <= lo <= hi <= mu):
         raise InvariantBroken("breakpoints", f"{lo}, {hi} escape [0, {mu}]")
     return lo, hi
-
-
-def closed_form_decomposition(val: DivisorialValuation, d, which: str) -> ZariskiPair:
-    """Exact positive and negative parts at a breakpoint, without iteration.
-
-    ``which`` selects the ``lower`` or ``upper`` breakpoint of
-    :func:`t_values`.  The negative part is read off the regime record; the
-    positive part is what remains of the class.
-    """
-    d = as_divisor(d)
-    rec = _regime(val, d)
-    if which not in ("lower", "upper"):
-        raise ValueError("which must be 'lower' or 'upper'")
-    k = 0 if which == "lower" else 1
-    comps = [(f"E{i}", rec.at_stage(val, i)[k]) for i in range(1, val.r)]
-    if which == "upper":
-        comps.insert(0, (rec.named, Fraction(rec.sign * rec.theta, rec.denom)))
-    comps = tuple((name, c) for name, c in comps if c != 0)
-    t = rec.at_stage(val, val.r)[k]
-    return ZariskiPair(_swept_class(val, d, t), comps, curve_basis(val))
 
 
 def _swept_class(val: DivisorialValuation, d: BigDivisor, t: Fraction) -> DivisorClassZ:

@@ -166,14 +166,18 @@ def test_case_schema_violations_exit_2(tmp_path):
         (("flag", "eta"), True, "flag.eta"),
         (("configuration", "points", 1, "on_f1"), "false", "p2: on_f1"),
         (("configuration", "points", 1, "on_m"), 0.0, "p2: on_m"),
+        (("configuration", "points", 1, "parent"), True, "p2: parent"),
+        (("configuration", "points", 1, "parent"), 1.0, "p2: parent"),
+        (("configuration", "points", 1, "parent"), "1", "p2: parent"),
     ],
 )
 def test_mistyped_case_fields_exit_2(tmp_path, path, value, field):
     # Point records live in the configuration case; their incidences are
-    # booleans.
+    # booleans and their parents integers.
     source, expected = "special_f2.json", f"CaseFormatError: {field} must be an integer"
     if path[0] == "configuration":
-        source, expected = "minimal_f0.json", f"ChainBroken: {field} must be true or false"
+        kind = "an integer" if path[-1] == "parent" else "true or false"
+        source, expected = "minimal_f0.json", f"ChainBroken: {field} must be {kind}"
     case = json.loads((CASES / source).read_text())
     *outer, last = path
     target = case

@@ -12,20 +12,13 @@ from hirzebruch import (
     BigDivisor,
     Surface,
     build_configuration,
-    classify,
-    curvette,
     divisorial_valuation,
-    eta_valuation,
-    fiber_germ,
     flag_valuation,
     from_maximal_contact,
-    germ_value,
-    germ_vector,
     is_npi,
     maximal_contact_values,
     multiplicities,
     mu_hat,
-    section_germ,
     truncate_valuation,
 )
 from hirzebruch import cluster
@@ -34,11 +27,9 @@ from hirzebruch.errors import (
     BadIncidence,
     BadSatellite,
     ChainBroken,
-    DimensionMismatch,
     EtaNotNPI,
     NotNPI,
     NotRealizable,
-    NotSatellite,
     SemigroupOverflow,
     TooManyPoints,
 )
@@ -206,6 +197,18 @@ def test_incidences_must_be_booleans(field, value):
         build_configuration(Surface(1), records)
     for flag in (False, None):
         records[1][field] = flag
+        assert build_configuration(Surface(1), records).points[1] == cluster.ClusterPoint()
+
+
+@pytest.mark.parametrize("value", [True, 1.0, "1", [1], {}])
+def test_parent_must_be_an_integer(value):
+    # True and 1.0 would compare equal to 1 and pass as p1; "1" would be
+    # refused with the self-contradicting "must be p1, got p1".
+    records = [{"on_f1": True, "on_m": True}, {"parent": value}]
+    with pytest.raises(ChainBroken, match=r"^p2: parent must be an integer$"):
+        build_configuration(Surface(1), records)
+    for parent in (1, None):
+        records[1]["parent"] = parent
         assert build_configuration(Surface(1), records).points[1] == cluster.ClusterPoint()
 
 
@@ -384,11 +387,11 @@ def test_from_contact_values_single_point():
 def test_from_contact_values_shipped_examples():
     special = from_maximal_contact(Surface(2, SPECIAL), [20, 28, 153, 612], 1, 2)
     assert special.r == 12
-    free = [i for i in range(1, 13) if special.is_free(i)]
+    free = [i for i in range(1, 13) if special.extra(i) is None]
     assert free == [1, 2, 6, 7, 8, 9]
     nonspecial = from_maximal_contact(Surface(2, GENERAL), [15, 51, 262, 786], 1, 3)
     assert nonspecial.r == 12
-    assert [i for i in range(1, 13) if not nonspecial.is_free(i)] == [5, 6, 7, 11, 12]
+    assert [i for i in range(1, 13) if nonspecial.extra(i) is not None] == [5, 6, 7, 11, 12]
 
 
 def test_from_contact_values_rejects_bad_sequences():
@@ -476,42 +479,11 @@ def test_round_trip_reproduces_multiplicities():
 # ----------------------------------------------------------------- germ values
 
 
-def test_zero_germ_value():
-    val = special_example_valuation()
-    zero = germ_vector(val.config, [0] * val.r)
-    assert germ_value(val, zero) == 0
-
-
 def test_fiber_and_section_values_of_shipped_examples():
     special = special_example_valuation()
-    assert germ_value(special, fiber_germ(special.config)) == 20
-    assert germ_value(special, section_germ(special.config)) == 28
+    assert (special.phi_f1, special.phi_m) == (20, 28)
     nonspecial = nonspecial_example_valuation()
-    assert germ_value(nonspecial, fiber_germ(nonspecial.config)) == 15
-    assert germ_value(nonspecial, section_germ(nonspecial.config)) == 45
-
-
-def test_germ_value_dimension_mismatch():
-    val = special_example_valuation()
-    with pytest.raises(DimensionMismatch):
-        germ_value(val, germ_vector(free_chain(Surface(0), 3), [1, 1, 1]))
-
-
-def test_germ_vector_rejects_proximity_violations():
-    config = cusp_config(Surface(0))
-    with pytest.raises(ValueError):
-        germ_vector(config, [1, 1, 1])
-
-
-def test_germ_value_is_additive():
-    rng = random.Random(3)
-    val = special_example_valuation()
-    for _ in range(20):
-        scale_a = rng.randint(0, 3)
-        scale_b = rng.randint(0, 3)
-        x = curvette(val.config, rng.randint(1, val.r)).scale(scale_a)
-        y = curvette(val.config, rng.randint(1, val.r)).scale(scale_b)
-        assert germ_value(val, x + y) == germ_value(val, x) + germ_value(val, y)
+    assert (nonspecial.phi_f1, nonspecial.phi_m) == (15, 45)
 
 
 # ----------------------------------------------------------------- truncations
@@ -577,7 +549,7 @@ def assert_stages_match_truncations(val):
             cap = q_points(flag, d).cap[1]
         except EtaNotNPI as exc:
             cap = EtaNotNPI, str(exc)
-        expected = _outcome(mu_hat, eta_valuation(flag), d)
+        expected = _outcome(mu_hat, truncate_valuation(val, eta), d)
         if isinstance(expected, tuple):
             expected = EtaNotNPI, f"the truncation at E{eta} is not non-positive at infinity"
         assert cap == expected, eta
@@ -647,12 +619,6 @@ def test_cluster_layer_calls_stay_constant_in_r(monkeypatch, family):
         assert counts[name] == 0, name
 
 
-def test_eta_valuation_requires_satellite_flag():
-    val = minimal_four_point_valuation()
-    with pytest.raises(NotSatellite):
-        eta_valuation(flag_valuation(val, None))
-
-
 def test_eta_valuation_at_first_point():
     val = special_example_valuation()
     eta1 = truncate_valuation(val, 1)
@@ -663,14 +629,14 @@ def test_eta_valuation_of_shipped_examples():
     # oracle: direct pairing on the truncated configuration
     special = special_example_valuation()
     flag = flag_valuation(special, 8)
-    eta = eta_valuation(flag)
+    eta = truncate_valuation(flag.base, flag.eta)
     assert eta.phi_f1 == 5
     assert chain_value(eta, special.config.m_chain) == 7
     assert truncation_pairing(special.config, 12, 8) == 152
 
     nonspecial = nonspecial_example_valuation()
     flag = flag_valuation(nonspecial, 9)
-    eta = eta_valuation(flag)
+    eta = truncate_valuation(flag.base, flag.eta)
     assert eta.phi_f1 == 5
     assert chain_value(eta, nonspecial.config.m_chain) == 15
     assert truncation_pairing(nonspecial.config, 12, 9) == 261
@@ -689,13 +655,13 @@ def test_flag_positions_are_validated():
 
 def test_delta_zero_is_special():
     val = minimal_four_point_valuation()
-    assert classify(val) == SPECIAL
+    assert val.kind == SPECIAL
 
 
 def test_shipped_example_classifications():
-    assert classify(special_example_valuation()) == SPECIAL
+    assert special_example_valuation().kind == SPECIAL
     nonspecial = nonspecial_example_valuation()
-    assert classify(nonspecial) == NON_SPECIAL
+    assert nonspecial.kind == NON_SPECIAL
     # declared section self-intersection is negative: delta - k = 2 - 3
     assert nonspecial.delta - len(nonspecial.config.m_chain) < 0
 

@@ -1,6 +1,30 @@
+import ast
+import importlib.util
+import json
 import types
+from pathlib import Path
 
 import hirzebruch
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = Path(hirzebruch.__file__).resolve().parent
+BENCH = ROOT / "bench"
+
+# Public definitions of the package that nothing in src/ or bench/ uses,
+# each with the reason it stays.
+UNREFERENCED_ALLOWLIST = {
+    # Builds the total transform of a base class: the constructor the tests
+    # and library users write classes with; production builds D* - t E_r*
+    # from its coordinates directly.
+    "pullback",
+}
+
+
+def _load_bench_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_all_lists_the_public_names_and_no_module():
@@ -17,3 +41,60 @@ def test_all_lists_the_public_names_and_no_module():
         and not isinstance(getattr(hirzebruch, name), types.ModuleType)
     }
     assert sorted(hirzebruch.__all__) == sorted(public)
+
+
+def test_every_traced_target_resolves():
+    # The bench tracer resolves ``layer.function`` targets by layer module;
+    # a target that stops resolving drops its per-layer metrics silently.
+    tracing = _load_bench_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert tracer.absent == []
+    finally:
+        tracer.uninstall()
+    produced = set(tracing.layer_metrics(tracer.summary()))
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    # ``bench/run.py`` adds the overhead ratio itself.
+    expected = {m["name"] for m in declared["per_layer"]} - {"trace.overhead_ratio"}
+    assert produced == expected
+
+
+def _references(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_no_test_only_api_and_no_assert_in_src():
+    # A public top-level function or class of the package must be used by
+    # the library itself or by the benchmark; re-exports in __init__.py do
+    # not count, the traced targets of bench/tracing.py do.
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    defined = {}
+    for path in modules:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    defined[node.name] = path.stem
+    used = set()
+    for path in [*modules, *sorted(BENCH.glob("*.py"))]:
+        used |= _references(path)
+    used |= {target.split(".", 1)[1] for target in _load_bench_tracing().TARGETS}
+    unreferenced = {name for name in defined if name not in used}
+    assert unreferenced == UNREFERENCED_ALLOWLIST
+
+    # Control flow does not rely on ``assert``, which ``python -O`` strips.
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []

@@ -10,17 +10,18 @@ from hirzebruch import (
     BigDivisor,
     Surface,
     build_configuration,
+    curve_basis,
     divisorial_valuation,
-    fiber_germ,
-    germ_value,
+    exceptional,
     is_minimal,
     lower_bound,
     mu_hat,
-    mu_hat_bisection_check,
     never_minimal,
-    section_germ,
+    pair,
+    pullback,
     theta,
     vol,
+    zariski_decompose,
 )
 from hirzebruch.errors import NotBig, NotNefBig, NotNPI
 
@@ -85,6 +86,13 @@ def test_mu_hat_is_linear_on_nef_classes():
             assert mu_hat(val, scaled) == k * mu_hat(val, d1)
 
 
+def witness_value(val, fibers, sections):
+    """Value of ``fibers`` fiber germs plus ``sections`` section germs: the
+    product of their multiplicities with those of the valuation."""
+    mult = [fibers * p.on_f1 + sections * p.on_m for p in val.config.points]
+    return sum(a * b for a, b in zip(mult, val.m))
+
+
 def test_value_is_attained_by_fiber_section_combinations():
     # the maximizing curve class is an explicit fiber/section combination
     for val, d in (
@@ -92,14 +100,10 @@ def test_value_is_attained_by_fiber_section_combinations():
         (minimal_four_point_valuation(), BigDivisor(2, 1)),
     ):
         m = 3
-        witness = fiber_germ(val.config).scale(m * (d.a + d.b * val.delta)) + (
-            section_germ(val.config).scale(m * d.b)
-        )
-        assert germ_value(val, witness) == m * mu_hat(val, d)
+        witness = witness_value(val, m * (d.a + d.b * val.delta), m * d.b)
+        assert witness == m * mu_hat(val, d)
     val = nonspecial_example_valuation()
-    d = BigDivisor(2, 5)
-    witness = fiber_germ(val.config).scale(2) + section_germ(val.config).scale(5)
-    assert germ_value(val, witness) == mu_hat(val, d)
+    assert witness_value(val, 2, 5) == mu_hat(val, BigDivisor(2, 5))
 
 
 # --------------------------------------------------------------- lower bound
@@ -180,6 +184,23 @@ def test_minimality_matches_squared_bound(corpus):
 
 
 # ------------------------------------------------------------------ bisection
+
+
+def mu_hat_bisection_check(val, d):
+    """Certify the constant as the bigness threshold through decompositions:
+    a strictly positive volume just below it and a zero self-pairing of the
+    positive part exactly at it."""
+    d = BigDivisor(*d)
+    mu = mu_hat(val, d)
+    basis = curve_basis(val)
+
+    def positive_part(t):
+        cls = pullback(val.delta, d.a, d.b, val.r) - t * exceptional(val.delta, val.r, val.r)
+        return zariski_decompose(cls, basis).positive
+
+    p_below = positive_part(mu * Fraction(1023, 1024))
+    p_at = positive_part(mu)
+    return pair(p_below, p_below) > 0 and pair(p_at, p_at) == 0
 
 
 def test_bisection_certificates():

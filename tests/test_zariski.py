@@ -17,7 +17,7 @@ from hirzebruch import (
     DivisorClassZ,
     Surface,
     alpha_beta,
-    closed_form_decomposition,
+    build_configuration,
     curve_basis,
     div_class,
     divisorial_valuation,
@@ -31,11 +31,11 @@ from hirzebruch import (
     sweep_body,
     t_values,
     theta,
+    vol,
     zariski_decompose,
-    zariski_fano_base,
 )
 from hirzebruch.cluster import truncate_valuation
-from hirzebruch.errors import InvariantBroken, NegativePartOnEr, NotPseudoeffective
+from hirzebruch.errors import InvariantBroken, NegativePartOnEr, NotBig, NotPseudoeffective
 from hirzebruch.lattice import CurveBasis
 from hirzebruch.okounkov import sweep_breakpoints
 from hirzebruch.zariski import _Regime, _forest_solve, _swept_class
@@ -43,6 +43,7 @@ from hirzebruch.zariski import _Regime, _forest_solve, _swept_class
 from conftest import (
     chain_value,
     ladder_configuration,
+    minimal_four_point_valuation,
     nonspecial_example_valuation,
     random_flag,
     random_nef_big,
@@ -99,26 +100,43 @@ def assert_sound(zp, input_class, basis):
 
 
 def test_fano_base_nef_class():
-    out = zariski_fano_base(2, (1, 2))
-    assert out.positive == (1, 2) and out.negative_m0 == 0
+    # A nef class is its own positive part: its volume is its self-pairing.
+    val = nonspecial_example_valuation()
+    cls = pullback(2, 1, 2, val.r)
+    assert vol(val, (1, 2)) == pair(cls, cls) == 12
+    assert mu_hat(val, (1, 2)) == val.phi_f1 + 2 * val.phi_m
 
 
 def test_fano_base_big_not_nef():
-    out = zariski_fano_base(2, (-1, 1))
-    assert out.positive == (0, Fraction(1, 2))
-    assert out.negative_m0 == Fraction(1, 2)
+    # -F + M on F_2 sheds M0 / 2: the positive part is (b + a/delta) M.
+    val = nonspecial_example_valuation()
+    assert vol(val, (-1, 1)) == Fraction(1, 2) ** 2 * 2
+    assert mu_hat(val, (-1, 1)) == Fraction(1, 2) * val.phi_m
 
 
 def test_fano_base_boundary():
-    out = zariski_fano_base(3, (0, 1))
-    assert out.positive == (0, 1) and out.negative_m0 == 0
+    # M on F_3 is nef and its own positive part; -3F + 2M sheds one M0 and
+    # keeps the same positive part, b + a/delta = 1.
+    surface = Surface(3, SPECIAL)
+    val = divisorial_valuation(
+        surface, build_configuration(surface, [{"on_f1": True, "on_m": True}])
+    )
+    assert vol(val, (0, 1)) == vol(val, (-3, 2)) == 3
 
 
 def test_fano_base_rejects_non_pseudoeffective():
-    with pytest.raises(NotPseudoeffective, match=r"^-5 F \+ 2 M is not"):
-        zariski_fano_base(2, (-5, 2))
-    with pytest.raises(NotPseudoeffective, match=r"^-1 F \+ 1 M is not"):
-        zariski_fano_base(0, (-1, 1))
+    # Below the boundary a + delta * b >= 0 the class is not big, and the
+    # engine refuses its pullback.
+    val = nonspecial_example_valuation()
+    with pytest.raises(NotBig, match=r"^-5 F \+ 2 M is not big"):
+        vol(val, (-5, 2))
+    with pytest.raises(NotPseudoeffective):
+        zariski_decompose(pullback(2, -5, 2, val.r), curve_basis(val))
+    minimal = minimal_four_point_valuation()
+    with pytest.raises(NotBig, match=r"^-1 F \+ 1 M is not big"):
+        vol(minimal, (-1, 1))
+    with pytest.raises(NotPseudoeffective):
+        zariski_decompose(pullback(0, -1, 1, minimal.r), curve_basis(minimal))
 
 
 # --------------------------------------------------------------------- engine
@@ -316,7 +334,8 @@ def _hand_basis(delta, rows):
     """A basis of generators ``A, B, ...`` with integer coordinates
     ``(f, m, e)``; it need not be the cone of curves of a surface."""
     names = tuple("ABCDEFGH"[: len(rows)])
-    return CurveBasis.from_classes(delta, names, [div_class(delta, *row) for row in rows])
+    sparse = tuple((f, m, {j: x for j, x in enumerate(e) if x}) for f, m, e in rows)
+    return CurveBasis(delta, len(rows[0][2]), names, sparse)
 
 
 def _count_definiteness_checks(monkeypatch):
@@ -591,7 +610,7 @@ def test_closed_forms_match_engine_on_shipped_examples(corpus):
         basis = curve_basis(val)
         lo, hi = t_values(val, d)
         for which, t in (("lower", lo), ("upper", hi)):
-            closed = closed_form_decomposition(val, d, which)
+            closed = reference.closed_form_decomposition(val, d, which)
             cls = pullback(val.delta, d.a, d.b, val.r) - t * exceptional(
                 val.delta, val.r, val.r
             )
@@ -609,7 +628,7 @@ def test_closed_form_fiber_regime():
     basis = curve_basis(val)
     lo, hi = t_values(val, d)
     for which, t in (("lower", lo), ("upper", hi)):
-        closed = closed_form_decomposition(val, d, which)
+        closed = reference.closed_form_decomposition(val, d, which)
         cls = pullback(2, 10, 1, val.r) - t * exceptional(2, val.r, val.r)
         assert closed.positive == zariski_decompose(cls, basis).positive
         assert_sound(closed, cls, basis)

@@ -8,6 +8,10 @@ definiteness by rational elimination.  The production engine must agree
 with it on positive parts, components and refusals.  Its result is built
 as production builds one, from the input class and the components; the
 positive class of its own dense loop is :func:`positive_part`.
+
+The closed-form negative parts at the two breakpoints
+(:func:`closed_form_decomposition`) are kept here too: the engine is
+their only independent check.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from hirzebruch.errors import NotPseudoeffective
-from hirzebruch.lattice import CurveBasis, DivisorClassZ, pair
-from hirzebruch.zariski import ZariskiPair
+from hirzebruch.lattice import CurveBasis, DivisorClassZ, curve_basis, pair
+from hirzebruch.seshadri import as_divisor
+from hirzebruch.zariski import ZariskiPair, _regime, _swept_class
 
 
 def is_negative_definite(classes) -> bool:
@@ -67,8 +72,8 @@ def _solve(matrix, rhs):
 
 def zariski_decompose(d: DivisorClassZ, basis: CurveBasis) -> ZariskiPair:
     """The dense decomposition of ``d``, as a :class:`ZariskiPair`."""
-    _, components = _decompose(d, basis)
-    return ZariskiPair(d, components, basis)
+    positive, components = _decompose(d, basis)
+    return ZariskiPair(d, components, basis, basis.pairings(positive))
 
 
 def positive_part(d: DivisorClassZ, basis: CurveBasis) -> DivisorClassZ:
@@ -120,3 +125,26 @@ def _decompose(d: DivisorClassZ, basis: CurveBasis):
     if chosen and not is_negative_definite([items[idx][1] for idx, _ in chosen]):
         raise NotPseudoeffective("support Gram matrix is not negative definite")
     return positive, tuple((items[idx][0], c) for idx, c in chosen)
+
+
+def closed_form_decomposition(val, d, which: str) -> ZariskiPair:
+    """Exact positive and negative parts at a breakpoint, without iteration.
+
+    ``which`` selects the ``lower`` or ``upper`` breakpoint of
+    :func:`t_values`.  The negative part is read off the regime record at
+    the stages below ``r``, plus the named curve at the upper breakpoint;
+    the positive part is what remains of the class.
+    """
+    d = as_divisor(d)
+    rec = _regime(val, d)
+    k = ("lower", "upper").index(which)
+    comps = [(f"E{i}", rec.at_stage(val, i)[k]) for i in range(1, val.r)]
+    if which == "upper":
+        comps.insert(0, (rec.named, Fraction(rec.sign * rec.theta, rec.denom)))
+    comps = tuple((name, c) for name, c in comps if c != 0)
+    cls = _swept_class(val, d, rec.at_stage(val, val.r)[k])
+    basis = curve_basis(val)
+    positive = cls
+    for name, c in comps:
+        positive = positive - c * basis.get(name)
+    return ZariskiPair(cls, comps, basis, basis.pairings(positive))
