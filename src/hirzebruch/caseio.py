@@ -156,10 +156,15 @@ def case_from_mapping(data) -> Case:
 
 
 def load_case(path) -> Case:
-    text = Path(path).read_text(encoding="utf-8")
+    """The case in a file; a file that cannot be opened raises its ``OSError``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CaseFormatError(f"case file is not UTF-8 text: {exc}") from None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Syntax errors, integers past the digit limit and deep nesting.
         raise CaseFormatError(f"invalid JSON: {exc}") from None
     return case_from_mapping(data)
 

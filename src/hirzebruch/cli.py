@@ -53,17 +53,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_classify(args) -> int:
-    case = load_case(args.case)
+def _cmd_classify(case, args) -> list[tuple[str, str]]:
     payload = classify_payload(case)
     print(classify_text(payload))
-    if args.output:
-        Path(args.output).write_text(dump_payload(payload), encoding="utf-8")
-    return 0
+    return [(args.output, dump_payload(payload))]
 
 
-def _cmd_body(args) -> int:
-    case = load_case(args.case)
+def _cmd_body(case, args) -> list[tuple[str, str]]:
     payload, body, triangle, _ = body_payload(
         case, verify=args.verify, oracle=args.oracle
     )
@@ -71,27 +67,31 @@ def _cmd_body(args) -> int:
     print(f"{payload['shape']}: {vertices}")
     if args.verify:
         print("verification: " + ", ".join(f"{c}={s}" for c, s in payload["verification"]))
-    if args.svg:
-        render_svg(triangle, body, args.svg)
-    if args.output:
-        Path(args.output).write_text(dump_payload(payload), encoding="utf-8")
-    return 0
+    svg = render_svg(triangle, body) if args.svg else ""
+    return [(args.svg, svg), (args.output, dump_payload(payload))]
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    target = None  # the output being written, once the case is read
     try:
-        if args.command == "classify":
-            return _cmd_classify(args)
-        return _cmd_body(args)
+        case = load_case(args.case)
+        command = _cmd_classify if args.command == "classify" else _cmd_body
+        for target, text in command(case, args):
+            if target:
+                Path(target).write_text(text, encoding="utf-8")
+        return 0
     except VerificationFailed as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 3
     except HirzebruchError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"cannot read case file: {exc}", file=sys.stderr)
+    except OSError as exc:
+        if target is None:
+            print(f"cannot read case file: {exc}", file=sys.stderr)
+        else:
+            print(f"cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

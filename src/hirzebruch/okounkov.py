@@ -295,17 +295,15 @@ def sweep_body(flag: FlagValuation, d) -> Polygon:
 
     Between breakpoints both boundary functions are affine, so the hull
     over breakpoints and midpoints reconstructs the body exactly; a hidden
-    breakpoint would make the comparison with the closed form fail.  The
-    samples ascend, and each starts the engine from the support of the one
-    before.
+    breakpoint would make the comparison with the closed form fail.  Each
+    sample is an independent decomposition.
     """
     val = flag.base
     d = as_divisor(d)
     _require_npi(val)
     pts = [(Fraction(0), Fraction(0))]
-    carry: list[int] = []
     for t in sweep_breakpoints(flag, d):
-        lo, hi = alpha_beta(flag, d, t, _carry=carry)
+        lo, hi = alpha_beta(flag, d, t)
         pts.append((t, lo))
         pts.append((t, hi))
     return Polygon.from_points(pts)

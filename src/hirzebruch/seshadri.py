@@ -16,6 +16,10 @@ class BigDivisor:
     a: int
     b: int
 
+    def __post_init__(self):
+        if not type(self.a) is type(self.b) is int:  # a bool is refused too
+            raise ValueError(f"divisor coordinates must be integers: {self.a!r}, {self.b!r}")
+
     def is_nef(self) -> bool:
         return self.a >= 0 and self.b >= 0
 
@@ -30,7 +34,7 @@ def as_divisor(d) -> BigDivisor:
     if isinstance(d, BigDivisor):
         return d
     a, b = d
-    return BigDivisor(int(a), int(b))
+    return BigDivisor(a, b)
 
 
 def _require_npi(val: DivisorialValuation) -> None:

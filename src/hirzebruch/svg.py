@@ -6,8 +6,6 @@ with a fixed precision so identical inputs give byte-identical files.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from .okounkov import Polygon
 
 _WIDTH = 640.0
@@ -19,7 +17,7 @@ def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
 
-def render_svg(triangle: Polygon, body: Polygon, path) -> None:
+def render_svg(triangle: Polygon, body: Polygon) -> str:
     xs = [float(x) for x, _ in triangle.vertices]
     ys = [float(y) for _, y in triangle.vertices]
     x0, x1 = min(xs + [0.0]), max(xs)
@@ -57,4 +55,4 @@ def render_svg(triangle: Polygon, body: Polygon, path) -> None:
         'fill-opacity="0.75" stroke="#555555" stroke-width="1.5"/>',
         "</svg>",
     ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"

@@ -23,15 +23,11 @@ pairings, and the sweep reads the pairing of the positive part with
 The dense ``Fraction`` engine it replaced is kept in the tests as the
 reference.
 
-A sweep carries its support from one sample to the next.  The negative
-part of ``D* - t E_r`` only grows with ``t`` while ``E_r`` stays out of it
-(Lazarsfeld-Mustata, *Convex bodies associated to linear series*, section
-6), and the engine reaches the same decomposition from any subset of the
-support (Bauer, *A simple proof for the existence of Zariski decompositions
-on surfaces*, 2009).  So each sample starts from the previous sample's
-components, and only the first sample with a negative part grows it from
-nothing; the engine refuses a start generator that ends without a positive
-coefficient as a broken invariant.
+Every decomposition starts from its forced support (:func:`_forced`), a
+subset of the support of the negative part, from which the engine reaches
+the same decomposition (Bauer, *A simple proof for the existence of
+Zariski decompositions on surfaces*, 2009).  For ``D* - t E_r`` with
+``t > 0`` it is ``E_1 ... E_{r-1}``, the whole first chamber of the sweep.
 """
 
 from __future__ import annotations
@@ -93,10 +89,7 @@ class ZariskiPair:
         return positive
 
     def coefficient(self, name: str) -> Fraction:
-        for n, c in self.components:
-            if n == name:
-                return c
-        return Fraction(0)
+        return dict(self.components).get(name, Fraction(0))
 
     def positive_pairing(self, name: str) -> Fraction:
         """The pairing of the positive part with the named generator."""
@@ -191,31 +184,43 @@ def _forest_solve(
     return [x[g] for g in support], det, definite
 
 
-def zariski_decompose(
-    d: DivisorClassZ, basis: CurveBasis, *, _start: list[int] | tuple[int, ...] = ()
-) -> ZariskiPair:
+def _forced(gram, rhs: list[int]) -> list[int]:
+    """The generators every decomposition of the class has in its support:
+    those it meets negatively, then, by a walk over the Gram rows, each
+    generator it meets at zero with a positive entry against one found.
+
+    If such a ``C`` were outside the support ``N``, then ``N.C > 0`` and the
+    positive part would meet it negatively, ``P.C = D.C - N.C < 0``.
+    """
+    forced = [k for k, v in enumerate(rhs) if v < 0]
+    seen = set(forced)
+    for i in forced:  # breadth first: the list grows while it is read
+        for k, w in gram[i].items():
+            if w > 0 and rhs[k] == 0 and k not in seen:
+                seen.add(k)
+                forced.append(k)
+    return forced
+
+
+def zariski_decompose(d: DivisorClassZ, basis: CurveBasis) -> ZariskiPair:
     """Iterative decomposition over the finite cone-generator list.
 
-    Starting from an empty support, repeatedly solve for the negative part
-    orthogonal to the remainder and enlarge the support by every generator
-    the remainder still meets negatively.  The support only grows, so the
-    loop stabilizes; failure to produce non-negative coefficients with a
-    negative-definite support means the class is not pseudoeffective.
+    Starting from the forced support, repeatedly solve for the negative
+    part orthogonal to the remainder and enlarge the support by every
+    generator the remainder still meets negatively.  The support only
+    grows, so the loop stabilizes; failure to produce non-negative
+    coefficients with a negative-definite support means the class is not
+    pseudoeffective.
 
     The pairings of ``d`` with the generators are integers over one
     scale, and those of the remainder follow from them by linearity over
     the non-zero Gram entries.  A support the solve finds negative definite
     makes every part of it so; only otherwise are the chosen rows checked.
 
-    ``_start`` is state the sweep carries from one sample to the next, not
-    an option: indices of generators in the support of the negative part,
-    from which the loop starts instead of the empty support.  From any such
-    subset the loop reaches the same decomposition (Bauer 2009), with a
-    positive coefficient on each of them; a start generator that ends
-    without one is a broken invariant, not a refusal of ``d``.
+    A generator the walk forced in that ends without a positive coefficient
+    is a broken invariant, not a refusal of ``d``, checked after the refusals.
     """
     names, gram = basis.names, basis.sparse_gram
-    n = len(names)
     rhs, scale = basis.pairings(d)
     # The remainder's pairings are ``rest[k] / (det * scale)``.
     support: list[int] = []
@@ -223,7 +228,7 @@ def zariski_decompose(
     det = 1
     definite = True
     rest = rhs
-    joining = list(_start) or [k for k in range(n) if rhs[k] < 0]
+    joining = start = _forced(gram, rhs)
     while joining:
         support += joining
         solved = _forest_solve(gram, names, support, rhs)
@@ -237,14 +242,8 @@ def zariski_decompose(
             for k, g in gram[i].items():
                 rest[k] -= xi * g
         inside = set(support)
-        joining = [k for k in range(n) if k not in inside and rest[k] * det < 0]
+        joining = [k for k, v in enumerate(rest) if k not in inside and v * det < 0]
     coeffs = [Fraction(xi, det * scale) for xi in x]
-    for idx, c in zip(support[: len(_start)], coeffs):
-        if c <= 0:
-            raise InvariantBroken(
-                "sweep support",
-                f"{_named(names, support)}: start generator {names[idx]} ends at {c}",
-            )
     for idx, c in zip(support, coeffs):
         if c < 0:
             raise NotPseudoeffective(
@@ -260,6 +259,12 @@ def zariski_decompose(
             raise NotPseudoeffective(
                 f"{_named(names, rows)}: support Gram matrix is not negative "
                 f"definite, leading minor {order} is {minor}"
+            )
+    for idx, c in zip(start, coeffs):
+        if rhs[idx] == 0 and c <= 0:
+            raise InvariantBroken(
+                "forced support",
+                f"{_named(names, support)}: forced generator {names[idx]} ends at {c}",
             )
     components = tuple((names[idx], c) for idx, c in chosen)
     return ZariskiPair(d, components, basis, (rest, det * scale))
@@ -345,36 +350,26 @@ def _swept_class(val: DivisorialValuation, d: BigDivisor, t: Fraction) -> Diviso
     return DivisorClassZ(val.delta, Fraction(d.a), Fraction(d.b), e)
 
 
-def alpha_beta(
-    flag: FlagValuation, d, t, *, _carry: list[int] | None = None
-) -> tuple[Fraction, Fraction]:
+def alpha_beta(flag: FlagValuation, d, t) -> tuple[Fraction, Fraction]:
     """Lower and upper boundary values of the body above abscissa ``t``.
 
     Decomposes ``D* - t E_r``; the lower value is the negative-part
     coefficient on the second divisor through the flag point (zero for a
     free flag point), the upper value adds the pairing of the positive part
     with the last exceptional curve, read without building that class.
-
-    ``_carry`` is state a sweep passes between its ascending samples, not
-    an option: the previous sample's component indices, which start the
-    engine and are replaced by this sample's (see the module notes on why
-    that is exact).
     """
     val = flag.base
     d = as_divisor(d)
     t = Fraction(t)
     if t < 0:
         raise ValueError("the sweep parameter must be non-negative")
-    basis = curve_basis(val)
-    zp = zariski_decompose(_swept_class(val, d, t), basis, _start=_carry or ())
+    zp = zariski_decompose(_swept_class(val, d, t), curve_basis(val))
     last = f"E{val.r}"
     if zp.coefficient(last) != 0:
         raise NegativePartOnEr(
             f"E{val.r} entered the negative part at t = {t}; "
             "the position contract is violated"
         )
-    if _carry is not None:
-        _carry[:] = [basis.index[name] for name, _ in zp.components]
     alpha = zp.coefficient(f"E{flag.eta}") if flag.is_satellite else Fraction(0)
     beta = alpha + zp.positive_pairing(last)
     return alpha, beta

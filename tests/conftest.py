@@ -22,7 +22,7 @@ from hirzebruch import (
     is_npi,
     newton_okounkov_body,
 )
-from hirzebruch.errors import ConfigurationError, EtaNotNPI
+from hirzebruch.errors import ConfigurationError, EtaNotNPI, SemigroupOverflow
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 # Put on PYTHONPATH of subprocesses so they import the package under test.
@@ -175,9 +175,12 @@ def random_valuation(rng, r_max=10, max_total=4000, require_npi=True, point_kind
         ]
         try:
             config = build_configuration(surface, records)
+            val = divisorial_valuation(surface, config)
         except ConfigurationError:
             continue
-        val = divisorial_valuation(surface, config)
+        except SemigroupOverflow:
+            # Values past the sieve's cap: far past ``max_total`` as well.
+            continue
         if val.last_contact > max_total:
             continue
         if require_npi and not is_npi(val):

@@ -210,8 +210,12 @@ def test_output_is_deterministic(tmp_path):
 
 
 def test_missing_file_exits_2(tmp_path):
-    out = run_cli("classify", str(tmp_path / "nope.json"))
+    missing = tmp_path / "nope.json"
+    out = run_cli("classify", str(missing))
     assert out.returncode == 2
+    assert out.stderr == (
+        f"cannot read case file: [Errno 2] No such file or directory: '{missing}'\n"
+    )
 
 
 def _in_process(argv):
@@ -219,6 +223,49 @@ def _in_process(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'\xff\xfe{"surface": {}}', "CaseFormatError: case file is not UTF-8 text: "),
+        (b"1" * 5000, "CaseFormatError: invalid JSON: Exceeds the limit "),
+        (b"[" * 100000, "CaseFormatError: invalid JSON: maximum recursion depth exceeded"),
+        (None, "cannot read case file: [Errno 21] Is a directory: "),
+    ],
+    ids=["not-utf8", "long-integer", "deep-nesting", "directory"],
+)
+def test_unreadable_case_files_exit_2(tmp_path, content, message):
+    # A case file that cannot be decoded or opened is refused with one
+    # stderr line and exit 2, never a traceback.
+    path = tmp_path / "case.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    for command in ("classify", "body"):
+        code, out, err = _in_process([command, str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(message) and len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize(
+    "flag, target, message",
+    [
+        ("--svg", "", "Is a directory"),
+        ("-o", "", "Is a directory"),
+        ("-o", "missing/x.json", "No such file or directory"),
+        ("--svg", "missing/x.svg", "No such file or directory"),
+    ],
+)
+def test_unwritable_outputs_exit_2(tmp_path, flag, target, message):
+    # A failed write names the output path: exit 2 and one stderr line.
+    path = tmp_path / target if target else tmp_path
+    commands = ["body"] if flag == "--svg" else ["classify", "body"]
+    for command in commands:
+        argv = [command, str(CASES / "special_f2.json"), flag, str(path)]
+        code, _, err = _in_process(argv)
+        assert (code, err) == (2, f"cannot write {path}: {message}\n")
 
 
 def test_one_parser_serves_calls_in_one_process(tmp_path):

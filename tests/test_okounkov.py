@@ -22,6 +22,7 @@ from hirzebruch import (
     sweep_body,
     theta,
     verify_body,
+    vol,
 )
 from hirzebruch.errors import MinimalValuation, NotBig, VerificationFailed
 from hirzebruch.cluster import truncation_pairing
@@ -36,6 +37,8 @@ from conftest import (
     ladder_configuration,
     minimal_four_point_valuation,
     nonspecial_example_valuation,
+    random_flag,
+    random_nef_big,
     random_valuation,
     special_example_valuation,
 )
@@ -388,6 +391,24 @@ def test_verified_body_payload_builds_the_body_once(monkeypatch):
     assert (body, triangle) == (report.body, report.triangle)
     assert list(payload) == [*plain, "oracle_vertices", "verification"]
     assert {k: payload[k] for k in plain} == plain
+
+
+def test_verify_random_draws_up_to_80_points():
+    # Draws far past the corpus's r <= 10: the body equals the sweep, twice
+    # its area is the volume and it lies in the cone triangle.
+    rng = random.Random(20261019)
+    sizes = []
+    for _ in range(60):
+        val = random_valuation(rng, r_max=80, max_total=10**6)
+        d = random_nef_big(rng, val.delta)
+        flag = random_flag(rng, val, d)
+        report = verify_body(flag, d)
+        assert report.passed()
+        assert report.body == sweep_body(flag, d) == report.sweep
+        assert report.body.area2 == vol(val, d)
+        assert all(report.triangle.contains(p) for p in report.body.vertices)
+        sizes.append(val.r)
+    assert max(sizes) >= 40
 
 
 def test_verify_minimal_example():

@@ -98,3 +98,25 @@ def test_no_test_only_api_and_no_assert_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+def test_no_hidden_parameters_in_src():
+    # A public function or method takes no parameter named like a private
+    # one: state passed between calls through a ``_name=`` keyword is a
+    # hidden option.
+    hidden = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        classes = [n for n in tree.body if isinstance(n, ast.ClassDef)]
+        scopes = [tree.body] + [c.body for c in classes if not c.name.startswith("_")]
+        for body in scopes:
+            for node in body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    a = node.args
+                    params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                    hidden += [
+                        f"{path.stem}.{node.name}({p.arg})"
+                        for p in params
+                        if p is not None and p.arg.startswith("_")
+                    ]
+    assert hidden == []

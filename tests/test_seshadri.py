@@ -57,6 +57,20 @@ def test_mu_hat_shipped_examples():
     assert mu_hat(nonspecial_example_valuation(), (2, 5)) == 255
 
 
+@pytest.mark.parametrize(
+    "coords", [(1.5, 2), (1.9, 2), ("1", 2), (1, True), (Fraction(1), 2), (1, 2.0)]
+)
+def test_divisor_coordinates_must_be_integers(coords):
+    # A coordinate is never truncated: (1.5, 2) gave the constant of (1, 2).
+    val = special_example_valuation()
+    for call in (mu_hat, vol, theta):
+        with pytest.raises(ValueError, match="^divisor coordinates must be integers: "):
+            call(val, coords)
+    with pytest.raises(ValueError):
+        BigDivisor(*coords)
+    assert mu_hat(val, (1, 2)) == mu_hat(val, BigDivisor(1, 2)) == 156
+
+
 def test_mu_hat_single_blow_up():
     assert mu_hat(order_valuation(), (1, 1)) == 2
 

@@ -38,7 +38,7 @@ from hirzebruch.cluster import truncate_valuation
 from hirzebruch.errors import InvariantBroken, NegativePartOnEr, NotBig, NotPseudoeffective
 from hirzebruch.lattice import CurveBasis
 from hirzebruch.okounkov import sweep_breakpoints
-from hirzebruch.zariski import _Regime, _forest_solve, _swept_class
+from hirzebruch.zariski import _Regime, _forced, _forest_solve, _swept_class
 
 from conftest import (
     chain_value,
@@ -507,31 +507,26 @@ def _count_solves(monkeypatch):
 
 
 @pytest.mark.parametrize("family", ["tail", "block"])
-def test_sweep_carries_its_support(monkeypatch, family):
-    # Each sample starts from the previous sample's support, so only the
-    # first sample with a negative part grows it from nothing: at most
-    # r + 2 solves per sample in one sweep, where cold samples take about
-    # r each.
+@pytest.mark.parametrize("r", [92, 512])
+def test_sweep_makes_at_most_two_solves_per_sample(monkeypatch, family, r):
+    # Every sample starts from its forced support, the whole first chamber
+    # E_1 ... E_{r-1}, so a sample takes one solve there and one more once
+    # the named curve joins: at most 2 per sample, where a start from the
+    # generators met negatively alone grows the chain one solve at a time.
     surface = Surface(2, SPECIAL)
-    val = divisorial_valuation(surface, ladder_configuration(family, 92))
+    val = divisorial_valuation(surface, ladder_configuration(family, r))
     flag = flag_valuation(val, val.r - 1)
     d = BigDivisor(1, 2)
     samples = len(sweep_breakpoints(flag, d))
     calls = _count_solves(monkeypatch)
     assert sweep_body(flag, d) == newton_okounkov_body(flag, d)
-    assert 0 < calls["solve"] <= val.r + 2 * samples
-    # The counter is live: a cold decomposition in the sweep's chamber
-    # grows its support one round at a time.
-    before = calls["solve"]
-    t = t_values(val, d)[1]
-    zariski_decompose(_swept_class(val, d, t), curve_basis(val))
-    assert calls["solve"] - before > val.r // 2
+    assert 0 < calls["solve"] <= 2 * samples
 
 
 def _sweep_case(rng, case):
-    """A valuation, flag and big class for the warm-start property test:
-    a nef class at a center of the given kind, or a non-nef one at a
-    general center."""
+    """A valuation, flag and big class for the sweep property test: a nef
+    class at a center of the given kind, or a non-nef one at a general
+    center."""
     if case == "non-nef":
         val = random_valuation(rng, r_max=10, point_kind=GENERAL)
         b = rng.randint(2 if val.delta == 1 else 1, 6)
@@ -547,37 +542,74 @@ def _sweep_case(rng, case):
     seed=st.integers(0, 2**32 - 1),
     case=st.sampled_from([SPECIAL, GENERAL, None, "non-nef"]),
 )
-def test_warm_sweep_equals_cold_engine(seed, case):
-    # At every sample of the sweep, the engine started from the previous
-    # sample's support gives the cold engine's components and E_r pairing
-    # of the positive part, and the carrying alpha_beta the cold (alpha,
-    # beta); what it carries on is the cold support.
+def test_every_sweep_sample_equals_the_dense_reference(seed, case):
+    # At every sample of the sweep, the engine started from the forced
+    # support gives the dense reference's positive part, components and E_r
+    # pairing, and alpha_beta reads its (alpha, beta) from them.
     val, flag, d = _sweep_case(random.Random(seed), case)
     basis = curve_basis(val)
     last = f"E{val.r}"
-    carry: list[int] = []
     for t in sweep_breakpoints(flag, d):
         cls = _swept_class(val, d, t)
-        cold = zariski_decompose(cls, basis)
-        warm = zariski_decompose(cls, basis, _start=list(carry))
-        assert warm.components == cold.components
-        assert warm.positive_pairing(last) == cold.positive_pairing(last)
-        assert alpha_beta(flag, d, t, _carry=carry) == alpha_beta(flag, d, t)
-        assert carry == [basis.index[name] for name, _ in cold.components]
+        got = zariski_decompose(cls, basis)
+        want = reference.zariski_decompose(cls, basis)
+        assert got.components == want.components
+        assert got.positive == want.positive
+        assert got.positive_pairing(last) == want.positive_pairing(last)
+        alpha = want.coefficient(f"E{flag.eta}") if flag.is_satellite else 0
+        assert alpha_beta(flag, d, t) == (alpha, alpha + want.positive_pairing(last))
 
 
-def test_start_outside_the_negative_part_is_refused():
-    # -E1* on the star meets A positively and B, C not at all, so it is nef:
-    # the cold engine finds no negative part.  Started from A it pulls C in
-    # and ends with A at 0, which the warm start's theorem rules out.
-    basis = _hand_basis(2, _STAR)
-    cls = div_class(2, 0, 0, (-1, 0, 0))
-    assert basis.pairings(cls) == ([1, 0, 0], 1)
+def _first_chamber_starts(val, d):
+    """The forced supports of ``D* - t E_r`` at the lower breakpoint and
+    at a point below it, by name, with the names of E_1 ... E_{r-1}; or
+    ``None`` when the lower breakpoint is 0 and the first chamber empty."""
+    basis = curve_basis(val)
+    lo = t_values(val, d)[0]
+    if lo == 0:
+        return None
+    starts = []
+    for t in (lo / 3, lo):
+        rhs, _ = basis.pairings(_swept_class(val, d, t))
+        starts.append(sorted(basis.names[k] for k in _forced(basis.sparse_gram, rhs)))
+    return starts, sorted(f"E{i}" for i in range(1, val.r))
+
+
+def test_forced_support_is_the_first_chamber_on_the_corpus(corpus):
+    checked = 0
+    for val, _, d in corpus:
+        found = _first_chamber_starts(val, d)
+        if found is not None:
+            starts, chamber = found
+            assert starts == [chamber, chamber]
+            checked += 1
+    assert checked >= len(corpus) // 2
+
+
+@pytest.mark.parametrize("family", ["tail", "block"])
+def test_forced_support_is_the_first_chamber_on_ladders(family):
+    val = divisorial_valuation(Surface(2, SPECIAL), ladder_configuration(family, 92))
+    starts, chamber = _first_chamber_starts(val, BigDivisor(1, 2))
+    assert starts == [chamber, chamber]
+
+
+def test_forced_generator_outside_the_support_is_refused(monkeypatch):
+    # D* meets every exceptional curve at zero and is nef, so its negative
+    # part is empty.  A start rule that forces E1 in anyway ends with E1 at
+    # 0, which the theorem behind the forced support rules out.
+    val = special_example_valuation()
+    basis = curve_basis(val)
+    cls = _swept_class(val, BigDivisor(1, 2), Fraction(0))
     assert zariski_decompose(cls, basis).components == ()
+    e1 = basis.index["E1"]
+    original = zariski_module._forced
+    monkeypatch.setattr(
+        zariski_module, "_forced", lambda gram, rhs: original(gram, rhs) + [e1]
+    )
     with pytest.raises(
-        InvariantBroken, match=r"^sweep support: support A, C: start generator A ends at 0$"
+        InvariantBroken, match=r"^forced support: support E1: forced generator E1 ends at 0$"
     ):
-        zariski_decompose(cls, basis, _start=[0])
+        zariski_decompose(cls, basis)
 
 
 # ---------------------------------------------------------------- closed forms
