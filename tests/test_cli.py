@@ -257,6 +257,7 @@ def test_unreadable_case_files_exit_2(tmp_path, content, message):
         ("-o", "missing/x.json", "No such file or directory"),
         ("--svg", "missing/x.svg", "No such file or directory"),
     ],
+    ids=["svg-directory", "json-directory", "json-missing-folder", "svg-missing-folder"],
 )
 def test_unwritable_outputs_exit_2(tmp_path, flag, target, message):
     # A failed write names the output path: exit 2 and one stderr line.
