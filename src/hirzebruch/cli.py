@@ -53,22 +53,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_classify(case, args) -> list[tuple[str, str]]:
+def _cmd_classify(case, args) -> tuple[list[str], list[tuple[str, str]]]:
     payload = classify_payload(case)
-    print(classify_text(payload))
-    return [(args.output, dump_payload(payload))]
+    return [classify_text(payload)], [(args.output, dump_payload(payload))]
 
 
-def _cmd_body(case, args) -> list[tuple[str, str]]:
+def _cmd_body(case, args) -> tuple[list[str], list[tuple[str, str]]]:
     payload, body, triangle, _ = body_payload(
         case, verify=args.verify, oracle=args.oracle
     )
     vertices = ", ".join(f"({x}, {y})" for x, y in payload["vertices"])
-    print(f"{payload['shape']}: {vertices}")
+    lines = [f"{payload['shape']}: {vertices}"]
     if args.verify:
-        print("verification: " + ", ".join(f"{c}={s}" for c, s in payload["verification"]))
+        lines.append(
+            "verification: " + ", ".join(f"{c}={s}" for c, s in payload["verification"])
+        )
     svg = render_svg(triangle, body) if args.svg else ""
-    return [(args.svg, svg), (args.output, dump_payload(payload))]
+    return lines, [(args.svg, svg), (args.output, dump_payload(payload))]
 
 
 def main(argv=None) -> int:
@@ -77,9 +78,13 @@ def main(argv=None) -> int:
     try:
         case = load_case(args.case)
         command = _cmd_classify if args.command == "classify" else _cmd_body
-        for target, text in command(case, args):
+        lines, outputs = command(case, args)
+        # The files are written first, so a refused write prints nothing.
+        for target, text in outputs:
             if target:
                 Path(target).write_text(text, encoding="utf-8")
+        for line in lines:
+            print(line)
         return 0
     except VerificationFailed as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

@@ -157,12 +157,12 @@ def _coerce_point(rec, index: int) -> tuple[int | None, ClusterPoint]:
     if isinstance(rec, ClusterPoint):
         return None, rec
     if isinstance(rec, Mapping):
-        known = {"parent", "extra_proximity", "extra", "on_f1", "on_m"}
+        known = {"parent", "extra_proximity", "on_f1", "on_m"}
         unknown = set(rec) - known
         if unknown:
             raise ChainBroken([f"p{index}: unknown fields {sorted(unknown)}"])
         parent = rec.get("parent")
-        extra = rec.get("extra_proximity", rec.get("extra"))
+        extra = rec.get("extra_proximity")
         for name, value in (("parent", parent), ("extra_proximity", extra)):
             if isinstance(value, bool) or not isinstance(value, (int, type(None))):
                 raise ChainBroken([f"p{index}: {name} must be an integer"])

@@ -26,9 +26,6 @@ class BigDivisor:
     def is_big(self, delta: int) -> bool:
         return self.b > 0 and self.a > -delta * self.b
 
-    def is_pseudoeffective(self, delta: int) -> bool:
-        return self.b >= 0 and self.a + delta * self.b >= 0
-
 
 def as_divisor(d) -> BigDivisor:
     if isinstance(d, BigDivisor):

@@ -14,9 +14,9 @@ the independent oracles that the closed forms are checked against.
 The engine and the sweep run in integers from input to output, on the
 sparse integer rows of the basis.  The generators are strict transforms of
 a tree of smooth rational curves, so every support system is a principal
-submatrix of a forest Gram matrix; each round solves it from scratch by
-leaf-first elimination (:func:`_forest_solve`), which also tells whether
-the support is negative definite.  The positive class is built only when a
+submatrix of a forest Gram matrix with non-negative edges; each round
+solves it from scratch by leaf-first elimination (:func:`_forest_solve`).
+The positive class is built only when a
 caller reads it: every decomposition carries the engine's final remainder
 pairings, and the sweep reads the pairing of the positive part with
 ``E_r`` from them.
@@ -28,6 +28,11 @@ subset of the support of the negative part, from which the engine reaches
 the same decomposition (Bauer, *A simple proof for the existence of
 Zariski decompositions on surfaces*, 2009).  For ``D* - t E_r`` with
 ``t > 0`` it is ``E_1 ... E_{r-1}``, the whole first chamber of the sweep.
+On generators whose distinct members meet non-negatively, the same proof
+keeps every support the iteration visits inside the support of the
+negative part, which is negative definite (Bauer-Kuronya-Szemberg 2004).
+So the engine solves only negative-definite supports, and the first
+reduced pivot that is not negative refuses the class.
 """
 
 from __future__ import annotations
@@ -51,7 +56,6 @@ from .lattice import (
     CurveBasis,
     DivisorClassZ,
     curve_basis,
-    definiteness_failure,
 )
 from .seshadri import (
     BigDivisor,
@@ -99,27 +103,24 @@ class ZariskiPair:
 
 def _forest_solve(
     gram, names, support: list[int], rhs: list[int]
-) -> tuple[list[int], int, bool] | None:
-    """Integer solution ``x / det`` of the support system and whether the
-    support is negative definite, or ``None`` when the system is singular.
+) -> tuple[list[int], int]:
+    """Integer solution ``x / det`` of a negative-definite support system.
 
     ``gram`` holds the non-zero Gram entries of each generator by row; on
-    the support they must form a forest, and a cycle is refused.  A walk
+    the support they must form a forest whose edges are positive, and a
+    cycle or a negative edge is refused as a broken invariant.  A walk
     fixes a parent for every vertex.  Leaves first, each vertex ``v``
     carries the integers ``(P, Q, R)`` of its reduced pivot ``P / Q`` and
     reduced right-hand side ``R / Q``, and is eliminated into its parent
     ``u`` over the edge weight ``w``: ``P_u <- P_u P_v - w^2 Q_v Q_u``,
     ``R_u <- R_u P_v - w R_v Q_u``, ``Q_u <- Q_u P_v``.  So ``P`` is the
     determinant of the subtree and ``Q`` the product of the children's.
+    Back substitution divides exactly, since ``det * x`` is integral by
+    Cramer's rule.
 
-    A vertex whose reduced pivot is zero pairs with its parent instead: the
-    2x2 block has determinant ``-w^2``, the child's equation fixes the
-    parent's value, and the grandparent keeps its pivot while its
-    right-hand side moves.  A zero pivot at a root, or a second zero-pivot
-    child of one parent, makes the system singular.  Back substitution
-    divides exactly, since ``det * x`` is integral by Cramer's rule.  The
-    support is negative definite exactly when every reduced pivot is
-    negative and no pair was formed.
+    The support is negative definite exactly when every reduced pivot is
+    negative; the first one that is not refuses the class, which the
+    engine only asks to solve inside its negative part.
     """
     inside = set(support)
     parent: dict[int, int | None] = {}
@@ -136,10 +137,11 @@ def _forest_solve(
             for g, w in gram[v].items():
                 if g == v or g == parent[v] or g not in inside:
                     continue
-                if g in parent:
+                if w < 0 or g in parent:
+                    why = f"meet at {w}" if w < 0 else "close a cycle"
                     raise InvariantBroken(
                         "generator forest",
-                        f"{_named(names, support)}: {names[v]} and {names[g]} close a cycle",
+                        f"{_named(names, support)}: {names[v]} and {names[g]} {why}",
                     )
                 parent[g], up[g] = v, w
                 stack.append(g)
@@ -149,39 +151,21 @@ def _forest_solve(
     Q = dict.fromkeys(support, 1)
     R = {g: rhs[g] for g in support}
     P[None], Q[None], R[None] = 1, 1, 0
-    mate: dict[int, int] = {}  # the zero-pivot child paired with a vertex
-    definite = True
     for v in reversed(order):
+        if P[v] == 0 or (P[v] > 0) == (Q[v] > 0):
+            raise NotPseudoeffective(
+                f"{_named(names, support)}: support Gram matrix is not negative "
+                f"definite, reduced pivot of {names[v]} is {Fraction(P[v], Q[v])}"
+            )
         u = parent[v]
-        if v in mate:
-            c = mate[v]
-            block = -up[c] * up[c] * Q[c] * Q[v]
-            R[u] = R[u] * block + up[v] * up[c] * R[c] * Q[v] * Q[u]
-            P[u] *= block
-            Q[u] *= block
-        elif P[v] == 0:
-            if u is None or u in mate:
-                return None
-            mate[u] = v
-            definite = False
-        else:
-            definite = definite and (P[v] < 0) != (Q[v] < 0)
-            P[u] = P[u] * P[v] - up[v] * up[v] * Q[v] * Q[u]
-            R[u] = R[u] * P[v] - up[v] * R[v] * Q[u]
-            Q[u] *= P[v]
+        P[u] = P[u] * P[v] - up[v] * up[v] * Q[v] * Q[u]
+        R[u] = R[u] * P[v] - up[v] * R[v] * Q[u]
+        Q[u] *= P[v]
     det = P[None]
     x = {None: 0}
     for v in order:
-        u = parent[v]
-        if v in mate:
-            c = mate[v]
-            x[v] = det * R[c] // (Q[c] * up[c])
-        elif mate.get(u) == v:
-            rest = det * R[u] - P[u] * x[u] - up[u] * Q[u] * x[parent[u]]
-            x[v] = rest // (Q[u] * up[v])
-        else:
-            x[v] = (det * R[v] - up[v] * Q[v] * x[u]) // P[v]
-    return [x[g] for g in support], det, definite
+        x[v] = (det * R[v] - up[v] * Q[v] * x[parent[v]]) // P[v]
+    return [x[g] for g in support], det
 
 
 def _forced(gram, rhs: list[int]) -> list[int]:
@@ -208,14 +192,14 @@ def zariski_decompose(d: DivisorClassZ, basis: CurveBasis) -> ZariskiPair:
     Starting from the forced support, repeatedly solve for the negative
     part orthogonal to the remainder and enlarge the support by every
     generator the remainder still meets negatively.  The support only
-    grows, so the loop stabilizes; failure to produce non-negative
-    coefficients with a negative-definite support means the class is not
-    pseudoeffective.
+    grows, so the loop stabilizes.  A class with a decomposition visits
+    only supports inside its negative part (Bauer 2009), which are
+    negative definite (Bauer-Kuronya-Szemberg 2004); so a support that is
+    not, or a negative coefficient, means the class is not pseudoeffective.
 
     The pairings of ``d`` with the generators are integers over one
     scale, and those of the remainder follow from them by linearity over
-    the non-zero Gram entries.  A support the solve finds negative definite
-    makes every part of it so; only otherwise are the chosen rows checked.
+    the non-zero Gram entries.
 
     A generator the walk forced in that ends without a positive coefficient
     is a broken invariant, not a refusal of ``d``, checked after the refusals.
@@ -226,17 +210,11 @@ def zariski_decompose(d: DivisorClassZ, basis: CurveBasis) -> ZariskiPair:
     support: list[int] = []
     x: list[int] = []
     det = 1
-    definite = True
     rest = rhs
     joining = start = _forced(gram, rhs)
     while joining:
         support += joining
-        solved = _forest_solve(gram, names, support, rhs)
-        if solved is None:
-            raise NotPseudoeffective(
-                f"{_named(names, support)}: orthogonality system is singular"
-            )
-        x, det, definite = solved
+        x, det = _forest_solve(gram, names, support, rhs)
         rest = [det * v for v in rhs]
         for i, xi in zip(support, x):
             for k, g in gram[i].items():
@@ -251,15 +229,6 @@ def zariski_decompose(d: DivisorClassZ, basis: CurveBasis) -> ZariskiPair:
                 f"coefficient, {names[idx]} = {c}"
             )
     chosen = sorted((idx, c) for idx, c in zip(support, coeffs) if c > 0)
-    if chosen and not definite:
-        rows = [idx for idx, _ in chosen]
-        failure = definiteness_failure([[gram[i].get(j, 0) for j in rows] for i in rows])
-        if failure is not None:
-            order, minor = failure
-            raise NotPseudoeffective(
-                f"{_named(names, rows)}: support Gram matrix is not negative "
-                f"definite, leading minor {order} is {minor}"
-            )
     for idx, c in zip(start, coeffs):
         if rhs[idx] == 0 and c <= 0:
             raise InvariantBroken(

@@ -129,12 +129,20 @@ def ladder_configuration(family, r):
     return from_maximal_contact(Surface(2, SPECIAL), beta_bar, 1, on_m)
 
 
-def random_records(rng, r_max):
+def random_records(rng, r_max, satellite_blocks=None):
+    """Random proximities for up to ``r_max`` points.  With
+    ``satellite_blocks``, satellites come only in up to that many runs of 1
+    to 4 points, which keeps the semigroup small at large ``r``."""
     r = rng.randint(1, r_max)
     extras = [None] * (r + 1)
-    sat_prob = rng.choice([0.0, 0.2, 0.45])
+    runs = None
+    if satellite_blocks is None:
+        sat_prob = rng.choice([0.0, 0.2, 0.45])
+    else:
+        starts = [rng.randint(3, max(3, r)) for _ in range(rng.randint(0, satellite_blocks))]
+        runs = {i for s in starts for i in range(s, s + rng.randint(1, 4))}
     for i in range(3, r + 1):
-        if rng.random() < sat_prob:
+        if (i in runs) if runs is not None else rng.random() < sat_prob:
             options = [i - 2]
             prev = extras[i - 1]
             if prev is not None and prev != i - 2:
@@ -146,10 +154,12 @@ def random_records(rng, r_max):
     return r, extras, free_prefix
 
 
-def random_valuation(rng, r_max=10, max_total=4000, require_npi=True, point_kind=None):
+def random_valuation(
+    rng, r_max=10, max_total=4000, require_npi=True, point_kind=None, satellite_blocks=None
+):
     """Rejection-sample a valid (by default non-positive-at-infinity) valuation."""
     for _ in range(800):
-        r, extras, free_prefix = random_records(rng, r_max)
+        r, extras, free_prefix = random_records(rng, r_max, satellite_blocks)
         delta = rng.randint(0, 3)
         if point_kind is None:
             kind = SPECIAL if delta == 0 else rng.choice([SPECIAL, SPECIAL, GENERAL])

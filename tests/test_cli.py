@@ -264,9 +264,27 @@ def test_unwritable_outputs_exit_2(tmp_path, flag, target, message):
     path = tmp_path / target if target else tmp_path
     commands = ["body"] if flag == "--svg" else ["classify", "body"]
     for command in commands:
-        argv = [command, str(CASES / "special_f2.json"), flag, str(path)]
-        code, _, err = _in_process(argv)
-        assert (code, err) == (2, f"cannot write {path}: {message}\n")
+        for extra in ([], ["--verify"]) if command == "body" else ([],):
+            argv = [command, str(CASES / "special_f2.json"), flag, str(path), *extra]
+            code, out, err = _in_process(argv)
+            # Nothing reaches stdout: the outputs are written before printing.
+            assert (code, out, err) == (2, "", f"cannot write {path}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "record",
+    [{"extra": 1}, {"extra_proximity": None, "extra": 1}, {"extra_proximity": 1, "extra": 1}],
+    ids=["alone", "beside-null", "beside-value"],
+)
+def test_undocumented_point_field_exits_2(tmp_path, record):
+    # Only ``extra_proximity`` marks a satellite: a point record with an
+    # ``extra`` field is refused, neither read as a satellite nor dropped.
+    case = json.loads((CASES / "minimal_f0.json").read_text())
+    case["configuration"]["points"][2] = record
+    path = write_case(tmp_path, "extra.json", case)
+    for command in ("classify", "body"):
+        code, out, err = _in_process([command, str(path)])
+        assert (code, out, err) == (2, "", "ChainBroken: p3: unknown fields ['extra']\n")
 
 
 def test_one_parser_serves_calls_in_one_process(tmp_path):

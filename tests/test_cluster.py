@@ -187,6 +187,19 @@ def test_extra_proximity_must_be_an_integer(extra):
         )
 
 
+@pytest.mark.parametrize(
+    "record", [{"extra": 1}, {"extra_proximity": None, "extra": 1}, {"extra": None}]
+)
+def test_extra_is_an_unknown_field(record):
+    # The documented field is ``extra_proximity``; ``extra`` is refused like
+    # any other unknown field, whatever it holds.
+    records = [{"on_f1": True, "on_m": True}, {}, record]
+    with pytest.raises(ChainBroken, match=r"^p3: unknown fields \['extra'\]$"):
+        build_configuration(Surface(0), records)
+    records[2] = {"extra_proximity": 1}
+    assert build_configuration(Surface(0), records).extra(3) == 1
+
+
 @pytest.mark.parametrize("field", ["on_f1", "on_m"])
 @pytest.mark.parametrize("value", ["false", "no", 0.0, 0, 1, [], {}])
 def test_incidences_must_be_booleans(field, value):

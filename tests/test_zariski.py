@@ -165,21 +165,17 @@ def test_engine_soundness_on_shipped_sweeps():
 
 
 def test_engine_rejects_non_pseudoeffective_classes():
-    # The refusal names the support and the offending coefficient.
+    # The refusal names the support and the first generator whose reduced
+    # pivot is not negative.
     val = special_example_valuation()
     basis = curve_basis(val)
     support = re.escape("support " + ", ".join(basis.names))
-    with pytest.raises(
-        NotPseudoeffective,
-        match=rf"^{support}: negative part would need a negative coefficient, E2 = -1$",
-    ):
+    indefinite = f"^{support}: support Gram matrix is not negative definite, "
+    with pytest.raises(NotPseudoeffective, match=indefinite + "reduced pivot of E2 is 0$"):
         zariski_decompose(pullback(2, -1, 0, val.r), basis)
     mu = mu_hat(val, BigDivisor(1, 2))
     beyond = pullback(2, 1, 2, val.r) - (40 * mu) * exceptional(2, val.r, val.r)
-    with pytest.raises(
-        NotPseudoeffective, match=r"^support F1, M0, E1, .*, E12: negative part "
-        r"would need a negative coefficient, E12 = -6084$"
-    ):
+    with pytest.raises(NotPseudoeffective, match=indefinite + "reduced pivot of E8 is 1/82$"):
         zariski_decompose(beyond, basis)
 
 
@@ -355,52 +351,46 @@ def _count_definiteness_checks(monkeypatch):
 
 
 # On F_2 with three points: A = E1* - E2*, B = E2* - E3* and
-# C = M* - E2* - E3*.  Gram (-2, 1, -1; 1, -2, 0; -1, 0, 0), a star at A:
-# C has square 0, and as a leaf under A its reduced pivot is 0.
+# C = M* - E2* - E3*.  Gram (-2, 1, -1; 1, -2, 0; -1, 0, 0), a star at A
+# whose edge A.C = -1 no two distinct curves on a surface have.
 _STAR = ((0, 0, (1, -1, 0)), (0, 0, (0, 1, -1)), (0, 1, (0, -1, -1)))
-# Pairings (-2, -2, -2): C pairs with A, whose value C's equation fixes;
-# the solution (2, 2, 0) leaves C out of the negative part.
-_STAR_DECOMPOSED = (0, 0, (2, 0, -2))
-# Pairings (-4, -2, -2): the solution (2, 2, 2) is positive on the whole
-# star, whose leading minors are -2, 3 and 2.
-_STAR_INDEFINITE = (0, 0, (4, 0, -2))
-# -F* meets only C, negatively: C alone is a zero-pivot root.
-_STAR_SINGULAR = (-1, 0, (0, 0, 0))
+# Pairings (-2, -2, -2): the whole star is forced in.
+_STAR_CLASS = (0, 0, (2, 0, -2))
+# A = E1* and B = F* - E1*, both of square -1, meet at 1: B's reduced pivot
+# under the leaf A is -1 - 1/(-1) = 0.
+_PENCIL = ((0, 0, (1,)), (1, 0, (-1,)))
+# -M* meets B at -1 and A at 0, so both are forced in.
+_PENCIL_CLASS = (0, -1, (0,))
 
 
-def test_zero_pivot_pairs_with_its_parent():
-    # A zero reduced pivot pairs the leaf with its parent, and the
-    # decomposition is the reference's.
+def test_star_basis_is_refused_as_a_broken_forest():
+    # The engine's precondition is a forest of non-negative edges: the walk
+    # refuses the negative edge before any pivot is formed.
     basis = _hand_basis(2, _STAR)
-    assert [basis.sparse_gram[k].get(k, 0) for k in range(3)] == [-2, -2, 0]
-    assert basis.sparse_gram[2] == {0: -1}
-    cls = div_class(2, *_STAR_DECOMPOSED)
+    assert basis.sparse_gram[0] == {0: -2, 1: 1, 2: -1}
+    cls = div_class(2, *_STAR_CLASS)
     assert basis.pairings(cls) == ([-2, -2, -2], 1)
-    zp = zariski_decompose(cls, basis)
-    assert zp.components == (("A", Fraction(2)), ("B", Fraction(2)))
-    assert _outcome(zariski_decompose, cls, basis) == _outcome(
-        reference.zariski_decompose, cls, basis
-    )
-    for name, c in basis.items():
-        assert zp.positive_pairing(name) == pair(zp.positive, c)
-    # A support whose only generator has square 0 is singular.
-    with pytest.raises(NotPseudoeffective) as exc:
-        zariski_decompose(div_class(2, *_STAR_SINGULAR), basis)
-    assert str(exc.value) == "support C: orthogonality system is singular"
+    with pytest.raises(InvariantBroken) as exc:
+        zariski_decompose(cls, basis)
+    assert str(exc.value) == "generator forest: support A, B, C: A and C meet at -1"
 
 
-def test_indefinite_support_names_its_leading_minor(monkeypatch):
-    # A pair was formed, so the chosen rows are eliminated again, once, only
-    # to name the failing minor.
-    calls = _count_definiteness_checks(monkeypatch)
-    basis = _hand_basis(2, _STAR)
+def test_zero_pivot_is_refused():
+    # On a forest with positive edges a zero reduced pivot proves the
+    # support is not negative definite, and the class is refused with it.
+    basis = _hand_basis(1, _PENCIL)
+    assert basis.sparse_gram == ({0: -1, 1: 1}, {0: 1, 1: -1})
+    cls = div_class(1, *_PENCIL_CLASS)
+    assert basis.pairings(cls) == ([0, -1], 1)
     with pytest.raises(NotPseudoeffective) as exc:
-        zariski_decompose(div_class(2, *_STAR_INDEFINITE), basis)
+        zariski_decompose(cls, basis)
     assert str(exc.value) == (
-        "support A, B, C: support Gram matrix is not negative definite, "
-        "leading minor 3 is 2"
+        "support A, B: support Gram matrix is not negative definite, "
+        "reduced pivot of B is 0"
     )
-    assert calls == Counter(definiteness_failure=1)
+    assert _outcome(reference.zariski_decompose, cls, basis) == (
+        "refused", "support Gram matrix is not negative definite"
+    )
 
 
 def test_engine_refuses_a_cycle_in_the_support():
@@ -414,45 +404,65 @@ def test_engine_refuses_a_cycle_in_the_support():
 
 
 @st.composite
-def _forest_systems(draw):
+def _forest_systems(draw, negative_edge=False):
     """A forest Gram on 1 to 12 vertices, as rows of non-zero entries, with
-    a walk order and an integer right-hand side."""
-    n = draw(st.integers(1, 12))
+    a walk order and an integer right-hand side.  Edges are positive, or,
+    with ``negative_edge``, one of them is negative."""
+    n = draw(st.integers(2 if negative_edge else 1, 12))
     gram = [{} for _ in range(n)]
     for v in range(n):
-        # Zero is drawn often, so that two zero-pivot leaves share a parent.
+        # Zero and positive diagonals are drawn often, so that zero and
+        # positive reduced pivots occur.
         diagonal = draw(st.one_of(st.just(0), st.integers(-3, 1)))
         if diagonal:
             gram[v][v] = diagonal
+    bad = draw(st.integers(1, n - 1)) if negative_edge else None
     for v in range(1, n):
-        u = draw(st.one_of(st.none(), st.integers(0, v - 1)))
+        if v == bad:
+            u, w = draw(st.integers(0, v - 1)), draw(st.sampled_from([-2, -1]))
+        else:
+            u, w = draw(st.one_of(st.none(), st.integers(0, v - 1))), draw(st.sampled_from([1, 2]))
         if u is not None:
-            gram[u][v] = gram[v][u] = draw(st.sampled_from([-2, -1, 1, 2]))
+            gram[u][v] = gram[v][u] = w
     support = draw(st.permutations(range(n)))
     rhs = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
     return tuple(gram), support, rhs
+
+
+def _negative_definite(matrix) -> bool:
+    """Whether the leading minors alternate in sign, starting negative."""
+    minors = leading_minor_determinants(matrix)
+    return all(det != 0 and (det > 0) == (k % 2 == 0) for k, det in enumerate(minors, 1))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(system=_forest_systems())
 def test_forest_solve_equals_dense_reference(system):
     # Zero and positive pivots occur: the solve equals the dense Fraction
-    # solve, or both call the system singular, and it calls the support
-    # negative definite exactly when the leading minors say so.
+    # solve when the leading minors say the support is negative definite,
+    # and otherwise refuses it at a reduced pivot that is not negative.
     gram, support, rhs = system
     names = [f"G{k}" for k in range(len(gram))]
     dense = [[gram[i].get(j, 0) for j in support] for i in support]
+    if not _negative_definite(dense):
+        with pytest.raises(NotPseudoeffective, match=r"reduced pivot of G\d+ is \d+(/\d+)?$"):
+            _forest_solve(gram, names, list(support), rhs)
+        return
     want = reference._solve(
         [[Fraction(x) for x in row] for row in dense], [Fraction(rhs[i]) for i in support]
     )
-    solved = _forest_solve(gram, names, list(support), rhs)
-    if want is None:
-        assert solved is None
-        return
-    assert solved is not None
-    x, det, definite = solved
+    x, det = _forest_solve(gram, names, list(support), rhs)
     assert [Fraction(v, det) for v in x] == want
-    assert definite == (lattice.definiteness_failure(dense) is None)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(system=_forest_systems(negative_edge=True))
+def test_forest_solve_refuses_a_negative_edge(system):
+    # Whatever the pivots, a negative edge breaks the engine's precondition.
+    gram, support, rhs = system
+    names = [f"G{k}" for k in range(len(gram))]
+    with pytest.raises(InvariantBroken, match=r"^generator forest: .* meet at -[12]$"):
+        _forest_solve(gram, names, list(support), rhs)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -479,17 +489,21 @@ def test_engine_equals_dense_reference_on_random_classes(seed, f, m, e):
 @pytest.mark.parametrize("family", ["tail", "block"])
 def test_sweep_runs_no_definiteness_check(monkeypatch, family):
     # At r = 92 with eta = r - 1 every support a sweep solves is negative
-    # definite by its own pivots: 0 separate definiteness checks.
+    # definite by its own pivots, and refusals come from the pivots and the
+    # walk: 0 separate definiteness checks.
     surface = Surface(2, SPECIAL)
     val = divisorial_valuation(surface, ladder_configuration(family, 92))
     flag = flag_valuation(val, val.r - 1)
     d = BigDivisor(1, 2)
     calls = _count_definiteness_checks(monkeypatch)
     assert sweep_body(flag, d) == newton_okounkov_body(flag, d)
-    assert calls == Counter()
-    # The counter is live: a refused class is checked once.
     with pytest.raises(NotPseudoeffective):
-        zariski_decompose(div_class(2, *_STAR_INDEFINITE), _hand_basis(2, _STAR))
+        zariski_decompose(div_class(1, *_PENCIL_CLASS), _hand_basis(1, _PENCIL))
+    with pytest.raises(InvariantBroken):
+        zariski_decompose(div_class(2, *_STAR_CLASS), _hand_basis(2, _STAR))
+    assert calls == Counter()
+    # The counter is live: a dense check of the refused pencil counts once.
+    assert not is_negative_definite(_hand_basis(1, _PENCIL).classes)
     assert calls == Counter(definiteness_failure=1)
 
 

@@ -2,10 +2,13 @@
 
 This is the iterative engine as it was before it moved onto the integer Gram
 matrix of the basis: it rebuilds the rational Gram matrix on every call,
-solves each support system by Gauss-Jordan elimination over ``Fraction``,
-re-pairs the remainder class with every generator in each round and tests
-definiteness by rational elimination.  The production engine must agree
-with it on positive parts, components and refusals.  Its result is built
+re-pairs the remainder class with every generator in each round and, before
+it solves a support system by Gauss-Jordan elimination over ``Fraction``,
+tests the support for negative definiteness by rational elimination: the
+iteration visits only supports inside the negative part of a decomposition
+(Bauer 2009), so one that is not negative definite refuses the class.  The
+production engine must agree with it on positive parts, components and
+refusals.  Its result is built
 as production builds one, from the input class and the components; the
 positive class of its own dense loop is :func:`positive_part`.
 
@@ -49,18 +52,11 @@ def is_negative_definite(classes) -> bool:
 
 
 def _solve(matrix, rhs):
-    # Gaussian elimination with partial pivoting over exact rationals.
+    # Gauss-Jordan elimination over exact rationals; the matrix is negative
+    # definite, so every diagonal pivot is non-zero.
     n = len(matrix)
     a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
     for col in range(n):
-        piv = None
-        for row in range(col, n):
-            if a[row][col] != 0:
-                piv = row
-                break
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
         inv = Fraction(1) / a[col][col]
         a[col] = [x * inv for x in a[col]]
         for row in range(n):
@@ -87,8 +83,8 @@ def _decompose(d: DivisorClassZ, basis: CurveBasis):
     Starting from an empty support, repeatedly solve for the negative part
     orthogonal to the remainder and enlarge the support by every generator
     the remainder still meets negatively.  The support only grows, so the
-    loop stabilizes; failure to produce non-negative coefficients with a
-    negative-definite support means the class is not pseudoeffective.
+    loop stabilizes; a support that is not negative definite, or a negative
+    coefficient, means the class is not pseudoeffective.
     """
     items = basis.items()
     gram = [[pair(a, b) for _, b in items] for _, a in items]
@@ -99,10 +95,9 @@ def _decompose(d: DivisorClassZ, basis: CurveBasis):
         if support:
             sub = [[gram[i][j] for j in support] for i in support]
             rhs = [inner[i] for i in support]
-            solved = _solve(sub, rhs)
-            if solved is None:
-                raise NotPseudoeffective("orthogonality system is singular")
-            coeffs = solved
+            if not is_negative_definite(items[i][1] for i in support):
+                raise NotPseudoeffective("support Gram matrix is not negative definite")
+            coeffs = _solve(sub, rhs)
             positive = d
             for idx, lam in zip(support, coeffs):
                 positive = positive - lam * items[idx][1]
@@ -122,8 +117,6 @@ def _decompose(d: DivisorClassZ, basis: CurveBasis):
         raise NotPseudoeffective("negative part would need a negative coefficient")
     chosen = [(idx, c) for idx, c in zip(support, coeffs) if c > 0]
     chosen.sort(key=lambda pc: pc[0])
-    if chosen and not is_negative_definite([items[idx][1] for idx, _ in chosen]):
-        raise NotPseudoeffective("support Gram matrix is not negative definite")
     return positive, tuple((items[idx][0], c) for idx, c in chosen)
 
 
