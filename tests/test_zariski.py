@@ -77,6 +77,12 @@ def leading_minor_determinants(matrix):
     return out
 
 
+def _negative_definite(matrix) -> bool:
+    """Whether the leading minors alternate in sign, starting negative."""
+    minors = leading_minor_determinants(matrix)
+    return all(det != 0 and (det > 0) == (k % 2 == 0) for k, det in enumerate(minors, 1))
+
+
 def assert_sound(zp, input_class, basis):
     """The three decomposition invariants, checked independently."""
     total = zp.positive + sum(
@@ -92,8 +98,7 @@ def assert_sound(zp, input_class, basis):
         assert pair(zp.positive, cls) >= 0
     if support:
         gram = [[pair(a, b) for b in support] for a in support]
-        for k, det in enumerate(leading_minor_determinants(gram), 1):
-            assert det != 0 and (det > 0) == (k % 2 == 0)
+        assert _negative_definite(gram)
 
 
 # ------------------------------------------------------------------- base case
@@ -233,8 +238,7 @@ def test_is_negative_definite_equals_leading_minors(delta, rows, exceptional_onl
         rows = [(0, 0, e) for _, _, e in rows]
     classes = [div_class(delta, f, m, e) for f, m, e in rows]
     gram = [[pair(a, b) for b in classes] for a in classes]
-    minors = leading_minor_determinants(gram)
-    expected = all(det != 0 and (det > 0) == (k % 2 == 0) for k, det in enumerate(minors, 1))
+    expected = _negative_definite(gram)
     assert is_negative_definite(classes) == expected
     assert reference.is_negative_definite(classes) == expected
 
@@ -427,12 +431,6 @@ def _forest_systems(draw, negative_edge=False):
     support = draw(st.permutations(range(n)))
     rhs = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
     return tuple(gram), support, rhs
-
-
-def _negative_definite(matrix) -> bool:
-    """Whether the leading minors alternate in sign, starting negative."""
-    minors = leading_minor_determinants(matrix)
-    return all(det != 0 and (det > 0) == (k % 2 == 0) for k, det in enumerate(minors, 1))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
