@@ -10,7 +10,9 @@ failure or a broken internal invariant.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -72,17 +74,40 @@ def _cmd_body(case, args) -> tuple[list[str], list[tuple[str, str]]]:
     return lines, [(args.svg, svg), (args.output, dump_payload(payload))]
 
 
+def _write_outputs(outputs: list[tuple[str, str]]) -> tuple[str, str] | None:
+    """Write each ``(target, text)`` to a temporary file beside its target,
+    then move them all into place, so a refused write leaves no file of this
+    run behind.  Returns the target and the reason of a refused write."""
+    temporaries: list[Path] = []
+    try:
+        for k, (target, text) in enumerate(outputs):
+            # A folder is refused before anything is written; a rename
+            # onto it would fail only after the other outputs had moved.
+            if os.path.isdir(target):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            path = Path(target)
+            temporaries.append(path.with_name(f".{path.name}.{os.getpid()}-{k}.tmp"))
+            temporaries[-1].write_text(text, encoding="utf-8")
+        for temporary, (target, _) in zip(temporaries, outputs):
+            os.replace(temporary, target)
+    except OSError as exc:
+        for temporary in temporaries:
+            temporary.unlink(missing_ok=True)
+        return target, exc.strerror or str(exc)
+    return None
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    target = None  # the output being written, once the case is read
     try:
         case = load_case(args.case)
         command = _cmd_classify if args.command == "classify" else _cmd_body
         lines, outputs = command(case, args)
         # The files are written first, so a refused write prints nothing.
-        for target, text in outputs:
-            if target:
-                Path(target).write_text(text, encoding="utf-8")
+        refused = _write_outputs([(target, text) for target, text in outputs if target])
+        if refused:
+            print("cannot write {}: {}".format(*refused), file=sys.stderr)
+            return 2
         for line in lines:
             print(line)
         return 0
@@ -93,10 +118,7 @@ def main(argv=None) -> int:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        if target is None:
-            print(f"cannot read case file: {exc}", file=sys.stderr)
-        else:
-            print(f"cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        print(f"cannot read case file: {exc}", file=sys.stderr)
         return 2
 
 

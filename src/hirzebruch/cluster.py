@@ -1,45 +1,38 @@
 """Clusters of infinitely near points and their divisorial valuations.
 
 A configuration records the centers ``p_1, ..., p_r`` of a chain of point
-blow-ups starting at a closed point of a ruled surface, together with two
-kinds of combinatorial data:
+blow-ups starting at a closed point of a ruled surface, stored flat:
+``extras`` holds, per point, the older exceptional divisor ``extra(i)`` a
+satellite point also lies on, or ``None`` for a free point; ``n_f1`` and
+``n_m`` count the points on the strict transforms of the fiber through
+``p_1`` and of the distinguished section, both initial runs of free points.
 
-* proximity: ``p_{i+1}`` always lies on the exceptional divisor of ``p_i``;
-  a *satellite* point additionally lies on the strict transform of one older
-  exceptional divisor, recorded in ``extra``;
-* incidence: whether a point lies on the strict transform of the fiber
-  through ``p_1`` (``on_f1``) or of the distinguished section (``on_m``).
+A satellite ``p_j`` is proximate to ``p_{j-2}`` or to the point ``p_{j-1}``
+is proximate to, so the points proximate to any ``p_i`` form one run
+``p_{i+1}, ..., p_{last(i)}`` (Casas-Alvero, *Singularities of Plane
+Curves*, ch. 4).  With ``P`` the proximity matrix, the multiplicities of
+the stage-``k`` valuation solve ``P m = e_k`` and the values of the stage
+curvettes solve ``P^T v = m``, that is
+``nu(phi_i) = m_i + nu(phi_{i-1}) + nu(phi_{extra(i)})``; over the runs
+each costs a few slice operations per run.  Each configuration keeps its
+curvette-value rows, its stage-``r`` multiplicities and its sieved contact
+values.  Pairing the materialised truncated multiplicity vectors gives the
+same values in O(r^2) per stage; the tests keep that route as an oracle.
 
-Everything else is derived from this data by exact integer arithmetic: the
-multiplicity vector of the associated divisorial valuation, the values of
-the stage curvettes, the minimal generators of the value semigroup, the
-special or non-special classification and the non-positivity-at-infinity
-test.
-
-With ``P`` the proximity matrix, the multiplicities of the stage-``k``
-valuation solve ``P m = e_k`` and the values of the stage curvettes solve
-``P^T v = m``; since ``p_i`` is proximate to ``p_{i-1}`` and to
-``p_{extra(i)}``, the latter reads
-``nu(phi_i) = m_i + nu(phi_{i-1}) + nu(phi_{extra(i)})`` and costs O(r) per
-stage.  Each configuration builds its proximity lists once and keeps the
-curvette-value rows it has computed.  Pairing the materialised truncated
-multiplicity vectors gives the same values in O(r^2) per stage; the tests
-keep that route as an oracle.
-
-The rows carry everything else too.  The numbers of a stage that the
-non-positivity test and the constant read (fiber and section values, last
-value, kind) are entries of its row (:func:`_stage`), so no production
-route builds a truncated valuation.  The semigroup sieve looks each row
-value up in a byte snapshot of the reached sums, retaken only when a
-generator joins: O(g * beta_bar[-1]) bit work for ``g`` generators plus
-O(r).  Points rebuilt from maximal contact values skip the record parser
-and go through the same validation as parsed records.
+The rows carry everything else: the numbers of a stage that the
+non-positivity test and the constant read are entries of its row
+(:func:`_stage`), so no production route builds a truncated valuation.
+The semigroup sieve looks each row value up in a byte snapshot of the
+reached sums, retaken only when a generator joins: O(g * beta_bar[-1]) bit
+work for ``g`` generators plus O(r).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, groupby, islice, repeat
 from math import gcd
+from operator import add
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -83,22 +76,31 @@ class Surface:
             raise ValueError("every point of the delta=0 surface is special")
 
 
-@dataclass(frozen=True)
-class ClusterPoint:
-    extra: int | None = None
-    on_f1: bool = False
-    on_m: bool = False
+def _stretches(extras: Sequence[int | None]) -> Iterable[tuple[int | None, int, int]]:
+    """The maximal stretches ``p_first, ..., p_last`` of points that share
+    one ``extra``, as ``(extra, first, last)``."""
+    last = 0
+    for extra, group in groupby(extras):
+        first = last + 1
+        last += len(list(group))
+        yield extra, first, last
 
 
 @dataclass(frozen=True)
 class Configuration:
-    """A validated chain of infinitely near points."""
+    """A validated chain of infinitely near points: ``extras[i - 1]`` is
+    ``extra(i)``, and the fiber and section chains are ``p_1, ..., p_n_f1``
+    and ``p_1, ..., p_n_m``."""
 
-    points: tuple[ClusterPoint, ...]
-    # Derived per instance and left out of equality and hashing: the
-    # proximity lists, the curvette-value rows by stage, and the sieved
-    # maximal contact values by stage.
-    _prox: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    extras: tuple[int | None, ...]
+    n_f1: int
+    n_m: int
+    # Derived per instance and left out of equality and hashing: ``last(i)``
+    # for every point whose run holds satellites, in increasing ``i``; the
+    # stage-r multiplicities; the curvette-value rows and the sieved maximal
+    # contact values by stage.
+    _last: dict[int, int] = field(init=False, repr=False, compare=False)
+    _m: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
     _rows: dict[int, tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -107,55 +109,46 @@ class Configuration:
     )
 
     def __post_init__(self):
-        prox: list[list[int]] = [[] for _ in self.points]
-        for j, p in enumerate(self.points, 1):
-            if j > 1:
-                prox[j - 2].append(j)
-            if p.extra is not None:
-                prox[p.extra - 1].append(j)
-        object.__setattr__(self, "_prox", tuple(map(tuple, prox)))
+        # The satellites proximate to p_i are the stretch p_{i+2}..p_{last(i)}
+        # whose extra is i.
+        last = {e: end for e, _, end in _stretches(self.extras) if e is not None}
+        object.__setattr__(self, "_last", last)
 
     @property
     def r(self) -> int:
-        return len(self.points)
+        return len(self.extras)
 
     def extra(self, i: int) -> int | None:
-        return self.points[i - 1].extra
+        return self.extras[i - 1]
 
     def proximate_to(self, i: int) -> tuple[int, ...]:
-        """Indices of the points proximate to ``p_i``."""
-        return self._prox[i - 1]
+        """Indices of the points proximate to ``p_i``: the run
+        ``p_{i+1}, ..., p_{last(i)}``."""
+        return tuple(range(i + 1, self._last.get(i, min(i + 1, self.r)) + 1))
 
     def curvette_values(self, k: int) -> tuple[int, ...]:
         """Values ``nu_k(phi_1), ..., nu_k(phi_r)`` of the stage curvettes
         under the stage-``k`` valuation.
 
         Solves ``P^T v = m^(k)`` forwards: each value is the stage-``k``
-        multiplicity (zero past ``k``) plus the values of the points it is
-        proximate to.
+        multiplicity (zero past ``k``) plus the value of the previous point
+        and of its extra, one running sum per stretch of points that share
+        their extra.
         """
         row = self._rows.get(k)
         if row is None:
-            v = list(multiplicities(self, k)) + [0] * (self.r - k)
-            for i, prox in enumerate(self._prox):
-                for j in prox:
-                    v[j - 1] += v[i]
-            row = self._rows[k] = tuple(v)
+            v = [0, *multiplicities(self, k), *repeat(0, self.r - k)]
+            for extra, first, last in _stretches(self.extras):
+                run = v[first : last + 1]
+                if extra is not None:
+                    run = map(add, run, repeat(v[extra]))
+                v[first - 1 : last + 1] = accumulate(run, initial=v[first - 1])
+            row = self._rows[k] = tuple(v[1:])
         return row
 
-    @property
-    def f1_chain(self) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.points, 1) if p.on_f1)
 
-    @property
-    def m_chain(self) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.points, 1) if p.on_m)
-
-
-def _coerce_point(rec, index: int) -> tuple[int | None, ClusterPoint]:
-    """The declared parent of a point record and the point it describes."""
-    if isinstance(rec, ClusterPoint):
-        return None, rec
+def _coerce_point(rec, index: int) -> tuple[int | None, int | None, bool, bool]:
+    """A point record's declared parent, extra proximity and incidences."""
     if isinstance(rec, Mapping):
         known = {"parent", "extra_proximity", "on_f1", "on_m"}
         unknown = set(rec) - known
@@ -172,7 +165,7 @@ def _coerce_point(rec, index: int) -> tuple[int | None, ClusterPoint]:
         for name, flag in (("on_f1", on_f1), ("on_m", on_m)):
             if not isinstance(flag, (bool, type(None))):
                 raise ChainBroken([f"p{index}: {name} must be true or false"])
-        return parent, ClusterPoint(extra, bool(on_f1), bool(on_m))
+        return parent, extra, bool(on_f1), bool(on_m)
     raise ChainBroken([f"p{index}: unsupported point record {rec!r}"])
 
 
@@ -185,30 +178,34 @@ def build_configuration(surface: Surface, points: Sequence) -> Configuration:
     """
     _check_point_count(len(points))
     records = [_coerce_point(rec, i) for i, rec in enumerate(points, 1)]
-    return _validated(
-        surface, [p for _, p in records], [parent for parent, _ in records]
-    )
+    parents, extras, on_f1, on_m = zip(*records) if records else ((),) * 4
+    f1 = [i for i, flag in enumerate(on_f1, 1) if flag]
+    m = [i for i, flag in enumerate(on_m, 1) if flag]
+    return _validated(surface, extras, f1, m, parents)
 
 
 def _validated(
     surface: Surface,
-    pts: Sequence[ClusterPoint],
+    extras: Sequence[int | None],
+    f1: list[int],
+    m: list[int],
     parents: Sequence[int | None] | None = None,
 ) -> Configuration:
-    """Check built points against the chain, proximity and incidence rules
-    and assemble the :class:`Configuration`.
+    """Check flat point data against the chain, proximity and incidence
+    rules and assemble the :class:`Configuration`.
 
+    ``f1`` and ``m`` list the points on the fiber and on the section;
     ``parents`` holds each point's declared parent, ``None`` where none is
     declared; omitted, no point declares one.  Violations are collected in
     point order, each point's parent check before its satellite check, and
     the class of the first one is raised.
     """
-    if not pts:
+    if not extras:
         raise ChainBroken(["a configuration needs at least one point"])
 
     violations = []
     prev_extra = None
-    for i, p in enumerate(pts, 1):
+    for i, extra in enumerate(extras, 1):
         parent = None if parents is None else parents[i - 1]
         if i == 1:
             if parent is not None:
@@ -219,13 +216,10 @@ def _validated(
             )
         # A satellite point lies on the divisor two steps back or on the
         # one its predecessor is proximate to.
-        extra = p.extra
         if extra is not None and not (i >= 3 and extra in (i - 2, prev_extra)):
             violations.append((BadSatellite, f"p{i} cannot be proximate to p{extra}"))
         prev_extra = extra
 
-    f1 = [i for i, p in enumerate(pts, 1) if p.on_f1]
-    m = [i for i, p in enumerate(pts, 1) if p.on_m]
     if not f1 or f1[0] != 1:
         violations.append((BadIncidence, "the fiber through the center contains p1"))
     for name, chain in (("fiber", f1), ("section", m)):
@@ -234,7 +228,7 @@ def _validated(
                 (BadIncidence, f"{name} incidences must form an initial chain")
             )
         for i in chain:
-            if i > 1 and pts[i - 1].extra is not None:
+            if i > 1 and extras[i - 1] is not None:
                 violations.append(
                     (BadIncidence, f"{name} chain contains the satellite point p{i}")
                 )
@@ -248,7 +242,7 @@ def _validated(
         )
 
     raise_config_errors(violations)
-    return Configuration(tuple(pts))
+    return Configuration(tuple(extras), len(f1), len(m))
 
 
 def _check_point_count(r: int) -> None:
@@ -260,26 +254,36 @@ def truncate(config: Configuration, k: int) -> Configuration:
     """The configuration of the first ``k`` points."""
     if not 1 <= k <= config.r:
         raise ValueError(f"truncation index {k} out of range 1..{config.r}")
-    return Configuration(config.points[:k])
+    return Configuration(config.extras[:k], min(config.n_f1, k), min(config.n_m, k))
 
 
 def multiplicities(config: Configuration, r: int | None = None) -> tuple[int, ...]:
     """Multiplicity vector of the valuation of the first ``r`` points.
 
-    Solves the proximity equalities backwards: the last point has
-    multiplicity one and each earlier multiplicity is the sum over the
-    points proximate to it.  Points past ``r`` keep multiplicity zero, so
-    the full proximity lists serve every stage.
+    Solves the proximity equalities backwards over the runs: the last point
+    has multiplicity one and points past ``r`` zero, a point whose run holds
+    satellites takes the sum over its run, and every other point repeats
+    the next one.  The stage-``config.r`` vector is kept on the
+    configuration.
     """
-    r = config.r if r is None else r
-    if not 1 <= r <= config.r:
-        raise ValueError(f"index {r} out of range 1..{config.r}")
+    k = config.r if r is None else r
+    if not 1 <= k <= config.r:
+        raise ValueError(f"index {k} out of range 1..{config.r}")
+    if k == config.r and config._m is not None:
+        return config._m
     m = [0] * (config.r + 1)
-    m[r] = 1
-    prox = config._prox
-    for i in range(r - 1, 0, -1):
-        m[i] = sum(map(m.__getitem__, prox[i - 1]))
-    return tuple(m[1 : r + 1])
+    m[k] = 1
+    filled = k  # m[filled:] is solved
+    for i in reversed(config._last):
+        if i < k:
+            m[i + 1 : filled] = repeat(m[filled], filled - i - 1)
+            m[i] = sum(m[i + 1 : config._last[i] + 1])
+            filled = i
+    m[1:filled] = repeat(m[filled], filled - 1)
+    if k < config.r:
+        return tuple(m[1 : k + 1])
+    object.__setattr__(config, "_m", tuple(m[1:]))
+    return config._m
 
 
 def maximal_contact_values(config: Configuration, r: int | None = None) -> tuple[int, ...]:
@@ -346,30 +350,43 @@ def _euclid_steps(a: int, b: int) -> Iterable[tuple[int, int]]:
         a, b = b, rem
 
 
-def _euclid_multiplicities(a: int, b: int) -> list[int]:
-    return [x for x, q in _euclid_steps(a, b) for _ in range(q)]
+def _extras_from_steps(steps: list[tuple[int, int]], r: int) -> list[int | None]:
+    """``extras`` of the points whose multiplicities repeat each ``x`` of
+    ``steps`` ``q`` times, refused where no proximity solves the equalities
+    ``m_i = sum of the run of p_i``.
 
-
-def _proximities_from_multiplicities(mults: Sequence[int]) -> list[int | None]:
-    r = len(mults)
-    extras: list[int | None] = [None] * (r + 1)
-    for i in range(1, r):
-        s = 0
-        j = i + 1
-        while j <= r and s < mults[i - 1]:
-            s += mults[j - 1]
-            if j > i + 1:
-                if extras[j] is not None:
-                    raise NotRealizable(
-                        f"conflicting proximities for p{j} in {list(mults)}"
-                    )
-                extras[j] = i
-            j += 1
-        if s != mults[i - 1]:
+    Inside a step the next point has the same multiplicity, so its run is
+    one point; only the last point of a step walks the later steps, and its
+    satellites are filled as one slice.
+    """
+    extras: list[int | None] = [None] * r
+    marked = 0  # the last point an earlier run made a satellite
+    i = 0
+    for k, (x, q) in enumerate(steps):
+        i += q
+        if i == r:
+            break
+        s, j = 0, i
+        for y, c in islice(steps, k + 1, None):
+            t = min(c, -((s - x) // y))
+            s, j = s + t * y, j + t
+            if s >= x:
+                break
+        if j >= i + 2 and marked >= i + 2:
             raise NotRealizable(
-                f"proximity equality at p{i} unsolvable for {list(mults)}"
+                f"conflicting proximities for p{i + 2} in {_expand(steps)}"
             )
+        if s != x:
+            raise NotRealizable(
+                f"proximity equality at p{i} unsolvable for {_expand(steps)}"
+            )
+        extras[i + 1 : j] = repeat(i, j - i - 1)
+        marked = max(marked, j)
     return extras
+
+
+def _expand(steps: list[tuple[int, int]]) -> list[int]:
+    return [x for x, q in steps for _ in range(q)]
 
 
 def from_maximal_contact(
@@ -425,21 +442,20 @@ def from_maximal_contact(
     tail = total - sum(a * b for a, b in blocks)
     if tail < 0:
         raise NotRealizable("final contact value is smaller than the blocks allow")
-    _check_point_count(
-        tail + sum(q for a, b in blocks for _, q in _euclid_steps(a, b))
-    )
-    mults = [x for a, b in blocks for x in _euclid_multiplicities(a, b)]
-    mults.extend([1] * tail)
-    if not mults:
+    steps = [(x, q) for a, b in blocks for x, q in _euclid_steps(a, b) if q]
+    if tail:
+        steps.append((1, tail))
+    r = sum(q for _, q in steps)
+    _check_point_count(r)
+    if not r:
         raise NotRealizable("empty configuration")
 
-    extras = _proximities_from_multiplicities(mults)
+    extras = _extras_from_steps(steps, r)
     if on_m is None:
         on_m = 1 if surface.point_kind == SPECIAL else 0
-    points = [
-        ClusterPoint(extras[i], i <= on_f1, i <= on_m) for i in range(1, len(mults) + 1)
-    ]
-    config = _validated(surface, points)
+    f1 = list(range(1, min(on_f1, r) + 1))
+    m = list(range(1, min(on_m, r) + 1))
+    config = _validated(surface, extras, f1, m)
     if maximal_contact_values(config) != tuple(seq):
         raise NotRealizable("round trip through the value semigroup failed")
     return config
@@ -504,8 +520,8 @@ def _stage(surface: Surface, config: Configuration, k: int) -> _Stage:
     built.
     """
     row = config.curvette_values(k)
-    n_f1 = min(len(config.f1_chain), k)
-    n_m = min(len(config.m_chain), k)
+    n_f1 = min(config.n_f1, k)
+    n_m = min(config.n_m, k)
     if surface.point_kind == GENERAL and surface.delta - n_m < 0:
         kind = NON_SPECIAL
     else:

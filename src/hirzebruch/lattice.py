@@ -206,17 +206,17 @@ def curve_basis(val: DivisorialValuation) -> CurveBasis:
     if "basis" not in tables:
         delta, config = val.delta, val.config
 
-        def chain(f, m, points):
-            return f, m, {i - 1: -1 for i in points}
+        def chain(f, m, length):
+            return f, m, dict.fromkeys(range(length), -1)
 
         names = ["F1", "M0"]
-        rows = [chain(1, 0, config.f1_chain)]
+        rows = [chain(1, 0, config.n_f1)]
         if val.kind == NON_SPECIAL:
-            rows += [chain(-delta, 1, ()), chain(0, 1, config.m_chain)]
+            rows += [chain(-delta, 1, 0), chain(0, 1, config.n_m)]
             names.append("M1")
         else:
             special = val.surface.point_kind == SPECIAL
-            rows.append(chain(-delta, 1, config.m_chain if special else ()))
+            rows.append(chain(-delta, 1, config.n_m if special else 0))
         for i in range(1, val.r + 1):
             names.append(f"E{i}")
             e = {i - 1: 1}

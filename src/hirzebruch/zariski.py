@@ -195,14 +195,16 @@ def zariski_decompose(d: DivisorClassZ, basis: CurveBasis) -> ZariskiPair:
     grows, so the loop stabilizes.  A class with a decomposition visits
     only supports inside its negative part (Bauer 2009), which are
     negative definite (Bauer-Kuronya-Szemberg 2004); so a support that is
-    not, or a negative coefficient, means the class is not pseudoeffective.
+    not means the class is not pseudoeffective.  No coefficient goes
+    negative: minus the support Gram is an M-matrix, and the forced start
+    and each later round's increment solve for right-hand sides ``<= 0``.
 
     The pairings of ``d`` with the generators are integers over one
     scale, and those of the remainder follow from them by linearity over
     the non-zero Gram entries.
 
     A generator the walk forced in that ends without a positive coefficient
-    is a broken invariant, not a refusal of ``d``, checked after the refusals.
+    is a broken invariant, not a refusal of ``d``.
     """
     names, gram = basis.names, basis.sparse_gram
     rhs, scale = basis.pairings(d)
@@ -222,12 +224,6 @@ def zariski_decompose(d: DivisorClassZ, basis: CurveBasis) -> ZariskiPair:
         inside = set(support)
         joining = [k for k, v in enumerate(rest) if k not in inside and v * det < 0]
     coeffs = [Fraction(xi, det * scale) for xi in x]
-    for idx, c in zip(support, coeffs):
-        if c < 0:
-            raise NotPseudoeffective(
-                f"{_named(names, support)}: negative part would need a negative "
-                f"coefficient, {names[idx]} = {c}"
-            )
     chosen = sorted((idx, c) for idx, c in zip(support, coeffs) if c > 0)
     for idx, c in zip(start, coeffs):
         if rhs[idx] == 0 and c <= 0:
@@ -248,9 +244,10 @@ class _Regime(NamedTuple):
 
     ``theta >= 0`` selects the fiber regime (named curve ``F1``), otherwise
     the special (``M0``) or non-special (``M1``) section regime.  With ``nu``
-    the value of a stage curvette and ``c`` that of the germ along ``chain``
-    under the stage valuation, the lower breakpoint gives ``lower * nu`` and
-    the upper one ``(upper * nu + sign * theta * c) / denom``.  The named
+    the value of a stage curvette and ``c`` that of the germ along the named
+    curve's chain ``p_1, ..., p_chain`` under the stage valuation, the lower
+    breakpoint gives ``lower * nu`` and the upper one
+    ``(upper * nu + sign * theta * c) / denom``.  The named
     curve joins the negative part at the upper breakpoint with coefficient
     ``sign * theta / denom``.
     """
@@ -260,7 +257,7 @@ class _Regime(NamedTuple):
     upper: int
     denom: int
     named: str
-    chain: tuple[int, ...]
+    chain: int
     sign: int
 
     def at_stage(self, val: DivisorialValuation, i: int) -> tuple[Fraction, Fraction]:
@@ -268,12 +265,12 @@ class _Regime(NamedTuple):
 
         Stage ``r`` gives the breakpoints themselves, stage ``i < r`` the
         negative-part coefficient on ``E_i``.  The chain is an initial run
-        of free points, so its germ is the curvette at its last point and,
+        of free points, so its germ is the curvette at ``p_chain`` and,
         by symmetry of the curvette pairing, ``c`` is entry ``i`` of that
         curvette's row.
         """
         nu = truncation_pairing(val.config, val.r, i)
-        k = len(self.chain)
+        k = self.chain
         c = truncation_pairing(val.config, k, i) if k else 0
         return (
             self.lower * nu,
@@ -289,13 +286,13 @@ def _regime(val: DivisorialValuation, d: BigDivisor) -> _Regime:
     phi_f, phi_m = val.phi_f1, val.phi_m
     th = theta(val, d)
     if th >= 0:
-        return _Regime(th, Fraction(b, phi_f), b, phi_f, "F1", val.config.f1_chain, 1)
-    m_chain = val.config.m_chain
+        return _Regime(th, Fraction(b, phi_f), b, phi_f, "F1", val.config.n_f1, 1)
+    n_m = val.config.n_m
     if val.is_special:
         denom = phi_m + delta * phi_f
-        return _Regime(th, Fraction(a, phi_m), a + b * delta, denom, "M0", m_chain, -1)
+        return _Regime(th, Fraction(a, phi_m), a + b * delta, denom, "M0", n_m, -1)
     denom = phi_m - delta * phi_f
-    return _Regime(th, Fraction(a + b * delta, phi_m), a, denom, "M1", m_chain, -1)
+    return _Regime(th, Fraction(a + b * delta, phi_m), a, denom, "M1", n_m, -1)
 
 
 def t_values(val: DivisorialValuation, d) -> tuple[Fraction, Fraction]:

@@ -249,26 +249,60 @@ def test_unreadable_case_files_exit_2(tmp_path, content, message):
         assert err.startswith(message) and len(err.splitlines()) == 1, err
 
 
+NO_FOLDER, IS_FOLDER = "No such file or directory", "Is a directory"
+
+
 @pytest.mark.parametrize(
-    "flag, target, message",
+    "outputs, refused, message",
     [
-        ("--svg", "", "Is a directory"),
-        ("-o", "", "Is a directory"),
-        ("-o", "missing/x.json", "No such file or directory"),
-        ("--svg", "missing/x.svg", "No such file or directory"),
+        ({"--svg": ""}, "", IS_FOLDER),
+        ({"-o": ""}, "", IS_FOLDER),
+        ({"-o": "missing/x.json"}, "missing/x.json", NO_FOLDER),
+        ({"--svg": "missing/x.svg"}, "missing/x.svg", NO_FOLDER),
+        ({"--svg": "x.svg", "-o": "missing/x.json"}, "missing/x.json", NO_FOLDER),
+        ({"--svg": "missing/x.svg", "-o": "x.json"}, "missing/x.svg", NO_FOLDER),
+        ({"--svg": "x.svg", "-o": ""}, "", IS_FOLDER),
     ],
-    ids=["svg-directory", "json-directory", "json-missing-folder", "svg-missing-folder"],
+    ids=[
+        "svg-directory",
+        "json-directory",
+        "json-missing-folder",
+        "svg-missing-folder",
+        "good-svg-json-missing-folder",
+        "svg-missing-folder-good-json",
+        "good-svg-json-directory",
+    ],
 )
-def test_unwritable_outputs_exit_2(tmp_path, flag, target, message):
-    # A failed write names the output path: exit 2 and one stderr line.
-    path = tmp_path / target if target else tmp_path
-    commands = ["body"] if flag == "--svg" else ["classify", "body"]
+def test_unwritable_outputs_exit_2(tmp_path, outputs, refused, message):
+    # A failed write names the output path: exit 2 and one stderr line, and
+    # no file of the run is left behind, temporaries included.
+    def where(target):
+        return str(tmp_path / target if target else tmp_path)
+
+    refused = where(refused)
+    commands = ["body"] if "--svg" in outputs else ["classify", "body"]
     for command in commands:
         for extra in ([], ["--verify"]) if command == "body" else ([],):
-            argv = [command, str(CASES / "special_f2.json"), flag, str(path), *extra]
+            argv = [command, str(CASES / "special_f2.json"), *extra]
+            for flag, target in outputs.items():
+                argv += [flag, where(target)]
             code, out, err = _in_process(argv)
             # Nothing reaches stdout: the outputs are written before printing.
-            assert (code, out, err) == (2, "", f"cannot write {path}: {message}\n")
+            assert (code, out, err) == (2, "", f"cannot write {refused}: {message}\n")
+            assert list(tmp_path.iterdir()) == []
+
+
+def test_outputs_replace_existing_files(tmp_path):
+    # A written output replaces what was there, with the usual file mode.
+    svg, json_out = tmp_path / "x.svg", tmp_path / "x.json"
+    svg.write_text("old")
+    argv = ["body", str(CASES / "special_f2.json"), "--svg", str(svg), "-o", str(json_out)]
+    assert _in_process(argv)[0] == 0
+    assert svg.read_text() != "old" and json.loads(json_out.read_text())["vertices"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json", "x.svg"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert json_out.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 from math import gcd
@@ -10,6 +11,7 @@ from hirzebruch import (
     NON_SPECIAL,
     SPECIAL,
     BigDivisor,
+    Configuration,
     Surface,
     build_configuration,
     divisorial_valuation,
@@ -158,7 +160,7 @@ def test_single_point_configuration():
 
 def test_shipped_special_configuration_has_section_through_p2():
     val = special_example_valuation()
-    assert val.config.m_chain == (1, 2)
+    assert val.config.n_m == 2
     assert sum(x * x for x in val.m) == 612
 
 
@@ -210,7 +212,7 @@ def test_incidences_must_be_booleans(field, value):
         build_configuration(Surface(1), records)
     for flag in (False, None):
         records[1][field] = flag
-        assert build_configuration(Surface(1), records).points[1] == cluster.ClusterPoint()
+        assert build_configuration(Surface(1), records) == Configuration((None, None), 1, 1)
 
 
 @pytest.mark.parametrize("value", [True, 1.0, "1", [1], {}])
@@ -222,7 +224,7 @@ def test_parent_must_be_an_integer(value):
         build_configuration(Surface(1), records)
     for parent in (1, None):
         records[1]["parent"] = parent
-        assert build_configuration(Surface(1), records).points[1] == cluster.ClusterPoint()
+        assert build_configuration(Surface(1), records) == Configuration((None, None), 1, 1)
 
 
 def test_incidence_chains_must_be_initial_and_free():
@@ -420,8 +422,8 @@ def test_contact_value_cap_is_checked_before_expansion(monkeypatch, tmp_path, ca
         raise AssertionError("the configuration was expanded before the cap check")
 
     monkeypatch.setattr(cluster, "_SEMIGROUP_VALUE_CAP", 1000)
-    monkeypatch.setattr(cluster, "_euclid_multiplicities", expanded)
-    monkeypatch.setattr(cluster, "_proximities_from_multiplicities", expanded)
+    monkeypatch.setattr(cluster, "_extras_from_steps", expanded)
+    monkeypatch.setattr(cluster, "_expand", expanded)
     beta_bar = [20, 28, 153, 5000]
     with pytest.raises(SemigroupOverflow):
         from_maximal_contact(Surface(2, SPECIAL), beta_bar, 1, 2)
@@ -446,8 +448,8 @@ def test_point_cap_is_checked_before_expansion(monkeypatch, tmp_path, capsys, fa
     monkeypatch.setattr(cluster, "_POINT_CAP", 92)
     assert from_maximal_contact(Surface(2, SPECIAL), beta_bar, 1, 2).r == 92
     monkeypatch.setattr(cluster, "_POINT_CAP", 91)
-    monkeypatch.setattr(cluster, "_euclid_multiplicities", expanded)
-    monkeypatch.setattr(cluster, "_proximities_from_multiplicities", expanded)
+    monkeypatch.setattr(cluster, "_extras_from_steps", expanded)
+    monkeypatch.setattr(cluster, "_expand", expanded)
     monkeypatch.setattr(cluster, "_coerce_point", expanded)
     with pytest.raises(TooManyPoints, match=r"^r = 92 points exceed the cap of 91$"):
         from_maximal_contact(Surface(2, SPECIAL), beta_bar, 1, 2)
@@ -474,7 +476,7 @@ def test_contact_value_round_trip_on_random_draws(seed):
     val = random_valuation(random.Random(seed), r_max=15, require_npi=False)
     config = val.config
     rebuilt = from_maximal_contact(
-        val.surface, val.beta_bar, len(config.f1_chain), len(config.m_chain)
+        val.surface, val.beta_bar, config.n_f1, config.n_m
     )
     assert maximal_contact_values(rebuilt) == val.beta_bar
 
@@ -522,6 +524,79 @@ def test_curvette_values_match_truncation_oracle_on_ladder(family, r):
     assert_matches_truncation_oracle(config)
 
 
+# ------------------------------------------------------------------------ runs
+
+
+def ladder_records(family, r):
+    """Point records of the ladder configurations, written out: the twelve
+    points of ``special_f2`` and a free tail, or ``p_1`` with every point
+    from ``p_3`` on proximate to it."""
+    if family == "tail":
+        extras, n_m = [None, None, 1, 1, 3, None, None, None, None, 8, 8, 8], 2
+        extras += [None] * (r - 12)
+    else:
+        extras, n_m = [None, None] + [1] * (r - 2), 1
+    return [
+        {"extra_proximity": e, "on_f1": i == 1, "on_m": i <= n_m}
+        for i, e in enumerate(extras, 1)
+    ]
+
+
+@functools.cache
+def draws_up_to_200_points():
+    """80 valuations up to r = 200 at both center kinds, with satellites in
+    up to three short runs."""
+    rng = random.Random(20261021)
+    return tuple(
+        random_valuation(
+            rng,
+            r_max=200,
+            max_total=10**6,
+            require_npi=False,
+            point_kind=kind,
+            satellite_blocks=3,
+        )
+        for kind in (SPECIAL, GENERAL) * 40
+    )
+
+
+def run_test_valuations(corpus):
+    """The corpus valuations and the draws up to r = 200."""
+    vals = [*dict.fromkeys(val for val, _, _ in corpus), *draws_up_to_200_points()]
+    assert max(val.r for val in vals) >= 150
+    assert sum(val.config.extra(val.r) is not None for val in vals) >= 10
+    return vals
+
+
+def test_contact_values_rebuild_the_record_configuration(corpus):
+    # The runs that from_maximal_contact reads off the Euclid staircases are
+    # the proximities the point records declare, incidences included.
+    for val in run_test_valuations(corpus):
+        config = val.config
+        rebuilt = from_maximal_contact(val.surface, val.beta_bar, config.n_f1, config.n_m)
+        assert rebuilt == config
+    for family in ("tail", "block"):
+        records = ladder_records(family, 512)
+        built = build_configuration(Surface(2, SPECIAL), records)
+        assert ladder_configuration(family, 512) == built
+
+
+def test_runs_equal_the_scanned_proximities(corpus):
+    # Each run p_{i+1}..p_{last(i)} holds exactly the points a scan of the
+    # extras finds proximate to p_i, and the multiplicities solved over the
+    # runs satisfy the proximity equalities over the scanned lists.
+    vals = run_test_valuations(corpus)
+    for family in ("tail", "block"):
+        config = ladder_configuration(family, 512)
+        vals.append(divisorial_valuation(Surface(2, SPECIAL), config))
+    for val in vals:
+        config, r, m = val.config, val.r, val.m
+        scanned = [scanned_proximate_to(config, i, r) for i in range(1, r + 1)]
+        assert [config.proximate_to(i) for i in range(1, r + 1)] == scanned
+        assert m[-1] == 1
+        assert all(m[i - 1] == sum(m[j - 1] for j in scanned[i - 1]) for i in range(1, r))
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -535,10 +610,11 @@ def truncation_stage(val, k):
     multiplicities."""
     tv = truncate_valuation(val, k)
     config = val.config
-    phi_m = chain_value(tv, config.m_chain)
+    phi_m = chain_value(tv, range(1, config.n_m + 1))
     if tv.kind == SPECIAL and val.surface.point_kind == GENERAL:
         phi_m = 0
-    return tv, (tv.kind, chain_value(tv, config.f1_chain), phi_m, sum(x * x for x in tv.m))
+    phi_f1 = chain_value(tv, range(1, config.n_f1 + 1))
+    return tv, (tv.kind, phi_f1, phi_m, sum(x * x for x in tv.m))
 
 
 def assert_stages_match_truncations(val):
@@ -617,10 +693,22 @@ def test_cluster_layer_calls_stay_constant_in_r(monkeypatch, family):
             return _original(*args)
 
         monkeypatch.setattr(cluster, name, counted)
+    solved = []  # the stage of every multiplicity call that has to solve
+    kept = cluster.multiplicities
+
+    def counted_solve(config, r=None):
+        k = config.r if r is None else r
+        if k < config.r or config._m is None:
+            solved.append(k)
+        return kept(config, r)
+
+    monkeypatch.setattr(cluster, "multiplicities", counted_solve)
     r = 1012
     config = ladder_configuration(family, r)
     assert counts["_coerce_point"] == 0
     val = divisorial_valuation(Surface(2, SPECIAL), config)
+    # The round trip solves stage r once; the valuation reuses that vector.
+    assert solved == [r]
     assert val.r == r
     assert val.beta_bar == tuple(ladder_beta_bar(family, r))
     flag = flag_valuation(val, r - 1)
@@ -644,14 +732,14 @@ def test_eta_valuation_of_shipped_examples():
     flag = flag_valuation(special, 8)
     eta = truncate_valuation(flag.base, flag.eta)
     assert eta.phi_f1 == 5
-    assert chain_value(eta, special.config.m_chain) == 7
+    assert chain_value(eta, range(1, special.config.n_m + 1)) == 7
     assert truncation_pairing(special.config, 12, 8) == 152
 
     nonspecial = nonspecial_example_valuation()
     flag = flag_valuation(nonspecial, 9)
     eta = truncate_valuation(flag.base, flag.eta)
     assert eta.phi_f1 == 5
-    assert chain_value(eta, nonspecial.config.m_chain) == 15
+    assert chain_value(eta, range(1, nonspecial.config.n_m + 1)) == 15
     assert truncation_pairing(nonspecial.config, 12, 9) == 261
 
 
@@ -676,7 +764,7 @@ def test_shipped_example_classifications():
     nonspecial = nonspecial_example_valuation()
     assert nonspecial.kind == NON_SPECIAL
     # declared section self-intersection is negative: delta - k = 2 - 3
-    assert nonspecial.delta - len(nonspecial.config.m_chain) < 0
+    assert nonspecial.delta - nonspecial.config.n_m < 0
 
 
 def test_general_center_off_section_gives_zero_section_value():

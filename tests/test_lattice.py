@@ -17,7 +17,6 @@ from hirzebruch import (
     precedes,
     pullback,
 )
-from hirzebruch.cluster import ClusterPoint
 from hirzebruch.errors import DimensionMismatch, NotATree
 
 from conftest import (
@@ -127,12 +126,15 @@ def test_dual_graph_shipped_example_path_avoids_last_vertex():
 
 
 def test_dual_graph_rejects_a_non_tree():
-    # Built without build_configuration, which forbids p4 proximate to p1:
-    # the strict transforms of E1 and E3 then meet negatively.
-    points = (ClusterPoint(on_f1=True, on_m=True),) + (ClusterPoint(),) * 2
-    config = Configuration(points + (ClusterPoint(extra=1),))
+    # Built without build_configuration, which forbids p5 proximate to p1
+    # after p4 proximate to p2: the runs of p1 (p2..p5) and of p2 (p3, p4)
+    # overlap in two points, so the strict transforms of E1 and E2 meet
+    # negatively.
+    config = Configuration((None, None, 1, 2, 1), 1, 1)
+    assert config.proximate_to(1) == (2, 3, 4, 5)
+    assert config.proximate_to(2) == (3, 4)
     val = divisorial_valuation(Surface(1), config)
-    with pytest.raises(NotATree, match="E1.E3 = -1"):
+    with pytest.raises(NotATree, match="E1.E2 = -1"):
         dual_graph(val)
 
 

@@ -540,9 +540,7 @@ def _conforming_satellite(val, flag):
     """
     if not flag.is_satellite:
         return True
-    chains_end = max(
-        max(val.config.f1_chain, default=1), max(val.config.m_chain, default=1)
-    )
+    chains_end = max(val.config.n_f1, val.config.n_m, 1)
     if chains_end > flag.eta:
         return False
     for j in range(flag.eta + 1, val.r + 1):

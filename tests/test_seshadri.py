@@ -103,7 +103,11 @@ def test_mu_hat_is_linear_on_nef_classes():
 def witness_value(val, fibers, sections):
     """Value of ``fibers`` fiber germs plus ``sections`` section germs: the
     product of their multiplicities with those of the valuation."""
-    mult = [fibers * p.on_f1 + sections * p.on_m for p in val.config.points]
+    config = val.config
+    mult = [
+        fibers * (i <= config.n_f1) + sections * (i <= config.n_m)
+        for i in range(1, val.r + 1)
+    ]
     return sum(a * b for a, b in zip(mult, val.m))
 
 

@@ -463,6 +463,43 @@ def test_forest_solve_refuses_a_negative_edge(system):
         _forest_solve(gram, names, list(support), rhs)
 
 
+@st.composite
+def _definite_forest_systems(draw):
+    """A negative-definite forest Gram on 1 to 12 vertices with positive
+    edges, a walk order and a right-hand side ``<= 0``.  Each diagonal entry
+    starts near minus the row's edge weight and is lowered, on every row at
+    once, until the Gram is negative definite; so rows with and without
+    diagonal dominance occur."""
+    n = draw(st.integers(1, 12))
+    gram = [{} for _ in range(n)]
+    for v in range(1, n):
+        u = draw(st.one_of(st.none(), st.integers(0, v - 1)))
+        if u is not None:
+            gram[u][v] = gram[v][u] = draw(st.sampled_from([1, 2]))
+    for v, row in enumerate(gram):
+        row[v] = -sum(row.values()) - draw(st.integers(-1, 2))
+    # Two steps make every row strictly dominant.
+    while not _negative_definite([[row.get(j, 0) for j in range(n)] for row in gram]):
+        for v, row in enumerate(gram):
+            row[v] -= 1
+    support = draw(st.permutations(range(n)))
+    rhs = draw(st.lists(st.integers(-6, 0), min_size=n, max_size=n))
+    return tuple(gram), support, rhs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(system=_definite_forest_systems())
+def test_forest_solve_keeps_a_nonpositive_rhs_nonnegative(system):
+    # Minus a negative-definite Gram with non-negative edges is an M-matrix,
+    # whose inverse is entrywise non-negative: a right-hand side <= 0 gives
+    # x >= 0.  The engine's forced start and each later round solve such a
+    # system, which is why no coefficient of the engine can go negative.
+    gram, support, rhs = system
+    names = [f"G{k}" for k in range(len(gram))]
+    x, det = _forest_solve(gram, names, list(support), rhs)
+    assert all(v * det >= 0 for v in x)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -682,12 +719,12 @@ def test_closed_form_fiber_regime():
 def assert_at_stage_matches_truncation(val):
     """The chain value read by ``at_stage`` equals the value of the chain
     under each truncated valuation, for both chains and every stage."""
-    for chain in (val.config.f1_chain, val.config.m_chain):
+    for length in (val.config.n_f1, val.config.n_m):
         # theta = 1 and zero affine parts: the upper value is the chain value.
-        rec = _Regime(1, Fraction(0), 0, 1, "F1", chain, 1)
+        rec = _Regime(1, Fraction(0), 0, 1, "F1", length, 1)
         for i in range(1, val.r + 1):
             stage = val if i == val.r else truncate_valuation(val, i)
-            assert rec.at_stage(val, i)[1] == chain_value(stage, chain)
+            assert rec.at_stage(val, i)[1] == chain_value(stage, range(1, length + 1))
 
 
 @pytest.mark.parametrize("family", ["tail", "block"])
