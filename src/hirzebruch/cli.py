@@ -89,7 +89,7 @@ def _write_outputs(outputs: list[tuple[str, str]]) -> tuple[str, str] | None:
             temporaries.append(path.with_name(f".{path.name}.{os.getpid()}-{k}.tmp"))
             temporaries[-1].write_text(text, encoding="utf-8")
         for temporary, (target, _) in zip(temporaries, outputs):
-            os.replace(temporary, target)
+            os.replace(temporary, Path(target))
     except OSError as exc:
         for temporary in temporaries:
             temporary.unlink(missing_ok=True)

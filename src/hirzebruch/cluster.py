@@ -447,8 +447,6 @@ def from_maximal_contact(
         steps.append((1, tail))
     r = sum(q for _, q in steps)
     _check_point_count(r)
-    if not r:
-        raise NotRealizable("empty configuration")
 
     extras = _extras_from_steps(steps, r)
     if on_m is None:

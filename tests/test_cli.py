@@ -303,6 +303,10 @@ def test_outputs_replace_existing_files(tmp_path):
     umask = os.umask(0)
     os.umask(umask)
     assert json_out.stat().st_mode & 0o777 == 0o666 & ~umask
+    # A target path is read as a path: a trailing separator names the file.
+    argv = ["classify", str(CASES / "special_f2.json"), "-o", f"{tmp_path / 'y.json'}{os.sep}"]
+    assert _in_process(argv)[0] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json", "x.svg", "y.json"]
 
 
 @pytest.mark.parametrize(

@@ -560,7 +560,7 @@ def draws_up_to_200_points():
     )
 
 
-def run_test_valuations(corpus):
+def valuations_for_run_tests(corpus):
     """The corpus valuations and the draws up to r = 200."""
     vals = [*dict.fromkeys(val for val, _, _ in corpus), *draws_up_to_200_points()]
     assert max(val.r for val in vals) >= 150
@@ -571,7 +571,7 @@ def run_test_valuations(corpus):
 def test_contact_values_rebuild_the_record_configuration(corpus):
     # The runs that from_maximal_contact reads off the Euclid staircases are
     # the proximities the point records declare, incidences included.
-    for val in run_test_valuations(corpus):
+    for val in valuations_for_run_tests(corpus):
         config = val.config
         rebuilt = from_maximal_contact(val.surface, val.beta_bar, config.n_f1, config.n_m)
         assert rebuilt == config
@@ -585,7 +585,7 @@ def test_runs_equal_the_scanned_proximities(corpus):
     # Each run p_{i+1}..p_{last(i)} holds exactly the points a scan of the
     # extras finds proximate to p_i, and the multiplicities solved over the
     # runs satisfy the proximity equalities over the scanned lists.
-    vals = run_test_valuations(corpus)
+    vals = valuations_for_run_tests(corpus)
     for family in ("tail", "block"):
         config = ladder_configuration(family, 512)
         vals.append(divisorial_valuation(Surface(2, SPECIAL), config))
