@@ -75,23 +75,39 @@ def _cmd_body(case, args) -> tuple[list[str], list[tuple[str, str]]]:
 
 
 def _write_outputs(outputs: list[tuple[str, str]]) -> tuple[str, str] | None:
-    """Write each ``(target, text)`` to a temporary file beside its target,
-    then move them all into place, so a refused write leaves no file of this
-    run behind.  Returns the target and the reason of a refused write."""
-    temporaries: list[Path] = []
+    """Write each ``(target, text)``; return the target and the reason of a
+    refused write, or ``None``.
+
+    A lone output is written straight to its target.  With two, a refused
+    write must leave no file of this run behind: a target that does not
+    exist yet is staged in a temporary file beside the path it resolves to
+    and moved there only after every write succeeded; one that exists (a
+    file, a device, a link to either) is written in place, keeping its mode,
+    after a check that it takes writes and before the moves.
+    """
+    staged: list[tuple[str, Path, Path]] = []
+    in_place: list[tuple[str, str]] = []
     try:
         for k, (target, text) in enumerate(outputs):
-            # A folder is refused before anything is written; a rename
-            # onto it would fail only after the other outputs had moved.
-            if os.path.isdir(target):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
             path = Path(target)
-            temporaries.append(path.with_name(f".{path.name}.{os.getpid()}-{k}.tmp"))
-            temporaries[-1].write_text(text, encoding="utf-8")
-        for temporary, (target, _) in zip(temporaries, outputs):
-            os.replace(temporary, Path(target))
+            # A folder is refused before anything is written.
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            if len(outputs) == 1 or path.exists():
+                if len(outputs) > 1 and not os.access(path, os.W_OK):
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+                in_place.append((target, text))
+                continue
+            real = Path(os.path.realpath(path))
+            temporary = real.with_name(f".{real.name}.{os.getpid()}-{k}.tmp")
+            staged.append((target, temporary, real))
+            temporary.write_text(text, encoding="utf-8")
+        for target, text in in_place:
+            Path(target).write_text(text, encoding="utf-8")
+        for target, temporary, real in staged:
+            os.replace(temporary, real)
     except OSError as exc:
-        for temporary in temporaries:
+        for _, temporary, _ in staged:
             temporary.unlink(missing_ok=True)
         return target, exc.strerror or str(exc)
     return None

@@ -90,7 +90,12 @@ def _stretches(extras: Sequence[int | None]) -> Iterable[tuple[int | None, int, 
 class Configuration:
     """A validated chain of infinitely near points: ``extras[i - 1]`` is
     ``extra(i)``, and the fiber and section chains are ``p_1, ..., p_n_f1``
-    and ``p_1, ..., p_n_m``."""
+    and ``p_1, ..., p_n_m``.
+
+    Build one with :func:`build_configuration` or :func:`from_maximal_contact`.
+    Built directly, it is not checked: every ``extra(i)`` that is not ``None``
+    must be ``i - 2`` or ``extra(i - 1)``, else the runs read from ``extras``
+    give proximities, multiplicities and curvette rows of no cluster."""
 
     extras: tuple[int | None, ...]
     n_f1: int

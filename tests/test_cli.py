@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -307,6 +308,56 @@ def test_outputs_replace_existing_files(tmp_path):
     argv = ["classify", str(CASES / "special_f2.json"), "-o", f"{tmp_path / 'y.json'}{os.sep}"]
     assert _in_process(argv)[0] == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json", "x.svg", "y.json"]
+
+
+@pytest.mark.parametrize("with_svg", [False, True], ids=["json-alone", "with-svg"])
+def test_outputs_write_through_devices_links_and_modes(tmp_path, with_svg):
+    # A target that exists is written through, as a plain write would: a
+    # device stays a device, a link stays a link to the file it names, a
+    # file keeps its mode and is written even where its folder takes no
+    # new files.  Only the run's own outputs appear beside it.
+    argv = ["body", str(CASES / "special_f2.json")]
+    if with_svg:
+        argv += ["--svg", str(tmp_path / "x.svg")]
+    reference = tmp_path / "reference.json"
+    printed = _in_process([*argv, "-o", str(reference)])
+    assert printed[0] == 0
+
+    def run(target):
+        assert _in_process([*argv, "-o", str(target)]) == printed
+        if target != os.devnull:
+            assert Path(target).read_text() == reference.read_text()
+
+    run(os.devnull)
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    real = tmp_path / "real"
+    real.mkdir()
+    (real / "old.json").write_text("old")
+    for name in ("old.json", "new.json"):
+        link = tmp_path / f"link-{name}"
+        link.symlink_to(real / name)
+        run(link)
+        assert link.is_symlink()
+    assert sorted(p.name for p in real.iterdir()) == ["new.json", "old.json"]
+
+    private = tmp_path / "private.json"
+    private.write_text("old")
+    private.chmod(0o600)
+    run(private)
+    assert private.stat().st_mode & 0o777 == 0o600
+
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    (locked / "x.json").write_text("old")
+    locked.chmod(0o500)
+    try:
+        run(locked / "x.json")
+        assert [p.name for p in locked.iterdir()] == ["x.json"]
+    finally:
+        locked.chmod(0o700)
+    names = ["link-new.json", "link-old.json", "locked", "private.json", "real", "reference.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names + ["x.svg"] * with_svg)
 
 
 @pytest.mark.parametrize(

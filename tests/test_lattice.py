@@ -126,10 +126,10 @@ def test_dual_graph_shipped_example_path_avoids_last_vertex():
 
 
 def test_dual_graph_rejects_a_non_tree():
-    # Built without build_configuration, which forbids p5 proximate to p1
-    # after p4 proximate to p2: the runs of p1 (p2..p5) and of p2 (p3, p4)
-    # overlap in two points, so the strict transforms of E1 and E2 meet
-    # negatively.
+    # Built directly, past the satellite rule that build_configuration
+    # checks (p5 proximate to p1 after p4 proximate to p2): read as runs,
+    # p1's (p2..p5) and p2's (p3, p4) overlap in two points, so the strict
+    # transforms of E1 and E2 meet negatively and the graph is no tree.
     config = Configuration((None, None, 1, 2, 1), 1, 1)
     assert config.proximate_to(1) == (2, 3, 4, 5)
     assert config.proximate_to(2) == (3, 4)
