@@ -75,16 +75,12 @@ def _cmd_body(case, args) -> tuple[list[str], list[tuple[str, str]]]:
 
 
 def _write_outputs(outputs: list[tuple[str, str]]) -> tuple[str, str] | None:
-    """Write each ``(target, text)``; return the target and the reason of a
-    refused write, or ``None``.
-
-    A lone output is written straight to its target.  With two, a refused
-    write must leave no file of this run behind: a target that does not
-    exist yet is staged in a temporary file beside the path it resolves to
-    and moved there only after every write succeeded; one that exists (a
-    file, a device, a link to either) is written in place, keeping its mode,
-    after a check that it takes writes and before the moves.
-    """
+    """Write each ``(target, text)``; return the refused target and the
+    reason, or ``None``.  With two outputs a refused write leaves no file of
+    this run behind: a new target is staged beside the path it resolves to
+    and moved there once every write succeeded; an existing one (a file, a
+    device, a link) is written in place, keeping its mode, after an access
+    check and before the moves."""
     staged: list[tuple[str, Path, Path]] = []
     in_place: list[tuple[str, str]] = []
     try:
