@@ -10,6 +10,7 @@ failure or a broken internal invariant.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import functools
 import os
@@ -80,9 +81,11 @@ def _write_outputs(outputs: list[tuple[str, str]]) -> tuple[str, str] | None:
     this run behind: a new target is staged beside the path it resolves to
     and moved there once every write succeeded; an existing one (a file, a
     device, a link) is written in place, keeping its mode, after an access
-    check and before the moves."""
+    check and before the moves, and a readable regular file written so far
+    gets its previous bytes back when a later write fails."""
     staged: list[tuple[str, Path, Path]] = []
     in_place: list[tuple[str, str]] = []
+    written: list[tuple[Path, bytes]] = []
     try:
         for k, (target, text) in enumerate(outputs):
             path = Path(target)
@@ -99,12 +102,18 @@ def _write_outputs(outputs: list[tuple[str, str]]) -> tuple[str, str] | None:
             staged.append((target, temporary, real))
             temporary.write_text(text, encoding="utf-8")
         for target, text in in_place:
-            Path(target).write_text(text, encoding="utf-8")
+            path = Path(target)
+            if len(outputs) > 1 and path.is_file() and os.access(path, os.R_OK):
+                written.append((path, path.read_bytes()))
+            path.write_text(text, encoding="utf-8")
         for target, temporary, real in staged:
             os.replace(temporary, real)
     except OSError as exc:
         for _, temporary, _ in staged:
             temporary.unlink(missing_ok=True)
+        for path, previous in reversed(written):
+            with contextlib.suppress(OSError):
+                path.write_bytes(previous)
         return target, exc.strerror or str(exc)
     return None
 

@@ -3,9 +3,10 @@
 The body of a big class with respect to a flag on the last exceptional
 divisor is a polygon with rational vertices.  It is assembled here from the
 closed-form breakpoint data (:func:`newton_okounkov_body`) and certified
-against an independent oracle that sweeps Zariski decompositions across the
-breakpoint set (:func:`sweep_body`), plus exact area, containment and
-value-sequence identity checks (:func:`verify_body`).
+(:func:`verify_body`) against an independent oracle that walks the Zariski
+chambers of ``D* - t E_r*`` (:func:`sweep_body`), finding every wall and
+the end of the walk from the decompositions alone, plus exact area,
+containment and value-sequence identity checks.
 
 Polygon geometry runs in integers: hull, area and containment clear their
 points to one common denominator, and only the hull vertices are built as
@@ -48,7 +49,7 @@ from .seshadri import (
     _require_big,
     _require_npi,
 )
-from .zariski import alpha_beta, t_values, _regime
+from .zariski import t_values, _chamber_walk, _regime
 
 Point = tuple[Fraction, Fraction]
 
@@ -267,46 +268,19 @@ def newton_okounkov_body(flag: FlagValuation, d) -> Polygon:
     return Polygon.from_points(pts)
 
 
-def sweep_breakpoints(flag: FlagValuation, d) -> list[Fraction]:
-    """Sample abscissas for the oracle: breakpoints plus midpoints.
-
-    A big class that is not nef samples the scaled range of the section
-    class.  On a center on the negative section that range ends below the
-    constant of the class, which also counts the value of the fixed part.
-    """
-    val = flag.base
-    d = as_divisor(d)
-    _require_big(val, d)
-    if not d.is_nef():
-        scale = _positive_scale(val.delta, d)
-        return [scale * t for t in sweep_breakpoints(flag, BigDivisor(0, 1))]
-    lo, hi = t_values(val, d)
-    base = sorted({Fraction(0), lo, hi, mu_hat(val, d)})
-    out = []
-    for i, t in enumerate(base):
-        if i:
-            out.append((base[i - 1] + t) / 2)
-        out.append(t)
-    return out
-
-
 def sweep_body(flag: FlagValuation, d) -> Polygon:
-    """Oracle polygon: the hull of the boundary values over the sweep.
+    """Oracle polygon: the hull of the boundary values at the walls of the
+    Zariski chambers of ``D* - t E_r*`` and where the walk ends.
 
-    Between breakpoints both boundary functions are affine, so the hull
-    over breakpoints and midpoints reconstructs the body exactly; a hidden
-    breakpoint would make the comparison with the closed form fail.  Each
-    sample is an independent decomposition.
+    Both boundary functions are affine on each chamber, and the walk
+    certifies every chamber and finds every wall from the decompositions
+    alone, so the hull is the body; it reads nothing of the closed form.
     """
     val = flag.base
     d = as_divisor(d)
     _require_npi(val)
-    pts = [(Fraction(0), Fraction(0))]
-    for t in sweep_breakpoints(flag, d):
-        lo, hi = alpha_beta(flag, d, t)
-        pts.append((t, lo))
-        pts.append((t, hi))
-    return Polygon.from_points(pts)
+    _require_big(val, d)
+    return Polygon.from_points(_chamber_walk(flag, d))
 
 
 @dataclass(frozen=True)
@@ -326,7 +300,7 @@ def verify_body(flag: FlagValuation, d) -> BodyReport:
     """Certify the computed body against every independent oracle.
 
     Checks, in order: the area accounts for the full volume of the class;
-    the polygon equals the decomposition-sweep hull; it sits inside the
+    the polygon equals the chamber-walk hull; it sits inside the
     cone triangle; and on flags whose divisor separates the dual graph the
     exact unimodularity identities between the two value sequences hold.
     Raises :class:`VerificationFailed` on the first violated clause.

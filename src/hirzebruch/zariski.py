@@ -5,30 +5,36 @@ The closed forms are the production route.  One sign-regime record
 (:func:`t_values`) and, read at stage ``eta``, the breakpoint vertices of
 the Newton-Okounkov body; read at the stages below ``r`` it gives the
 negative parts at the breakpoints, which the tests compare with the
-engine.  The iterative engine (:func:`zariski_decompose`)
-grows the support of the negative part inside the finite list of cone
-generators until the remainder is nef, solving the orthogonality conditions
-exactly at each step; it and the sweep built on it (:func:`alpha_beta`) are
-the independent oracles that the closed forms are checked against.
+engine.
 
-The engine and the sweep run in integers from input to output, on the
-sparse integer rows of the basis.  The generators are strict transforms of
-a tree of smooth rational curves, so every support system is a principal
-submatrix of a forest Gram matrix with non-negative edges; each round
-solves it from scratch by leaf-first elimination (:func:`_forest_solve`).
-The positive class is built only when a
-caller reads it: every decomposition carries the engine's final remainder
-pairings, and the sweep reads the pairing of the positive part with
-``E_r`` from them.
-The dense ``Fraction`` engine it replaced is kept in the tests as the
-reference.
+The iterative engine (:func:`zariski_decompose`) grows the support of the
+negative part inside the finite list of cone generators until the
+remainder is nef, solving the orthogonality conditions exactly at each
+step.  The same growth step (:func:`_grow`), read just after a wall ``t``
+of the line ``D* - t E_r*``, drives the chamber walk (:func:`_chamber_walk`)
+behind the oracle polygon: the support of the negative part only grows
+along the line, and between two walls, a Zariski chamber
+(Bauer-Kuronya-Szemberg 2004), the negative part and the remainder's
+pairings are affine in ``t``.  So one solve with two right-hand sides
+gives a whole chamber, its end is the next wall or the root of ``P(t)^2``,
+and nothing of the closed form is read.  :func:`alpha_beta` decomposes one
+point of the line; it stays as the tests' reference for the walk.
+
+Everything runs in integers from input to output, on the sparse integer
+rows of the basis.  The generators are strict transforms of a tree of
+smooth rational curves, so every support system is a principal submatrix
+of a forest Gram matrix with non-negative edges; each solve eliminates it
+from scratch, leaves first (:func:`_forest_solve`).  The positive class is
+built only when a caller reads it: every decomposition carries the
+engine's final remainder pairings.  The dense ``Fraction`` engine it
+replaced is kept in the tests as the reference.
 
 Every decomposition starts from its forced support (:func:`_forced`), a
 subset of the support of the negative part, from which the engine reaches
 the same decomposition (Bauer, *A simple proof for the existence of
-Zariski decompositions on surfaces*, 2009).  For ``D* - t E_r`` with
-``t > 0`` it is ``E_1 ... E_{r-1}``, the whole first chamber of the sweep.
-On generators whose distinct members meet non-negatively, the same proof
+Zariski decompositions on surfaces*, 2009).  For ``D* - t E_r`` just
+after ``t = 0`` it is ``E_1 ... E_{r-1}``, the whole first chamber.  On
+generators whose distinct members meet non-negatively, the same proof
 keeps every support the iteration visits inside the support of the
 negative part, which is negative definite (Bauer-Kuronya-Szemberg 2004).
 So the engine solves only negative-definite supports, and the first
@@ -40,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import isqrt
 from typing import NamedTuple
 
 from .cluster import (
@@ -101,17 +108,16 @@ class ZariskiPair:
         return Fraction(values[self.basis.index[name]], denom)
 
 
-def _forest_solve(
-    gram, names, support: list[int], rhs: list[int]
-) -> tuple[list[int], int]:
-    """Integer solution ``x / det`` of a negative-definite support system.
+def _forest_solve(gram, names, support: list[int], *columns: list[int]):
+    """Integer solutions ``x / det`` of a negative-definite support system,
+    one per right-hand side column, from one elimination: ``(*xs, det)``.
 
     ``gram`` holds the non-zero Gram entries of each generator by row; on
     the support they must form a forest whose edges are positive, and a
     cycle or a negative edge is refused as a broken invariant.  A walk
     fixes a parent for every vertex.  Leaves first, each vertex ``v``
     carries the integers ``(P, Q, R)`` of its reduced pivot ``P / Q`` and
-    reduced right-hand side ``R / Q``, and is eliminated into its parent
+    reduced right-hand sides ``R / Q``, and is eliminated into its parent
     ``u`` over the edge weight ``w``: ``P_u <- P_u P_v - w^2 Q_v Q_u``,
     ``R_u <- R_u P_v - w R_v Q_u``, ``Q_u <- Q_u P_v``.  So ``P`` is the
     determinant of the subtree and ``Q`` the product of the children's.
@@ -149,23 +155,29 @@ def _forest_solve(
     # the product of the roots' subtree determinants.
     P = {g: gram[g].get(g, 0) for g in support}
     Q = dict.fromkeys(support, 1)
-    R = {g: rhs[g] for g in support}
-    P[None], Q[None], R[None] = 1, 1, 0
+    Rs = [{g: rhs[g] for g in support} for rhs in columns]
+    P[None], Q[None] = 1, 1
+    for R in Rs:
+        R[None] = 0
     for v in reversed(order):
         if P[v] == 0 or (P[v] > 0) == (Q[v] > 0):
             raise NotPseudoeffective(
                 f"{_named(names, support)}: support Gram matrix is not negative "
                 f"definite, reduced pivot of {names[v]} is {Fraction(P[v], Q[v])}"
             )
-        u = parent[v]
-        P[u] = P[u] * P[v] - up[v] * up[v] * Q[v] * Q[u]
-        R[u] = R[u] * P[v] - up[v] * R[v] * Q[u]
+        u, w = parent[v], up[v]
+        P[u] = P[u] * P[v] - w * w * Q[v] * Q[u]
+        for R in Rs:
+            R[u] = R[u] * P[v] - w * R[v] * Q[u]
         Q[u] *= P[v]
     det = P[None]
-    x = {None: 0}
-    for v in order:
-        x[v] = (det * R[v] - up[v] * Q[v] * x[parent[v]]) // P[v]
-    return [x[g] for g in support], det
+    xs = []
+    for R in Rs:
+        x = {None: 0}
+        for v in order:
+            x[v] = (det * R[v] - up[v] * Q[v] * x[parent[v]]) // P[v]
+        xs.append([x[g] for g in support])
+    return (*xs, det)
 
 
 def _forced(gram, rhs: list[int]) -> list[int]:
@@ -174,7 +186,8 @@ def _forced(gram, rhs: list[int]) -> list[int]:
     generator it meets at zero with a positive entry against one found.
 
     If such a ``C`` were outside the support ``N``, then ``N.C > 0`` and the
-    positive part would meet it negatively, ``P.C = D.C - N.C < 0``.
+    positive part would meet it negatively, ``P.C = D.C - N.C < 0``.  Only
+    the signs of ``rhs`` are read.
     """
     forced = [k for k, v in enumerate(rhs) if v < 0]
     seen = set(forced)
@@ -186,51 +199,92 @@ def _forced(gram, rhs: list[int]) -> list[int]:
     return forced
 
 
+# A chamber ``(support, xa, xb, det, ra, rb)`` is a support solved for the
+# two columns ``a`` and ``b`` of a line ``D + s L``: the negative part is
+# ``(xa + s xb) / det`` and the remainder meets generator ``k`` in
+# ``(ra_k + s rb_k) / det``, both over the pairings' scale.
+_Chamber = tuple[list[int], list[int], list[int], int, list[int], list[int]]
+
+
+def _grow(gram, names, a, b, scale: int, t: Fraction, chamber: _Chamber) -> _Chamber:
+    """The engine's support growth for ``D + s L`` just after ``s = t``.
+
+    ``a`` and ``b`` are the pairings of ``D`` and ``L`` with every
+    generator over ``scale``, and ``chamber`` holds the support solved so
+    far.  The generators the remainder meets negatively just after ``t``
+    (below zero at ``t``, or at zero with a negative slope) join, with
+    those the forced walk (:func:`_forced`) reaches over the ones it meets
+    at zero with slope zero.  The enlarged support is solved for both
+    columns in one elimination, the remainder's pairings follow by
+    linearity over the non-zero Gram entries, and the support grows by
+    every generator the new remainder meets negatively just after ``t``
+    until there is none.  With ``b = 0``, ``t = 0`` and an empty support
+    this is :func:`zariski_decompose`.
+
+    A class with a decomposition visits only supports inside its negative
+    part (Bauer 2009), which are negative definite (Bauer-Kuronya-Szemberg
+    2004); so a support that is not means the class is not
+    pseudoeffective.  A generator the walk forced in that is not positive
+    just after ``t`` is a broken invariant, not a refusal of the class.
+    """
+    p, q = t.numerator, t.denominator
+    support, xa, xb, det, ra, rb = chamber
+    inside = set(support)
+    # The sign of ``v + s w`` just after ``s = t`` is that of ``v q + w p``,
+    # or of ``w`` where that is 0; the support itself cannot join.
+    signs = [(v * q + w * p or w) * det for v, w in zip(ra, rb)]
+    for k in support:
+        signs[k] = 1
+    joining = start = _forced(gram, signs)
+    while joining:
+        inside.update(joining)
+        support = support + joining
+        xa, xb, det = _forest_solve(gram, names, support, a, b)
+        ra = [det * v for v in a]
+        rb = [det * v for v in b]
+        for i, x, y in zip(support, xa, xb):
+            for k, g in gram[i].items():
+                ra[k] -= x * g
+                rb[k] -= y * g
+        joining = [
+            k
+            for k, (v, w) in enumerate(zip(ra, rb))
+            if k not in inside and (v * q + w * p or w) * det < 0
+        ]
+    walked = {k for k in start if signs[k] == 0}
+    for k, x, y in zip(support, xa, xb):
+        if k in walked and (x * q + y * p or y) * det <= 0:
+            raise InvariantBroken(
+                "forced support",
+                f"{_named(names, support)}: forced generator {names[k]} ends at "
+                f"{Fraction(x * q + y * p, q * det * scale)}",
+            )
+    return support, xa, xb, det, ra, rb
+
+
 def zariski_decompose(d: DivisorClassZ, basis: CurveBasis) -> ZariskiPair:
     """Iterative decomposition over the finite cone-generator list.
 
     Starting from the forced support, repeatedly solve for the negative
     part orthogonal to the remainder and enlarge the support by every
-    generator the remainder still meets negatively.  The support only
-    grows, so the loop stabilizes.  A class with a decomposition visits
-    only supports inside its negative part (Bauer 2009), which are
-    negative definite (Bauer-Kuronya-Szemberg 2004); so a support that is
-    not means the class is not pseudoeffective.  No coefficient goes
-    negative: minus the support Gram is an M-matrix, and the forced start
-    and each later round's increment solve for right-hand sides ``<= 0``.
+    generator the remainder still meets negatively: the growth step of
+    the chamber walk (:func:`_grow`) with slope zero.  The support only
+    grows, so the loop stabilizes.  No coefficient goes negative: minus
+    the support Gram is an M-matrix, and the forced start and each later
+    round's increment solve for right-hand sides ``<= 0``.
 
     The pairings of ``d`` with the generators are integers over one
     scale, and those of the remainder follow from them by linearity over
     the non-zero Gram entries.
-
-    A generator the walk forced in that ends without a positive coefficient
-    is a broken invariant, not a refusal of ``d``.
     """
     names, gram = basis.names, basis.sparse_gram
     rhs, scale = basis.pairings(d)
-    # The remainder's pairings are ``rest[k] / (det * scale)``.
-    support: list[int] = []
-    x: list[int] = []
-    det = 1
-    rest = rhs
-    joining = start = _forced(gram, rhs)
-    while joining:
-        support += joining
-        x, det = _forest_solve(gram, names, support, rhs)
-        rest = [det * v for v in rhs]
-        for i, xi in zip(support, x):
-            for k, g in gram[i].items():
-                rest[k] -= xi * g
-        inside = set(support)
-        joining = [k for k, v in enumerate(rest) if k not in inside and v * det < 0]
+    still = [0] * len(rhs)
+    support, x, _, det, rest, _ = _grow(
+        gram, names, rhs, still, scale, Fraction(0), ([], [], [], 1, rhs, still)
+    )
     coeffs = [Fraction(xi, det * scale) for xi in x]
     chosen = sorted((idx, c) for idx, c in zip(support, coeffs) if c > 0)
-    for idx, c in zip(start, coeffs):
-        if rhs[idx] == 0 and c <= 0:
-            raise InvariantBroken(
-                "forced support",
-                f"{_named(names, support)}: forced generator {names[idx]} ends at {c}",
-            )
     components = tuple((names[idx], c) for idx, c in chosen)
     return ZariskiPair(d, components, basis, (rest, det * scale))
 
@@ -339,3 +393,94 @@ def alpha_beta(flag: FlagValuation, d, t) -> tuple[Fraction, Fraction]:
     alpha = zp.coefficient(f"E{flag.eta}") if flag.is_satellite else Fraction(0)
     beta = alpha + zp.positive_pairing(last)
     return alpha, beta
+
+
+def _chamber_walk(flag: FlagValuation, d: BigDivisor) -> list[tuple[Fraction, Fraction]]:
+    """The boundary points of the body at every wall of the Zariski chambers
+    of ``D* - t E_r*`` and at its end, each chamber solved once and
+    certified.
+
+    The pairings of every generator are ``a + t b``, with ``a`` those of
+    ``D*`` and ``b`` the ``E_r*`` column of the basis rows.  From ``t = 0``
+    the support grows by the engine's rule just after each wall
+    (:func:`_grow`), so on the chamber that follows the negative part is
+    ``(xa + s xb) / det`` and the remainder meets generator ``k`` in
+    ``(ra_k + s rb_k) / det``.  The chamber is certified by its negative
+    pivots, its orthogonality by construction, coefficients ``>= 0`` at
+    both ends and a remainder that meets every generator outside the
+    support non-negatively up to the next wall: the least ``s > t`` at
+    which a decreasing outside pairing reaches 0 (Bauer-Kuronya-Szemberg
+    2004).  So the boundary values, read from the coefficient on
+    ``E_eta`` and the pairing with ``E_r``, are affine on each chamber.
+    The walk ends where ``P(s)^2 = D*^2 - s^2 - N(s).(D* - s E_r*)``, an
+    integer quadratic over ``det``, reaches 0; that root is rational.
+    """
+    val = flag.base
+    basis = curve_basis(val)
+    names, gram = basis.names, basis.sparse_gram
+    a, _ = basis.pairings(_swept_class(val, d, Fraction(0)))  # D* is integral
+    b = [e.get(val.r - 1, 0) for _, _, e in basis.rows]
+    last = basis.index[f"E{val.r}"]
+    eta = basis.index[f"E{flag.eta}"] if flag.is_satellite else None
+    volume = 2 * d.a * d.b + val.delta * d.b * d.b
+    t = Fraction(0)
+    chamber: _Chamber = ([], [], [], 1, a, b)
+    points = [(t, t)]  # the origin
+    while True:
+        chamber = _grow(gram, names, a, b, 1, t, chamber)
+        support, xa, xb, det, ra, rb = chamber
+        if last in support:
+            raise NegativePartOnEr(
+                f"E{val.r} entered the negative part at t = {t}; "
+                "the position contract is violated"
+            )
+        walls = [Fraction(-v, w) for v, w in zip(ra, rb) if w * det < 0]
+        wall = min(walls, default=None)
+        if wall is not None and wall <= t:
+            raise InvariantBroken(
+                "chamber",
+                f"{_named(names, support)}: the remainder meets a generator "
+                f"negatively just after t = {t}",
+            )
+        # det * P(s)^2 = c2 s^2 + c1 s + c0 on this chamber.
+        c2 = -det - sum(y * b[i] for i, y in zip(support, xb))
+        c1 = -sum(x * b[i] + y * a[i] for i, x, y in zip(support, xa, xb))
+        c0 = det * volume - sum(x * a[i] for i, x in zip(support, xa))
+        done = wall is None or (
+            c2 * wall.numerator**2 + c1 * wall.numerator * wall.denominator
+            + c0 * wall.denominator**2
+        ) * det <= 0
+        end = _least_root_after(c2, c1, c0, t) if done else wall
+        if end is None:
+            raise InvariantBroken(
+                "chamber",
+                f"{_named(names, support)}: P^2 = ({c2}) s^2 + ({c1}) s + ({c0}) "
+                f"has no rational root after t = {t}",
+            )
+        k = support.index(eta) if eta in support else None
+        for s in (t, end):
+            p, q = s.numerator, s.denominator
+            for i, x, y in zip(support, xa, xb):
+                if (x * q + y * p) * det < 0:
+                    raise InvariantBroken(
+                        "chamber",
+                        f"{_named(names, support)}: coefficient of {names[i]} is "
+                        f"{Fraction(x * q + y * p, q * det)} at t = {s}",
+                    )
+            alpha = xa[k] * q + xb[k] * p if k is not None else 0
+            beta = alpha + ra[last] * q + rb[last] * p
+            points += [(s, Fraction(alpha, q * det)), (s, Fraction(beta, q * det))]
+        if done:
+            return points
+        t = end
+
+
+def _least_root_after(c2: int, c1: int, c0: int, t: Fraction) -> Fraction | None:
+    """The least rational root ``s > t`` of ``c2 s^2 + c1 s + c0``, if any."""
+    roots = [Fraction(-c0, c1)] if c1 and not c2 else []
+    if c2:
+        disc = c1 * c1 - 4 * c2 * c0
+        root = isqrt(disc) if disc >= 0 else -1
+        if root * root == disc:
+            roots = [Fraction(-c1 - root, 2 * c2), Fraction(-c1 + root, 2 * c2)]
+    return min((s for s in roots if s > t), default=None)

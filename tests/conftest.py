@@ -117,14 +117,19 @@ def chain_value(val, chain):
 
 def ladder_beta_bar(family, r):
     """The benchmark ladder at ``r`` points: ``special_f2`` with its free tail
-    extended (``tail``), or one satellite block (``block``)."""
+    extended (``tail``), ``nonspecial_f2`` likewise (``nonspecial``), or one
+    satellite block (``block``)."""
     if family == "tail":
         return [20, 28, 153, 612 + (r - 12)]
+    if family == "nonspecial":
+        return [15, 51, 262, 786 + (r - 12)]
     return [r - 1, r, (r - 1) * r]
 
 
 def ladder_configuration(family, r):
     beta_bar = ladder_beta_bar(family, r)
+    if family == "nonspecial":
+        return from_maximal_contact(Surface(2, GENERAL), beta_bar, 1, 3)
     on_m = 2 if family == "tail" else 1
     return from_maximal_contact(Surface(2, SPECIAL), beta_bar, 1, on_m)
 

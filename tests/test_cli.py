@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -358,6 +359,36 @@ def test_outputs_write_through_devices_links_and_modes(tmp_path, with_svg):
         locked.chmod(0o700)
     names = ["link-new.json", "link-old.json", "locked", "private.json", "real", "reference.json"]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names + ["x.svg"] * with_svg)
+
+
+def test_failed_second_write_restores_the_first(tmp_path, monkeypatch):
+    # With --svg and -o naming existing files both are written in place; a
+    # disk that fills up on the second write leaves both with their old
+    # bytes and modes, stdout empty and the usual one-line refusal.
+    svg, json_out = tmp_path / "x.svg", tmp_path / "x.json"
+    svg.write_bytes(b"old svg\n")
+    json_out.write_bytes(b"old json\n")
+    svg.chmod(0o640)
+    json_out.chmod(0o600)
+    calls = []
+    write_text = Path.write_text
+
+    def failing(self, *args, **kwargs):
+        calls.append(self)
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing)
+    argv = ["body", str(CASES / "special_f2.json"), "--svg", str(svg), "-o", str(json_out)]
+    code, out, err = _in_process(argv)
+    assert (code, out, err) == (
+        2, "", f"cannot write {json_out}: {os.strerror(errno.ENOSPC)}\n"
+    )
+    assert calls == [svg, json_out]
+    assert (svg.read_bytes(), json_out.read_bytes()) == (b"old svg\n", b"old json\n")
+    assert (svg.stat().st_mode & 0o777, json_out.stat().st_mode & 0o777) == (0o640, 0o600)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json", "x.svg"]
 
 
 @pytest.mark.parametrize(

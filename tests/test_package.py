@@ -120,3 +120,43 @@ def test_no_hidden_parameters_in_src():
                         if p is not None and p.arg.startswith("_")
                     ]
     assert hidden == []
+
+
+# The names of the closed-form route the oracle checks.
+CLOSED_FORM = {
+    "t_values",
+    "_regime",
+    "q_points",
+    "mu_hat",
+    "theta",
+    "newton_okounkov_body",
+    "cone_triangle",
+}
+
+
+def test_sweep_reads_nothing_of_the_closed_form():
+    # ``sweep_body`` and every function of the package it reaches by name,
+    # transitively, reference no name of the closed-form route: the oracle
+    # finds its walls from decompositions alone.
+    functions: dict[str, list[ast.FunctionDef]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                functions.setdefault(node.name, []).append(node)
+    reached, todo, referenced = set(), ["sweep_body"], set()
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in functions[name]:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    referenced.add(sub.id)
+                    if sub.id in functions:
+                        todo.append(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    referenced.add(sub.attr)
+    assert referenced & CLOSED_FORM == set()
+    # The guard is live: it follows the walk into the engine.
+    assert {"_chamber_walk", "_grow", "_forest_solve"} <= reached

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hirzebruch.lattice as lattice
+import hirzebruch.okounkov as okounkov_module
 import hirzebruch.zariski as zariski_module
+import sweep_reference
 import zariski_reference as reference
 from hirzebruch import (
     GENERAL,
@@ -31,13 +33,20 @@ from hirzebruch import (
     sweep_body,
     t_values,
     theta,
+    verify_body,
     vol,
     zariski_decompose,
 )
 from hirzebruch.cluster import truncate_valuation
-from hirzebruch.errors import InvariantBroken, NegativePartOnEr, NotBig, NotPseudoeffective
+from hirzebruch.errors import (
+    HirzebruchError,
+    InvariantBroken,
+    NegativePartOnEr,
+    NotBig,
+    NotPseudoeffective,
+    VerificationFailed,
+)
 from hirzebruch.lattice import CurveBasis
-from hirzebruch.okounkov import sweep_breakpoints
 from hirzebruch.zariski import _Regime, _forced, _forest_solve, _swept_class
 
 from conftest import (
@@ -566,9 +575,9 @@ def test_sweep_makes_at_most_two_solves_per_sample(monkeypatch, family, r):
     val = divisorial_valuation(surface, ladder_configuration(family, r))
     flag = flag_valuation(val, val.r - 1)
     d = BigDivisor(1, 2)
-    samples = len(sweep_breakpoints(flag, d))
+    samples = len(sweep_reference.sweep_breakpoints(flag, d))
     calls = _count_solves(monkeypatch)
-    assert sweep_body(flag, d) == newton_okounkov_body(flag, d)
+    assert sweep_reference.sweep_body(flag, d) == newton_okounkov_body(flag, d)
     assert 0 < calls["solve"] <= 2 * samples
 
 
@@ -598,7 +607,7 @@ def test_every_sweep_sample_equals_the_dense_reference(seed, case):
     val, flag, d = _sweep_case(random.Random(seed), case)
     basis = curve_basis(val)
     last = f"E{val.r}"
-    for t in sweep_breakpoints(flag, d):
+    for t in sweep_reference.sweep_breakpoints(flag, d):
         cls = _swept_class(val, d, t)
         got = zariski_decompose(cls, basis)
         want = reference.zariski_decompose(cls, basis)
@@ -814,3 +823,115 @@ def test_alpha_convex_beta_concave():
             assert b1 * (t2 - t0) >= b0 * (t2 - t1) + b2 * (t1 - t0)
         alphas = [a for _, a, _ in profile]
         assert all(x <= y for x, y in zip(alphas, alphas[1:]))
+
+
+# ----------------------------------------------------------- the chamber walk
+
+
+def _sweep_outcome(sweep, flag, d):
+    """The vertices of a sweep's polygon, or its refusal class and text."""
+    try:
+        return "body", sweep(flag, d).vertices
+    except HirzebruchError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _family_flag(family, r, eta):
+    """A ladder family at ``r`` points with its flag and class."""
+    kind = GENERAL if family == "nonspecial" else SPECIAL
+    val = divisorial_valuation(Surface(2, kind), ladder_configuration(family, r))
+    d = BigDivisor(2, 5) if family == "nonspecial" else BigDivisor(1, 2)
+    return flag_valuation(val, eta), d
+
+
+def test_walk_equals_the_sampled_sweep_on_the_corpus(corpus):
+    for _, flag, d in corpus:
+        want = _sweep_outcome(sweep_reference.sweep_body, flag, d)
+        assert want[0] == "body"
+        assert _sweep_outcome(sweep_body, flag, d) == want
+
+
+def test_walk_equals_the_sampled_sweep_on_random_draws():
+    # 200 draws up to r = 200 at both center kinds, a quarter of the classes
+    # big but not nef: the same vertices, or the same refusal class and text.
+    rng = random.Random(20261019)
+    seen = Counter()
+    for k in range(200):
+        kind = (SPECIAL, GENERAL)[k % 2]
+        val = random_valuation(
+            rng, r_max=200, max_total=10**6, point_kind=kind, satellite_blocks=3
+        )
+        if k % 8 >= 6 and val.delta > 0:
+            b = rng.randint(2 if val.delta == 1 else 1, 6)
+            d = BigDivisor(rng.randint(-b * val.delta + 1, -1), b)
+            flag = random_flag(rng, val, BigDivisor(0, 1))
+        else:
+            d = random_nef_big(rng, val.delta)
+            flag = random_flag(rng, val, d)
+        want = _sweep_outcome(sweep_reference.sweep_body, flag, d)
+        assert _sweep_outcome(sweep_body, flag, d) == want
+        seen[want[0], d.is_nef(), kind] += 1
+    # The draws reach non-nef bodies at general centers and the refusal at
+    # special ones.
+    assert seen["body", False, GENERAL] >= 10
+    assert seen["NegativePartOnEr", False, SPECIAL] >= 10
+
+
+@pytest.mark.parametrize("family", ["tail", "block", "nonspecial"])
+@pytest.mark.parametrize("r", [17, 92, 512])
+def test_walk_equals_the_sampled_sweep_on_families(family, r):
+    # The non-special tail is non-positive at infinity up to r = 126 only;
+    # beyond, both sweeps refuse it alike.
+    for eta in (None, r - 1):
+        flag, d = _family_flag(family, r, eta)
+        want = _sweep_outcome(sweep_reference.sweep_body, flag, d)
+        assert want[0] == ("NotNPI" if family == "nonspecial" and r > 126 else "body")
+        assert _sweep_outcome(sweep_body, flag, d) == want
+
+
+@pytest.mark.parametrize("family", ["tail", "block"])
+def test_walk_makes_as_many_eliminations_at_r_1012_as_at_r_17(monkeypatch, family):
+    # One elimination per chamber, and the number of chambers does not grow
+    # with r: the forced walk takes the whole first chamber at once.
+    counts = []
+    for r in (17, 1012):
+        flag, d = _family_flag(family, r, r - 1)
+        calls = _count_solves(monkeypatch)
+        assert sweep_body(flag, d) == newton_okounkov_body(flag, d)
+        counts.append(calls["solve"])
+    assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        (special_example_valuation, 8, BigDivisor(1, 2)),
+        (special_example_valuation, None, BigDivisor(9, 1)),
+        (nonspecial_example_valuation, None, BigDivisor(2, 5)),
+    ],
+    ids=["special-satellite", "special-free", "nonspecial-free"],
+)
+def test_walk_reads_nothing_of_the_closed_form(monkeypatch, case):
+    # Breakpoints, constants and regime records moved in both modules of the
+    # closed form, inside the range its own checks accept, move the body but
+    # not the walk: the oracle clause would refuse the moved body on its
+    # own, and verification fails.
+    make, eta, d = case
+    flag = flag_valuation(make(), eta)
+    want = sweep_body(flag, d)
+    assert want == newton_okounkov_body(flag, d)
+    for module in (okounkov_module, zariski_module):
+        shifted_t, shifted_mu, shifted_regime = module.t_values, module.mu_hat, module._regime
+        monkeypatch.setattr(
+            module, "t_values", lambda val, d, f=shifted_t: tuple(t / 2 for t in f(val, d))
+        )
+        monkeypatch.setattr(module, "mu_hat", lambda val, d, f=shifted_mu: f(val, d) + 1)
+        monkeypatch.setattr(
+            module,
+            "_regime",
+            lambda val, d, f=shifted_regime: f(val, d)._replace(lower=f(val, d).lower / 2),
+        )
+    assert sweep_body(flag, d) == want
+    assert newton_okounkov_body(flag, d) != want
+    with pytest.raises(VerificationFailed):
+        verify_body(flag, d)
