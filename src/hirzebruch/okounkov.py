@@ -8,29 +8,23 @@ chambers of ``D* - t E_r*`` (:func:`sweep_body`), finding every wall and
 the end of the walk from the decompositions alone, plus exact area,
 containment and value-sequence identity checks.
 
-Polygon geometry runs in integers: hull, area and containment clear their
-points to one common denominator, and only the hull vertices are built as
-``Fraction`` again.  A ``Fraction`` version of the same geometry is kept
-in the tests as the reference.
-
-Nothing here builds a truncated valuation: the cap reads the stage-``eta``
-numbers from a curvette row, the unimodularity clause reads the stage's
-sieved values from the configuration, and the cone rays compare integer
-slopes along two rows.
+Both routes run in integers up to the hull: the closed form and the walk
+hand their points to the polygon as integer numerators over one
+denominator, the polygon keeps its vertices in that form for area and
+containment, and only the hull vertices are built as ``Fraction``.  The
+``Fraction`` geometry and closed form are kept in the tests as references.
+Nothing here builds a truncated valuation: the cap and the cone rays read
+curvette rows, the unimodularity clause the configuration's sieved values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
-from .cluster import (
-    FlagValuation,
-    maximal_contact_values,
-    truncation_pairing,
-    _stage,
-)
+from .cluster import FlagValuation, maximal_contact_values, truncation_pairing, _stage
 from .errors import (
     EtaNotNPI,
     InvariantBroken,
@@ -49,14 +43,13 @@ from .seshadri import (
     _require_big,
     _require_npi,
 )
-from .zariski import t_values, _chamber_walk, _regime
+from .zariski import _breakpoints, _chamber_walk, _regime
 
 Point = tuple[Fraction, Fraction]
 
 
 def _cross(o, a, b):
-    """Twice the signed area of the triangle ``o, a, b``, for ``int`` or
-    ``Fraction`` coordinates alike."""
+    """Twice the signed area of the triangle ``o, a, b``."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
@@ -90,10 +83,14 @@ class Polygon:
     def from_points(cls, points) -> "Polygon":
         # Only coordinates other than ``int`` and ``Fraction`` are converted.
         exact = (int, Fraction)
-        cleared, den = _cleared(
-            [tuple(c if isinstance(c, exact) else Fraction(c) for c in p) for p in points]
-        )
-        hull = pts = sorted(set(cleared))
+        points = [[c if isinstance(c, exact) else Fraction(c) for c in p] for p in points]
+        return cls._hull(*_cleared(points))
+
+    @classmethod
+    def _hull(cls, points: list[tuple[int, int]], den: int) -> "Polygon":
+        """The hull of integer points over a positive denominator, the entry
+        of both routes; only the hull vertices are built as ``Fraction``."""
+        hull = pts = sorted(set(points))
         if len(pts) > 2:
             # Both chains keep their first point, so a collinear set comes
             # out as its two sorted end points.
@@ -108,22 +105,33 @@ class Polygon:
                     upper.pop()
                 upper.append(p)
             hull = lower[:-1] + upper[:-1]
-        return cls(tuple((Fraction(x, den), Fraction(y, den)) for x, y in hull))
+        poly = cls(tuple((Fraction(x, den), Fraction(y, den)) for x, y in hull))
+        object.__setattr__(poly, "_integral", (hull, den))
+        return poly
+
+    @cached_property
+    def _integral(self) -> tuple[list[tuple[int, int]], int]:
+        """The vertices as integer numerators over one denominator."""
+        return _cleared(self.vertices)
 
     def scaled(self, factor) -> "Polygon":
         s = Fraction(factor)
-        return Polygon.from_points([(s * x, s * y) for x, y in self.vertices])
+        v, den = self._integral
+        n = s.numerator
+        return Polygon._hull([(x * n, y * n) for x, y in v], den * s.denominator)
 
     @property
     def area2(self) -> Fraction:
-        v, den = _cleared(self.vertices)
+        v, den = self._integral
         total = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(v, v[1:] + v[:1]))
         return Fraction(total, den * den)
 
     def contains(self, point: Point) -> bool:
         if len(self.vertices) < 3:
             return point in self.vertices
-        (*v, p), _ = _cleared((*self.vertices, point))
+        v, den = self._integral
+        ((x, y),), q = _cleared([point])
+        v, p = [(vx * q, vy * q) for vx, vy in v], (x * den, y * den)
         return all(_cross(a, b, p) >= 0 for a, b in zip(v, v[1:] + v[:1]))
 
     def shape(self) -> str:
@@ -171,13 +179,18 @@ def cone_triangle(flag: FlagValuation, d) -> Polygon:
     d = as_divisor(d)
     mu = mu_hat(val, d)
     rays = cone_rays(flag)
-    pts = [(Fraction(0), Fraction(0))]
-    for rx, ry in rays:
-        pts.append((mu, mu * Fraction(ry, rx)))
-    poly = Polygon.from_points(pts)
+    # Over ``mu.denominator * unit`` the corners ``(mu, mu * ry / rx)`` are integral.
+    unit = lcm(*(rx for rx, _ in rays))
+    corners = [(mu.numerator * unit, mu.numerator * ry * (unit // rx)) for rx, ry in rays]
+    poly = Polygon._hull([(0, 0), *corners], mu.denominator * unit)
     if len(poly.vertices) != 3:
         raise InvariantBroken("cone", f"degenerate value cone: {poly.vertices}")
     return poly
+
+
+def _qpoint(k: int) -> property:
+    """The ``k``-th point of :class:`QPoints`, read as ``Fraction``."""
+    return property(lambda qp: tuple(Fraction(c, qp.den) for c in qp.points[k]))
 
 
 @dataclass(frozen=True)
@@ -186,65 +199,59 @@ class QPoints:
 
     ``bottom``/``top`` are the lower and upper boundary points above each
     breakpoint; ``cap`` is the single boundary point at the constant.
-    ``theta`` is the sign invariant that selected the formulas.
+    ``theta`` is the sign invariant that selected the formulas.  ``points``
+    holds them in that order as integer numerators over ``den``.
     """
 
     theta: int
-    t_lower: Fraction
-    t_upper: Fraction
-    bottom_lower: Point
-    top_lower: Point
-    bottom_upper: Point
-    top_upper: Point
-    cap: Point
+    den: int
+    points: tuple[tuple[int, int], ...]
+
+    bottom_lower = _qpoint(0)
+    top_lower = _qpoint(1)
+    bottom_upper = _qpoint(2)
+    top_upper = _qpoint(3)
+    cap = _qpoint(4)
+    t_lower = property(lambda qp: qp.bottom_lower[0])
+    t_upper = property(lambda qp: qp.bottom_upper[0])
 
 
 def q_points(flag: FlagValuation, d) -> QPoints:
-    """Exact evaluation of the breakpoint vertices for a non-minimal valuation."""
+    """Exact evaluation of the breakpoint vertices for a non-minimal valuation,
+    over the regime's scale: the constants of a nef class are integers."""
     val = flag.base
     d = as_divisor(d)
     if is_minimal(val, d):
         raise MinimalValuation("a minimal valuation has no breakpoint vertices")
-    t_lo, t_hi = t_values(val, d)
     rec = _regime(val, d)
-    bot_lo = bot_hi = cap_y = Fraction(0)
+    scale, lower, upper, _ = rec.steps()
+    mu = mu_hat(val, d)
+    t_lo, t_hi = _breakpoints(val, rec, mu)
+    bot_lo = bot_hi = cap_y = 0
     if flag.is_satellite:
         bot_lo, bot_hi = rec.at_stage(val, flag.eta)
         try:
-            cap_y = mu_hat(_stage(val.surface, val.config, flag.eta), d)
+            cap_y = mu_hat(_stage(val.surface, val.config, flag.eta), d).numerator
         except NotNPI as exc:
             raise EtaNotNPI(
                 f"the truncation at E{flag.eta} is not non-positive at infinity"
             ) from exc
-
-    return QPoints(
-        theta=rec.theta,
-        t_lower=t_lo,
-        t_upper=t_hi,
-        bottom_lower=(t_lo, bot_lo),
-        top_lower=(t_lo, bot_lo + rec.lower),
-        bottom_upper=(t_hi, bot_hi),
-        top_upper=(t_hi, bot_hi + Fraction(rec.upper, rec.denom)),
-        cap=(mu_hat(val, d), cap_y),
-    )
-
-
-def _flag_precedes(flag: FlagValuation) -> bool:
-    graph = dual_graph(flag.base)
-    return precedes(graph, flag.base.r, flag.eta)
+    lows = ((t_lo, bot_lo), (t_lo, bot_lo + lower))
+    highs = ((t_hi, bot_hi), (t_hi, bot_hi + upper))
+    cap = (mu.numerator * scale, cap_y * scale)
+    return QPoints(rec.theta, scale, (*lows, *highs, cap))
 
 
 def newton_okounkov_body(flag: FlagValuation, d) -> Polygon:
     """The Newton-Okounkov polygon of a big class with respect to the flag.
 
-    Minimal valuations fill the whole cone triangle.  A big class that is
-    not nef scales the body of the section class by the coefficient of its
-    positive part.  Otherwise the body is the hull of the boundary points
-    above the two support breakpoints together with the origin and the cap:
-    the boundary functions are affine away from the breakpoints, so these
-    are the only candidate vertices.  Degenerate coincidences (a vanishing
-    sign invariant, points falling on an edge) collapse the hull to a
-    triangle during normalization.
+    Minimal valuations, which :func:`q_points` refuses, fill the whole cone
+    triangle.  A big class that is not nef scales the body of the section
+    class by the coefficient of its positive part.  Otherwise the body is
+    the hull of the origin and the points of :func:`q_points`: the boundary
+    functions are affine away from the breakpoints, so these are the only
+    candidate vertices.  Degenerate coincidences (a vanishing sign
+    invariant, points falling on an edge) collapse the hull to a triangle.
     """
     val = flag.base
     d = as_divisor(d)
@@ -253,19 +260,11 @@ def newton_okounkov_body(flag: FlagValuation, d) -> Polygon:
     if not d.is_nef():
         scale = _positive_scale(val.delta, d)
         return newton_okounkov_body(flag, BigDivisor(0, 1)).scaled(scale)
-    if is_minimal(val, d):
+    try:
+        qp = q_points(flag, d)
+    except MinimalValuation:
         return cone_triangle(flag, d)
-    qp = q_points(flag, d)
-    origin = (Fraction(0), Fraction(0))
-    pts = [
-        origin,
-        qp.bottom_lower,
-        qp.top_lower,
-        qp.bottom_upper,
-        qp.top_upper,
-        qp.cap,
-    ]
-    return Polygon.from_points(pts)
+    return Polygon._hull([(0, 0), *qp.points], qp.den)
 
 
 def sweep_body(flag: FlagValuation, d) -> Polygon:
@@ -280,7 +279,7 @@ def sweep_body(flag: FlagValuation, d) -> Polygon:
     d = as_divisor(d)
     _require_npi(val)
     _require_big(val, d)
-    return Polygon.from_points(_chamber_walk(flag, d))
+    return Polygon._hull(*_chamber_walk(flag, d))
 
 
 @dataclass(frozen=True)
@@ -337,7 +336,7 @@ def verify_body(flag: FlagValuation, d) -> BodyReport:
             raise VerificationFailed("containment", f"{p} escapes the cone triangle")
     checks.append(("containment", "pass"))
 
-    if flag.is_satellite and _flag_precedes(flag):
+    if flag.is_satellite and precedes(dual_graph(val), val.r, flag.eta):
         eta_beta = maximal_contact_values(val.config, flag.eta)
         g = len(val.beta_bar) - 2
         nrpe = truncation_pairing(val.config, val.r, flag.eta)

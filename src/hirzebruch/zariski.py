@@ -1,44 +1,40 @@
 """Zariski decompositions on the blown-up surface.
 
 The closed forms are the production route.  One sign-regime record
-(fiber, special section or non-special section) yields the breakpoints
-(:func:`t_values`) and, read at stage ``eta``, the breakpoint vertices of
-the Newton-Okounkov body; read at the stages below ``r`` it gives the
-negative parts at the breakpoints, which the tests compare with the
-engine.
+(fiber, special section or non-special section) yields, as integers over
+one scale, the breakpoints (:func:`t_values`) and, read at stage ``eta``,
+the breakpoint vertices of the Newton-Okounkov body; read at the stages
+below ``r`` it gives the negative parts at the breakpoints, which the
+tests compare with the engine.
 
 The iterative engine (:func:`zariski_decompose`) grows the support of the
 negative part inside the finite list of cone generators until the
 remainder is nef, solving the orthogonality conditions exactly at each
 step.  The same growth step (:func:`_grow`), read just after a wall ``t``
 of the line ``D* - t E_r*``, drives the chamber walk (:func:`_chamber_walk`)
-behind the oracle polygon: the support of the negative part only grows
-along the line, and between two walls, a Zariski chamber
+behind the oracle polygon: between two walls, a Zariski chamber
 (Bauer-Kuronya-Szemberg 2004), the negative part and the remainder's
-pairings are affine in ``t``.  So one solve with two right-hand sides
-gives a whole chamber, its end is the next wall or the root of ``P(t)^2``,
-and nothing of the closed form is read.  :func:`alpha_beta` decomposes one
-point of the line; it stays as the tests' reference for the walk.
+pairings are affine in ``t``, so one solve with two right-hand sides gives
+a whole chamber, and nothing of the closed form is read.
+:func:`alpha_beta` decomposes one point of the line, as the tests'
+reference for the walk.
 
-Everything runs in integers from input to output, on the sparse integer
-rows of the basis.  The generators are strict transforms of a tree of
-smooth rational curves, so every support system is a principal submatrix
-of a forest Gram matrix with non-negative edges; each solve eliminates it
-from scratch, leaves first (:func:`_forest_solve`).  The positive class is
-built only when a caller reads it: every decomposition carries the
-engine's final remainder pairings.  The dense ``Fraction`` engine it
+Everything runs in integers on the sparse rows of the basis; the walk
+builds one ``Fraction`` per wall.  The generators are strict transforms of
+a tree of smooth rational curves, so every support system is a principal
+submatrix of a forest Gram matrix with non-negative edges, eliminated
+leaves first (:func:`_forest_solve`).  The dense ``Fraction`` engine this
 replaced is kept in the tests as the reference.
 
 Every decomposition starts from its forced support (:func:`_forced`), a
-subset of the support of the negative part, from which the engine reaches
+subset of the support of the negative part from which the engine reaches
 the same decomposition (Bauer, *A simple proof for the existence of
-Zariski decompositions on surfaces*, 2009).  For ``D* - t E_r`` just
-after ``t = 0`` it is ``E_1 ... E_{r-1}``, the whole first chamber.  On
-generators whose distinct members meet non-negatively, the same proof
-keeps every support the iteration visits inside the support of the
-negative part, which is negative definite (Bauer-Kuronya-Szemberg 2004).
-So the engine solves only negative-definite supports, and the first
-reduced pivot that is not negative refuses the class.
+Zariski decompositions on surfaces*, 2009); for ``D* - t E_r`` just after
+``t = 0`` it is the whole first chamber ``E_1 ... E_{r-1}``.  On generators
+whose distinct members meet non-negatively, every support the iteration
+visits stays inside the negative part's, which is negative definite
+(Bauer-Kuronya-Szemberg 2004), so a reduced pivot that is not negative
+refuses the class.
 """
 
 from __future__ import annotations
@@ -46,24 +42,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt
+from math import isqrt, lcm
 from typing import NamedTuple
 
-from .cluster import (
-    DivisorialValuation,
-    FlagValuation,
-    truncation_pairing,
-)
-from .errors import (
-    InvariantBroken,
-    NegativePartOnEr,
-    NotPseudoeffective,
-)
-from .lattice import (
-    CurveBasis,
-    DivisorClassZ,
-    curve_basis,
-)
+from .cluster import DivisorialValuation, FlagValuation, truncation_pairing
+from .errors import InvariantBroken, NegativePartOnEr, NotPseudoeffective
+from .lattice import CurveBasis, DivisorClassZ, curve_basis
 from .seshadri import (
     BigDivisor,
     as_divisor,
@@ -160,16 +144,18 @@ def _forest_solve(gram, names, support: list[int], *columns: list[int]):
     for R in Rs:
         R[None] = 0
     for v in reversed(order):
-        if P[v] == 0 or (P[v] > 0) == (Q[v] > 0):
+        pv = P[v]
+        if pv == 0 or (pv > 0) == (Q[v] > 0):
             raise NotPseudoeffective(
                 f"{_named(names, support)}: support Gram matrix is not negative "
-                f"definite, reduced pivot of {names[v]} is {Fraction(P[v], Q[v])}"
+                f"definite, reduced pivot of {names[v]} is {Fraction(pv, Q[v])}"
             )
         u, w = parent[v], up[v]
-        P[u] = P[u] * P[v] - w * w * Q[v] * Q[u]
+        qu = Q[u]
+        P[u] = P[u] * pv - w * w * Q[v] * qu
         for R in Rs:
-            R[u] = R[u] * P[v] - w * R[v] * Q[u]
-        Q[u] *= P[v]
+            R[u] = R[u] * pv - w * R[v] * qu
+        Q[u] = qu * pv
     det = P[None]
     xs = []
     for R in Rs:
@@ -199,67 +185,69 @@ def _forced(gram, rhs: list[int]) -> list[int]:
     return forced
 
 
-# A chamber ``(support, xa, xb, det, ra, rb)`` is a support solved for the
-# two columns ``a`` and ``b`` of a line ``D + s L``: the negative part is
+# A chamber ``(support, xs, det, rs)`` is a support solved for each column
+# of ``D`` or of a line ``D + s L``: on a line the negative part is
 # ``(xa + s xb) / det`` and the remainder meets generator ``k`` in
 # ``(ra_k + s rb_k) / det``, both over the pairings' scale.
-_Chamber = tuple[list[int], list[int], list[int], int, list[int], list[int]]
+_Chamber = tuple[list[int], list[list[int]], int, list[list[int]]]
 
 
-def _grow(gram, names, a, b, scale: int, t: Fraction, chamber: _Chamber) -> _Chamber:
+def _after(t, det: int, columns) -> list[int]:
+    """Times the sign of ``det``, the sign of each ``v + s w`` just after
+    the rational ``s = t``: that of ``v q + w p``, or of ``w`` where that
+    is 0.  Without a second column of slopes ``w``, it is that of ``v``."""
+    if len(columns) == 1:
+        return [v * det for v in columns[0]]
+    (values, slopes), p, q = columns, t.numerator, t.denominator
+    return [(v * q + w * p or w) * det for v, w in zip(values, slopes)]
+
+
+def _grow(gram, names, columns, scale: int, t, chamber: _Chamber) -> _Chamber:
     """The engine's support growth for ``D + s L`` just after ``s = t``.
 
-    ``a`` and ``b`` are the pairings of ``D`` and ``L`` with every
-    generator over ``scale``, and ``chamber`` holds the support solved so
-    far.  The generators the remainder meets negatively just after ``t``
-    (below zero at ``t``, or at zero with a negative slope) join, with
-    those the forced walk (:func:`_forced`) reaches over the ones it meets
-    at zero with slope zero.  The enlarged support is solved for both
-    columns in one elimination, the remainder's pairings follow by
-    linearity over the non-zero Gram entries, and the support grows by
-    every generator the new remainder meets negatively just after ``t``
-    until there is none.  With ``b = 0``, ``t = 0`` and an empty support
-    this is :func:`zariski_decompose`.
+    ``columns`` holds the pairings of ``D`` and, on a line, of ``L`` with
+    every generator over ``scale``; ``chamber`` the support solved so far.
+    The generators the remainder meets negatively just after ``t`` join,
+    with those the forced walk (:func:`_forced`) reaches over the ones it
+    meets at zero with slope zero.  The enlarged support is solved for
+    every column in one elimination, the remainder's pairings follow by
+    linearity over the non-zero Gram entries, and the support grows again
+    until the remainder meets no generator negatively just after ``t``.
+    With ``D`` alone from ``t = 0`` this is :func:`zariski_decompose`.
 
-    A class with a decomposition visits only supports inside its negative
-    part (Bauer 2009), which are negative definite (Bauer-Kuronya-Szemberg
-    2004); so a support that is not means the class is not
-    pseudoeffective.  A generator the walk forced in that is not positive
-    just after ``t`` is a broken invariant, not a refusal of the class.
+    A class with a decomposition visits only negative-definite supports,
+    so one that is not is refused as not pseudoeffective.  A generator the
+    walk forced in that is not positive just after ``t`` is a broken
+    invariant, not a refusal of the class.
     """
-    p, q = t.numerator, t.denominator
-    support, xa, xb, det, ra, rb = chamber
+    support, xs, det, rs = chamber
     inside = set(support)
-    # The sign of ``v + s w`` just after ``s = t`` is that of ``v q + w p``,
-    # or of ``w`` where that is 0; the support itself cannot join.
-    signs = [(v * q + w * p or w) * det for v, w in zip(ra, rb)]
-    for k in support:
+    signs = _after(t, det, rs)
+    for k in support:  # the support itself cannot join
         signs[k] = 1
     joining = start = _forced(gram, signs)
     while joining:
         inside.update(joining)
         support = support + joining
-        xa, xb, det = _forest_solve(gram, names, support, a, b)
-        ra = [det * v for v in a]
-        rb = [det * v for v in b]
-        for i, x, y in zip(support, xa, xb):
-            for k, g in gram[i].items():
-                ra[k] -= x * g
-                rb[k] -= y * g
+        *xs, det = _forest_solve(gram, names, support, *columns)
+        rs = [[det * v for v in column] for column in columns]
+        for r, x in zip(rs, xs):
+            for i, xi in zip(support, x):
+                for k, g in gram[i].items():
+                    r[k] -= xi * g
         joining = [
-            k
-            for k, (v, w) in enumerate(zip(ra, rb))
-            if k not in inside and (v * q + w * p or w) * det < 0
+            k for k, sign in enumerate(_after(t, det, rs)) if sign < 0 and k not in inside
         ]
     walked = {k for k in start if signs[k] == 0}
-    for k, x, y in zip(support, xa, xb):
-        if k in walked and (x * q + y * p or y) * det <= 0:
+    for j, (k, sign) in enumerate(zip(support, _after(t, det, xs))):
+        if k in walked and sign <= 0:
+            at = sum(x[j] * c for x, c in zip(xs, (t.denominator, t.numerator)))
             raise InvariantBroken(
                 "forced support",
                 f"{_named(names, support)}: forced generator {names[k]} ends at "
-                f"{Fraction(x * q + y * p, q * det * scale)}",
+                f"{Fraction(at, t.denominator * det * scale)}",
             )
-    return support, xa, xb, det, ra, rb
+    return support, xs, det, rs
 
 
 def zariski_decompose(d: DivisorClassZ, basis: CurveBasis) -> ZariskiPair:
@@ -268,24 +256,18 @@ def zariski_decompose(d: DivisorClassZ, basis: CurveBasis) -> ZariskiPair:
     Starting from the forced support, repeatedly solve for the negative
     part orthogonal to the remainder and enlarge the support by every
     generator the remainder still meets negatively: the growth step of
-    the chamber walk (:func:`_grow`) with slope zero.  The support only
+    the chamber walk (:func:`_grow`) on ``d`` alone.  The support only
     grows, so the loop stabilizes.  No coefficient goes negative: minus
     the support Gram is an M-matrix, and the forced start and each later
     round's increment solve for right-hand sides ``<= 0``.
-
-    The pairings of ``d`` with the generators are integers over one
-    scale, and those of the remainder follow from them by linearity over
-    the non-zero Gram entries.
     """
     names, gram = basis.names, basis.sparse_gram
     rhs, scale = basis.pairings(d)
-    still = [0] * len(rhs)
-    support, x, _, det, rest, _ = _grow(
-        gram, names, rhs, still, scale, Fraction(0), ([], [], [], 1, rhs, still)
+    support, (x,), det, (rest,) = _grow(
+        gram, names, (rhs,), scale, 0, ([], [[]], 1, [rhs])
     )
-    coeffs = [Fraction(xi, det * scale) for xi in x]
-    chosen = sorted((idx, c) for idx, c in zip(support, coeffs) if c > 0)
-    components = tuple((names[idx], c) for idx, c in chosen)
+    chosen = sorted((idx, xi) for idx, xi in zip(support, x) if xi * det > 0)
+    components = tuple((names[idx], Fraction(xi, det * scale)) for idx, xi in chosen)
     return ZariskiPair(d, components, basis, (rest, det * scale))
 
 
@@ -314,8 +296,19 @@ class _Regime(NamedTuple):
     chain: int
     sign: int
 
-    def at_stage(self, val: DivisorialValuation, i: int) -> tuple[Fraction, Fraction]:
-        """Values on the stage-``i`` curvette at the lower and upper breakpoint.
+    def steps(self) -> tuple[int, int, int, int]:
+        """``(scale, lower, upper, twist)``: the least common denominator of
+        both formulas and, over it, ``lower``, ``upper / denom`` and
+        ``sign * theta / denom``."""
+        num, den = self.lower.numerator, self.lower.denominator
+        scale = lcm(den, self.denom)
+        unit = scale // self.denom
+        twist = self.sign * self.theta * unit
+        return scale, num * (scale // den), self.upper * unit, twist
+
+    def at_stage(self, val: DivisorialValuation, i: int) -> tuple[int, int]:
+        """Values on the stage-``i`` curvette at the lower and upper
+        breakpoint, as numerators over the scale of :meth:`steps`.
 
         Stage ``r`` gives the breakpoints themselves, stage ``i < r`` the
         negative-part coefficient on ``E_i``.  The chain is an initial run
@@ -323,19 +316,16 @@ class _Regime(NamedTuple):
         by symmetry of the curvette pairing, ``c`` is entry ``i`` of that
         curvette's row.
         """
+        _, lower, upper, twist = self.steps()
         nu = truncation_pairing(val.config, val.r, i)
         k = self.chain
         c = truncation_pairing(val.config, k, i) if k else 0
-        return (
-            self.lower * nu,
-            Fraction(self.upper * nu + self.sign * self.theta * c, self.denom),
-        )
+        return lower * nu, upper * nu + twist * c
 
 
 def _regime(val: DivisorialValuation, d: BigDivisor) -> _Regime:
-    """The regime record of a nef and big class on an NPI valuation."""
-    _require_npi(val)
-    _require_nef_big(val, d)
+    """The regime record of a nef and big class on an NPI valuation; the
+    caller has checked both."""
     a, b, delta = d.a, d.b, val.delta
     phi_f, phi_m = val.phi_f1, val.phi_m
     th = theta(val, d)
@@ -349,17 +339,29 @@ def _regime(val: DivisorialValuation, d: BigDivisor) -> _Regime:
     return _Regime(th, Fraction(a + b * delta, phi_m), a, denom, "M1", n_m, -1)
 
 
+def _breakpoints(val: DivisorialValuation, rec: _Regime, mu: Fraction) -> tuple[int, int]:
+    """Both breakpoints as numerators over the regime's scale, certified to
+    lie between 0 and the Seshadri-type constant ``mu``."""
+    scale = rec.steps()[0]
+    lo, hi = rec.at_stage(val, val.r)
+    if not (0 <= lo <= hi and hi * mu.denominator <= mu.numerator * scale):
+        lo, hi = Fraction(lo, scale), Fraction(hi, scale)
+        raise InvariantBroken("breakpoints", f"{lo}, {hi} escape [0, {mu}]")
+    return lo, hi
+
+
 def t_values(val: DivisorialValuation, d) -> tuple[Fraction, Fraction]:
     """The two breakpoints of the negative-part support for this sign regime.
 
     Both are certified to lie between 0 and the Seshadri-type constant.
     """
     d = as_divisor(d)
-    lo, hi = _regime(val, d).at_stage(val, val.r)
-    mu = mu_hat(val, d)
-    if not (0 <= lo <= hi <= mu):
-        raise InvariantBroken("breakpoints", f"{lo}, {hi} escape [0, {mu}]")
-    return lo, hi
+    _require_npi(val)
+    _require_nef_big(val, d)
+    rec = _regime(val, d)
+    lo, hi = _breakpoints(val, rec, mu_hat(val, d))
+    scale = rec.steps()[0]
+    return Fraction(lo, scale), Fraction(hi, scale)
 
 
 def _swept_class(val: DivisorialValuation, d: BigDivisor, t: Fraction) -> DivisorClassZ:
@@ -395,25 +397,23 @@ def alpha_beta(flag: FlagValuation, d, t) -> tuple[Fraction, Fraction]:
     return alpha, beta
 
 
-def _chamber_walk(flag: FlagValuation, d: BigDivisor) -> list[tuple[Fraction, Fraction]]:
+def _chamber_walk(flag: FlagValuation, d: BigDivisor) -> tuple[list[tuple[int, int]], int]:
     """The boundary points of the body at every wall of the Zariski chambers
-    of ``D* - t E_r*`` and at its end, each chamber solved once and
-    certified.
+    of ``D* - t E_r*`` and at its end, as integer numerators over one
+    denominator, each chamber solved once and certified.
 
     The pairings of every generator are ``a + t b``, with ``a`` those of
     ``D*`` and ``b`` the ``E_r*`` column of the basis rows.  From ``t = 0``
     the support grows by the engine's rule just after each wall
-    (:func:`_grow`), so on the chamber that follows the negative part is
-    ``(xa + s xb) / det`` and the remainder meets generator ``k`` in
-    ``(ra_k + s rb_k) / det``.  The chamber is certified by its negative
+    (:func:`_grow`).  The chamber that follows is certified by its negative
     pivots, its orthogonality by construction, coefficients ``>= 0`` at
     both ends and a remainder that meets every generator outside the
     support non-negatively up to the next wall: the least ``s > t`` at
     which a decreasing outside pairing reaches 0 (Bauer-Kuronya-Szemberg
-    2004).  So the boundary values, read from the coefficient on
-    ``E_eta`` and the pairing with ``E_r``, are affine on each chamber.
-    The walk ends where ``P(s)^2 = D*^2 - s^2 - N(s).(D* - s E_r*)``, an
-    integer quadratic over ``det``, reaches 0; that root is rational.
+    2004).  So the boundary values, read from the coefficient on ``E_eta``
+    and the pairing with ``E_r``, are affine on each chamber.  The walk
+    ends where ``P(s)^2 = D*^2 - s^2 - N(s).(D* - s E_r*)``, an integer
+    quadratic over ``det``, reaches 0; that root is rational.
     """
     val = flag.base
     basis = curve_basis(val)
@@ -424,19 +424,22 @@ def _chamber_walk(flag: FlagValuation, d: BigDivisor) -> list[tuple[Fraction, Fr
     eta = basis.index[f"E{flag.eta}"] if flag.is_satellite else None
     volume = 2 * d.a * d.b + val.delta * d.b * d.b
     t = Fraction(0)
-    chamber: _Chamber = ([], [], [], 1, a, b)
-    points = [(t, t)]  # the origin
+    chamber: _Chamber = ([], [[], []], 1, [a, b])
+    points = [(0, 0, 1)]  # the origin; each point is (x, y, denominator)
     while True:
-        chamber = _grow(gram, names, a, b, 1, t, chamber)
-        support, xa, xb, det, ra, rb = chamber
+        chamber = _grow(gram, names, (a, b), 1, t, chamber)
+        support, (xa, xb), det, (ra, rb) = chamber
         if last in support:
             raise NegativePartOnEr(
                 f"E{val.r} entered the negative part at t = {t}; "
                 "the position contract is violated"
             )
-        walls = [Fraction(-v, w) for v, w in zip(ra, rb) if w * det < 0]
-        wall = min(walls, default=None)
-        if wall is not None and wall <= t:
+        # The least root ``-v / w`` of a falling pairing, over ``m > 0``.
+        n = m = None
+        for v, w in zip(ra, rb):
+            if w * det < 0 and (m is None or (v * m + n * w) * w > 0):
+                n, m = (-v, w) if w > 0 else (v, -w)
+        if m is not None and n * t.denominator <= t.numerator * m:
             raise InvariantBroken(
                 "chamber",
                 f"{_named(names, support)}: the remainder meets a generator "
@@ -446,11 +449,8 @@ def _chamber_walk(flag: FlagValuation, d: BigDivisor) -> list[tuple[Fraction, Fr
         c2 = -det - sum(y * b[i] for i, y in zip(support, xb))
         c1 = -sum(x * b[i] + y * a[i] for i, x, y in zip(support, xa, xb))
         c0 = det * volume - sum(x * a[i] for i, x in zip(support, xa))
-        done = wall is None or (
-            c2 * wall.numerator**2 + c1 * wall.numerator * wall.denominator
-            + c0 * wall.denominator**2
-        ) * det <= 0
-        end = _least_root_after(c2, c1, c0, t) if done else wall
+        done = m is None or (c2 * n * n + c1 * n * m + c0 * m * m) * det <= 0
+        end = _least_root_after(c2, c1, c0, t) if done else Fraction(n, m)
         if end is None:
             raise InvariantBroken(
                 "chamber",
@@ -469,9 +469,10 @@ def _chamber_walk(flag: FlagValuation, d: BigDivisor) -> list[tuple[Fraction, Fr
                     )
             alpha = xa[k] * q + xb[k] * p if k is not None else 0
             beta = alpha + ra[last] * q + rb[last] * p
-            points += [(s, Fraction(alpha, q * det)), (s, Fraction(beta, q * det))]
+            points += [(p * det, alpha, q * det), (p * det, beta, q * det)]
         if done:
-            return points
+            den = lcm(*(c for _, _, c in points))
+            return [(x * (den // c), y * (den // c)) for x, y, c in points], den
         t = end
 
 

@@ -230,6 +230,25 @@ def random_nef_big(rng, delta, bound=20):
     return d
 
 
+def random_draws(seed=20261019, count=200):
+    """``(kind, flag, d)`` for ``count`` draws up to r = 200 at both center
+    kinds, a quarter of the classes big but not nef."""
+    rng = random.Random(seed)
+    for k in range(count):
+        kind = (SPECIAL, GENERAL)[k % 2]
+        val = random_valuation(
+            rng, r_max=200, max_total=10**6, point_kind=kind, satellite_blocks=3
+        )
+        if k % 8 >= 6 and val.delta > 0:
+            b = rng.randint(2 if val.delta == 1 else 1, 6)
+            d = BigDivisor(rng.randint(-b * val.delta + 1, -1), b)
+            flag = random_flag(rng, val, BigDivisor(0, 1))
+        else:
+            d = random_nef_big(rng, val.delta)
+            flag = random_flag(rng, val, d)
+        yield kind, flag, d
+
+
 @pytest.fixture(scope="session")
 def corpus():
     """At least 220 non-positive-at-infinity (valuation, flag, divisor) cases."""

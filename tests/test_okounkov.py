@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -27,12 +28,13 @@ from hirzebruch import (
     verify_body,
     vol,
 )
-from hirzebruch.errors import MinimalValuation, NotBig, VerificationFailed
+from hirzebruch.errors import HirzebruchError, MinimalValuation, NotBig, VerificationFailed
 from hirzebruch.cluster import truncation_pairing
 from hirzebruch.okounkov import _cross
 
-from hirzebruch import caseio, okounkov
+from hirzebruch import caseio, okounkov, seshadri
 
+import closed_form_reference
 import polygon_reference
 
 from conftest import (
@@ -40,6 +42,7 @@ from conftest import (
     ladder_configuration,
     minimal_four_point_valuation,
     nonspecial_example_valuation,
+    random_draws,
     random_flag,
     random_nef_big,
     random_valuation,
@@ -281,6 +284,88 @@ def test_q_points_collapse_when_theta_vanishes():
     assert qp.theta == 0
     assert qp.bottom_lower == qp.bottom_upper
     assert qp.top_lower == qp.top_upper
+
+
+QP_FIELDS = (
+    "theta",
+    "t_lower",
+    "t_upper",
+    "bottom_lower",
+    "top_lower",
+    "bottom_upper",
+    "top_upper",
+    "cap",
+)
+
+
+def _closed_form_outcome(module, flag, d):
+    """The body's vertices and the breakpoint values of a closed-form
+    module, each as its refusal class and text where it refuses."""
+    try:
+        body = module.newton_okounkov_body(flag, d)
+    except HirzebruchError as exc:
+        return type(exc).__name__, str(exc)
+    try:
+        qp = module.q_points(flag, d)
+        values = tuple(getattr(qp, name) for name in QP_FIELDS)
+    except HirzebruchError as exc:  # minimal valuations, classes not nef
+        values = type(exc).__name__, str(exc)
+    return getattr(body, "vertices", body), values
+
+
+def test_closed_form_equals_the_fraction_reference(corpus):
+    # The integer closed form gives the vertices, breakpoint values and
+    # refusals of the Fraction one it replaced on the corpus, the random
+    # draws up to r = 200 (both center kinds, a quarter of the classes not
+    # nef), minimal valuations and the ladders up to r = 1012, both flags.
+    minimal = minimal_four_point_valuation()
+    cases = [
+        *((flag, d) for _, flag, d in corpus),
+        *((flag, d) for _, flag, d in random_draws()),
+        *((flag_valuation(minimal, None), BigDivisor(2 * k, k)) for k in (1, 2, 3)),
+    ]
+    for family in ("tail", "block", "nonspecial"):
+        kind = GENERAL if family == "nonspecial" else SPECIAL
+        d = BigDivisor(2, 5) if family == "nonspecial" else BigDivisor(1, 2)
+        for r in (17, 92, 512, 1012):
+            val = divisorial_valuation(Surface(2, kind), ladder_configuration(family, r))
+            cases += [(flag_valuation(val, eta), d) for eta in (None, r - 1)]
+    seen = Counter()
+    for flag, d in cases:
+        got = _closed_form_outcome(okounkov, flag, d)
+        assert got == _closed_form_outcome(closed_form_reference, flag, d), (
+            flag.base.r,
+            flag.eta,
+            d,
+        )
+        seen["minimal"] += got[1][0] == "MinimalValuation"
+        seen["not nef"] += got[1][0] == "NotNefBig"
+        seen["satellite"] += flag.is_satellite
+        seen["body at r = 1012"] += flag.base.r == 1012 and got[0] != "NotNPI"
+    assert seen["minimal"] >= 4 and seen["not nef"] >= 40 and seen["satellite"] >= 150
+    assert seen["body at r = 1012"] == 4
+
+
+def test_body_runs_the_minimality_check_once(monkeypatch, corpus):
+    calls = Counter()
+    original = seshadri.is_minimal
+
+    def counting(*args):
+        calls["is_minimal"] += 1
+        return original(*args)
+
+    for module in (okounkov, seshadri):
+        monkeypatch.setattr(module, "is_minimal", counting)
+    nonspecial = flag_valuation(nonspecial_example_valuation(), 9)
+    cases = [
+        *((flag, d) for _, flag, d in corpus[:40]),
+        (flag_valuation(minimal_four_point_valuation(), None), BigDivisor(2, 1)),
+        (nonspecial, BigDivisor(-1, 1)),
+    ]
+    for flag, d in cases:
+        calls.clear()
+        newton_okounkov_body(flag, d)
+        assert calls["is_minimal"] == 1, (flag.base.r, flag.eta, d)
 
 
 # ----------------------------------------------------------------------- body

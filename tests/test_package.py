@@ -122,11 +122,16 @@ def test_no_hidden_parameters_in_src():
     assert hidden == []
 
 
-# The names of the closed-form route the oracle checks.
+# The names of the closed-form route the oracle checks, with the integer
+# helpers its breakpoints and points go through.
 CLOSED_FORM = {
     "t_values",
     "_regime",
+    "_breakpoints",
+    "steps",
+    "at_stage",
     "q_points",
+    "QPoints",
     "mu_hat",
     "theta",
     "newton_okounkov_body",

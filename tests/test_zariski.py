@@ -55,6 +55,7 @@ from conftest import (
     minimal_four_point_valuation,
     nonspecial_example_valuation,
     random_flag,
+    random_draws,
     random_nef_big,
     random_valuation,
     special_example_valuation,
@@ -854,20 +855,8 @@ def test_walk_equals_the_sampled_sweep_on_the_corpus(corpus):
 def test_walk_equals_the_sampled_sweep_on_random_draws():
     # 200 draws up to r = 200 at both center kinds, a quarter of the classes
     # big but not nef: the same vertices, or the same refusal class and text.
-    rng = random.Random(20261019)
     seen = Counter()
-    for k in range(200):
-        kind = (SPECIAL, GENERAL)[k % 2]
-        val = random_valuation(
-            rng, r_max=200, max_total=10**6, point_kind=kind, satellite_blocks=3
-        )
-        if k % 8 >= 6 and val.delta > 0:
-            b = rng.randint(2 if val.delta == 1 else 1, 6)
-            d = BigDivisor(rng.randint(-b * val.delta + 1, -1), b)
-            flag = random_flag(rng, val, BigDivisor(0, 1))
-        else:
-            d = random_nef_big(rng, val.delta)
-            flag = random_flag(rng, val, d)
+    for kind, flag, d in random_draws():
         want = _sweep_outcome(sweep_reference.sweep_body, flag, d)
         assert _sweep_outcome(sweep_body, flag, d) == want
         seen[want[0], d.is_nef(), kind] += 1
@@ -887,6 +876,40 @@ def test_walk_equals_the_sampled_sweep_on_families(family, r):
         want = _sweep_outcome(sweep_reference.sweep_body, flag, d)
         assert want[0] == ("NotNPI" if family == "nonspecial" and r > 126 else "body")
         assert _sweep_outcome(sweep_body, flag, d) == want
+
+
+def test_walk_makes_at_most_three_chambers(monkeypatch, corpus):
+    # The paper's shape claim: the support of the negative part changes at
+    # two breakpoints at most, so the walk grows its support (one ``_grow``
+    # per chamber) at most three times, on the corpus, on the random draws
+    # and on the families, refusals included.
+    grown = Counter()
+    original = zariski_module._grow
+
+    def counting(*args):
+        grown["chambers"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(zariski_module, "_grow", counting)
+    families = [
+        _family_flag(family, r, eta)
+        for family in ("tail", "block", "nonspecial")
+        for r in (17, 92, 512)
+        for eta in (None, r - 1)
+    ]
+    cases = [
+        *((flag, d) for _, flag, d in corpus),
+        *((flag, d) for _, flag, d in random_draws()),
+        *families,
+    ]
+    walks = Counter()
+    for flag, d in cases:
+        grown.clear()
+        outcome = _sweep_outcome(sweep_body, flag, d)[0]
+        walks[outcome, grown["chambers"]] += 1
+    assert max(chambers for _, chambers in walks) <= 3
+    # The guard is live: most bodies take all three chambers.
+    assert walks["body", 3] > len(cases) // 2
 
 
 @pytest.mark.parametrize("family", ["tail", "block"])
@@ -920,11 +943,14 @@ def test_walk_reads_nothing_of_the_closed_form(monkeypatch, case):
     flag = flag_valuation(make(), eta)
     want = sweep_body(flag, d)
     assert want == newton_okounkov_body(flag, d)
+    # The body reads its breakpoints from the regime record, not from
+    # ``t_values``, which only the zariski module holds.
+    shifted_t = zariski_module.t_values
+    monkeypatch.setattr(
+        zariski_module, "t_values", lambda val, d, f=shifted_t: tuple(t / 2 for t in f(val, d))
+    )
     for module in (okounkov_module, zariski_module):
-        shifted_t, shifted_mu, shifted_regime = module.t_values, module.mu_hat, module._regime
-        monkeypatch.setattr(
-            module, "t_values", lambda val, d, f=shifted_t: tuple(t / 2 for t in f(val, d))
-        )
+        shifted_mu, shifted_regime = module.mu_hat, module._regime
         monkeypatch.setattr(module, "mu_hat", lambda val, d, f=shifted_mu: f(val, d) + 1)
         monkeypatch.setattr(
             module,

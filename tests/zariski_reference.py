@@ -131,11 +131,16 @@ def closed_form_decomposition(val, d, which: str) -> ZariskiPair:
     d = as_divisor(d)
     rec = _regime(val, d)
     k = ("lower", "upper").index(which)
-    comps = [(f"E{i}", rec.at_stage(val, i)[k]) for i in range(1, val.r)]
+    scale = rec.steps()[0]
+
+    def at_stage(i):
+        return Fraction(rec.at_stage(val, i)[k], scale)
+
+    comps = [(f"E{i}", at_stage(i)) for i in range(1, val.r)]
     if which == "upper":
         comps.insert(0, (rec.named, Fraction(rec.sign * rec.theta, rec.denom)))
     comps = tuple((name, c) for name, c in comps if c != 0)
-    cls = _swept_class(val, d, rec.at_stage(val, val.r)[k])
+    cls = _swept_class(val, d, at_stage(val.r))
     basis = curve_basis(val)
     positive = cls
     for name, c in comps:
