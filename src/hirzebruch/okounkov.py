@@ -8,10 +8,9 @@ chambers of ``D* - t E_r*`` (:func:`sweep_body`), finding every wall and
 the end of the walk from the decompositions alone, plus exact area,
 containment and value-sequence identity checks.
 
-Both routes run in integers up to the hull: the closed form and the walk
-hand their points to the polygon as integer numerators over one
-denominator, the polygon keeps its vertices in that form for area and
-containment, and only the hull vertices are built as ``Fraction``.  The
+Both routes hand their points to the polygon as integer numerators over
+one denominator; the polygon keeps its vertices in that form for area and
+containment, and builds only the hull vertices as ``Fraction``.  The
 ``Fraction`` geometry and closed form are kept in the tests as references.
 Nothing here builds a truncated valuation: the cap and the cone rays read
 curvette rows, the unimodularity clause the configuration's sieved values.
@@ -130,9 +129,13 @@ class Polygon:
         if len(self.vertices) < 3:
             return point in self.vertices
         v, den = self._integral
-        ((x, y),), q = _cleared([point])
-        v, p = [(vx * q, vy * q) for vx, vy in v], (x * den, y * den)
-        return all(_cross(a, b, p) >= 0 for a, b in zip(v, v[1:] + v[:1]))
+        x, y = point
+        q = x.denominator * y.denominator  # the point is (px, py) over den * q
+        px, py = x.numerator * y.denominator * den, y.numerator * x.denominator * den
+        return all(
+            (b0 - a0) * (py - a1 * q) >= (b1 - a1) * (px - a0 * q)
+            for (a0, a1), (b0, b1) in zip(v, v[1:] + v[:1])
+        )
 
     def shape(self) -> str:
         return {3: "triangle", 4: "quadrilateral"}.get(

@@ -106,10 +106,9 @@ def lower_bound(val: DivisorialValuation, d) -> tuple[Fraction, Fraction, bool]:
     Returns both sides and the verified inequality.
     """
     d = as_divisor(d)
-    _require_npi(val)
-    mu = mu_hat(val, d)
-    rhs = vol(val, d) * val.last_contact
-    return mu * mu, rhs, mu * mu >= rhs
+    mu = mu_hat(val, d)  # refuses a valuation that is not NPI first
+    mu2, rhs = mu * mu, vol(val, d) * val.last_contact
+    return mu2, rhs, mu2 >= rhs
 
 
 def is_minimal(val: DivisorialValuation, d) -> bool:

@@ -185,10 +185,9 @@ def _forced(gram, rhs: list[int]) -> list[int]:
     return forced
 
 
-# A chamber ``(support, xs, det, rs)`` is a support solved for each column
-# of ``D`` or of a line ``D + s L``: on a line the negative part is
-# ``(xa + s xb) / det`` and the remainder meets generator ``k`` in
-# ``(ra_k + s rb_k) / det``, both over the pairings' scale.
+# A chamber ``(support, xs, det, rs)`` solves a support for each column of
+# ``D`` or of a line ``D + s L``; on a line, the negative part and the
+# remainder's pairings are ``(xa + s xb) / det`` and ``(ra + s rb) / det``.
 _Chamber = tuple[list[int], list[list[int]], int, list[list[int]]]
 
 
@@ -359,9 +358,8 @@ def t_values(val: DivisorialValuation, d) -> tuple[Fraction, Fraction]:
     _require_npi(val)
     _require_nef_big(val, d)
     rec = _regime(val, d)
-    lo, hi = _breakpoints(val, rec, mu_hat(val, d))
     scale = rec.steps()[0]
-    return Fraction(lo, scale), Fraction(hi, scale)
+    return tuple(Fraction(t, scale) for t in _breakpoints(val, rec, mu_hat(val, d)))
 
 
 def _swept_class(val: DivisorialValuation, d: BigDivisor, t: Fraction) -> DivisorClassZ:
