@@ -192,9 +192,8 @@ _Chamber = tuple[list[int], list[list[int]], int, list[list[int]]]
 
 
 def _after(t, det: int, columns) -> list[int]:
-    """Times the sign of ``det``, the sign of each ``v + s w`` just after
-    the rational ``s = t``: that of ``v q + w p``, or of ``w`` where that
-    is 0.  Without a second column of slopes ``w``, it is that of ``v``."""
+    """Times the sign of ``det``, the sign of each ``v + s w`` just after the
+    rational ``s = t`` (``w = 0`` without a slope column): ``v q + w p``, else ``w``."""
     if len(columns) == 1:
         return [v * det for v in columns[0]]
     (values, slopes), p, q = columns, t.numerator, t.denominator
@@ -232,8 +231,9 @@ def _grow(gram, names, columns, scale: int, t, chamber: _Chamber) -> _Chamber:
         rs = [[det * v for v in column] for column in columns]
         for r, x in zip(rs, xs):
             for i, xi in zip(support, x):
-                for k, g in gram[i].items():
-                    r[k] -= xi * g
+                if xi:  # the first chamber's D* column solves to 0
+                    for k, g in gram[i].items():
+                        r[k] -= xi * g
         joining = [
             k for k, sign in enumerate(_after(t, det, rs)) if sign < 0 and k not in inside
         ]
