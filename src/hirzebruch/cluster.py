@@ -15,21 +15,20 @@ the stage-``k`` valuation solve ``P m = e_k`` and the values of the stage
 curvettes solve ``P^T v = m``, that is
 ``nu(phi_i) = m_i + nu(phi_{i-1}) + nu(phi_{extra(i)})``; over the runs
 each costs a few slice operations per run.  Each configuration keeps its
-curvette-value rows, its stage-``r`` multiplicities and its sieved contact
-values.  Pairing the materialised truncated multiplicity vectors gives the
-same values in O(r^2) per stage; the tests keep that route as an oracle.
+curvette-value rows and its stage-``r`` multiplicities.  Pairing the
+materialised truncated multiplicity vectors gives the same values in
+O(r^2) per stage; the tests keep that route as an oracle.
 
 The rows carry everything else: the numbers of a stage that the
 non-positivity test and the constant read are entries of its row
-(:func:`_stage`), so no production route builds a truncated valuation.
-The semigroup sieve looks each row value up in a byte snapshot of the
-reached sums, retaken only when a generator joins: O(g * beta_bar[-1]) bit
-work for ``g`` generators plus O(r).
+(:func:`_stage`), and so are the maximal contact values, so no production
+route builds a truncated valuation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 from itertools import accumulate, groupby, islice, repeat
 from math import gcd
 from operator import add
@@ -49,7 +48,7 @@ SPECIAL = "special"
 GENERAL = "general"
 NON_SPECIAL = "non-special"
 
-# Bit width cap for the semigroup sieve; germ values beyond this are refused.
+# Cap on the last contact value; larger germ values are refused.
 _SEMIGROUP_VALUE_CAP = 1 << 24
 # Cap on the number of points r, checked before any point is built.
 _POINT_CAP = 1 << 16
@@ -102,14 +101,10 @@ class Configuration:
     n_m: int
     # Derived per instance and left out of equality and hashing: ``last(i)``
     # for every point whose run holds satellites, in increasing ``i``; the
-    # stage-r multiplicities; the curvette-value rows and the sieved maximal
-    # contact values by stage.
+    # stage-r multiplicities; the curvette-value rows by stage.
     _last: dict[int, int] = field(init=False, repr=False, compare=False)
     _m: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
     _rows: dict[int, tuple[int, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _values: dict[int, tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -294,55 +289,30 @@ def multiplicities(config: Configuration, r: int | None = None) -> tuple[int, ..
 def maximal_contact_values(config: Configuration, r: int | None = None) -> tuple[int, ...]:
     """Minimal generators of the value semigroup, plus the final contact value.
 
-    Valid germs correspond one-to-one with non-negative combinations of the
-    curvettes at the cluster points (the proximity excesses are the
-    coefficients), so the value semigroup is generated by the curvette
-    values.  The minimal generating set is extracted with an exact
-    subset-sum sieve (:func:`_sieve`); the appended last entry is the
-    self-pairing of the multiplicity vector, the reciprocal volume of the
-    valuation.  Both are read from :meth:`Configuration.curvette_values`,
-    so no truncated configuration is built.  The sieve runs once per stage
-    and configuration; its result is kept on the configuration.
+    The generators are the values of the curvettes at the dead ends of the
+    Enriques diagram: at ``p_1`` and at every free point whose successor is
+    satellite (Spivakovsky, *Valuations in function fields of surfaces*,
+    1990; Casas-Alvero, *Singularities of Plane Curves*, ch. 5).  The
+    appended last entry is the self-pairing of the multiplicity vector, the
+    reciprocal volume of the valuation.  All are entries of the stage-``r``
+    row of :meth:`Configuration.curvette_values`, so no truncated
+    configuration is built.
     """
-    r = config.r if r is None else r
-    if r not in config._values:
-        config._values[r] = _sieve(config.curvette_values(r)[:r])
-    return config._values[r]
-
-
-def _sieve(row: Sequence[int]) -> tuple[int, ...]:
-    """Minimal generators of the semigroup spanned by ``row``, plus its last
-    entry ``total``, which no entry exceeds.
-
-    ``reach`` holds the sums up to ``total`` reached so far as bits.  Each
-    entry is looked up in a little-endian byte snapshot of it, taken again
-    only when a generator joins, so the sieve costs O(g * total) bit work
-    for ``g`` generators plus O(1) per entry, where a shift of ``reach``
-    per entry would cost O(r * total).
-    """
-    total = row[-1]
+    k = config.r if r is None else r
+    row = config.curvette_values(k)
+    total = row[k - 1]
     if total >= _SEMIGROUP_VALUE_CAP:
-        raise SemigroupOverflow(f"semigroup value bound {total} exceeds cap")
-    size = total // 8 + 1
-    mask = (1 << (total + 1)) - 1
-    reach = 1
-    snapshot = reach.to_bytes(size, "little")
-    generators = []
-    for v in sorted(set(row)):
-        if snapshot[v >> 3] >> (v & 7) & 1:
-            continue
-        generators.append(v)
-        step = v
-        while step <= total:
-            reach |= (reach << step) & mask
-            step <<= 1
-        snapshot = reach.to_bytes(size, "little")
-    g = 0
-    for v in generators:
-        g = gcd(g, v)
+        # Decimal formats past the int-to-str digit limit of the process.
+        raise SemigroupOverflow(f"semigroup value bound {Decimal(total)} exceeds cap")
+    extras = config.extras
+    generators = [row[0]]
+    generators += (
+        row[i - 1] for i in range(2, k) if extras[i - 1] is None and extras[i] is not None
+    )
+    g = gcd(*generators)
     if g != 1:
         raise NotRealizable(f"value semigroup has non-trivial content {g}")
-    return tuple(generators) + (total,)
+    return (*generators, total)
 
 
 def _euclid_steps(a: int, b: int) -> Iterable[tuple[int, int]]:

@@ -13,7 +13,7 @@ one denominator; the polygon keeps its vertices in that form for area and
 containment, and builds only the hull vertices as ``Fraction``.  The
 ``Fraction`` geometry and closed form are kept in the tests as references.
 Nothing here builds a truncated valuation: the cap and the cone rays read
-curvette rows, the unimodularity clause the configuration's sieved values.
+curvette rows, the unimodularity clause the stage's contact values.
 """
 
 from __future__ import annotations

@@ -194,7 +194,7 @@ def random_valuation(
         except ConfigurationError:
             continue
         except SemigroupOverflow:
-            # Values past the sieve's cap: far past ``max_total`` as well.
+            # Values past the semigroup cap: far past ``max_total`` as well.
             continue
         if val.last_contact > max_total:
             continue

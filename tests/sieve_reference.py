@@ -1,9 +1,10 @@
-"""Reference semigroup sieve for the tests: the shift-per-value sieve that
-``cluster.maximal_contact_values`` ran before its byte snapshot.
+"""Reference semigroup sieve for the tests: the minimal generators of the
+semigroup spanned by a whole curvette row, by subset sums.
 
 Each row value is tested with ``(reach >> v) & 1``, which copies the whole
-``total``-bit integer, so this costs O(r * total) bit work; it is kept only
-to check the production sieve against.
+``total``-bit integer, so this costs O(r * total) bit work.  It reads
+nothing of the dead-end rule that ``cluster.maximal_contact_values`` uses,
+and is kept only to check that rule against.
 """
 
 from math import gcd

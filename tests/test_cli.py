@@ -407,6 +407,24 @@ def test_undocumented_point_field_exits_2(tmp_path, record):
         assert (code, out, err) == (2, "", "ChainBroken: p3: unknown fields ['extra']\n")
 
 
+def test_value_cap_refusal_past_the_digit_limit_exits_2(tmp_path):
+    # Alternating satellites square the golden ratio in the last value at
+    # every point: at r = 10289 it has more than 4300 digits, past what
+    # str() converts, and is still refused with its digits on one line.
+    points = [{"on_f1": True, "on_m": True}, {}]
+    points += [{"extra_proximity": i - 2} for i in range(3, 10290)]
+    case = json.loads((CASES / "minimal_f0.json").read_text())
+    case["configuration"]["points"] = points
+    path = write_case(tmp_path, "alternating.json", case)
+    for command in ("classify", "body"):
+        out = run_cli(command, str(path))
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr.startswith("SemigroupOverflow: semigroup value bound ")
+        assert out.stderr.endswith(" exceeds cap\n") and out.stderr.count("\n") == 1
+        digits = out.stderr.split()[4]
+        assert digits.isdigit() and len(digits) > 4300
+
+
 def test_one_parser_serves_calls_in_one_process(tmp_path):
     # main keeps its parser between calls: a refused call followed by a
     # computed one prints what two fresh processes print.

@@ -47,6 +47,7 @@ from conftest import (
     ladder_configuration,
     minimal_four_point_valuation,
     nonspecial_example_valuation,
+    random_draws,
     random_valuation,
     special_example_valuation,
 )
@@ -350,35 +351,45 @@ def test_contact_value_invariants(corpus):
             assert beta[-1] == e_prev * beta[-2]
 
 
-def _sieve_outcome(sieve, row):
+def _semigroup_outcome(f, *args):
     try:
-        return sieve(row)
+        return f(*args)
     except (NotRealizable, SemigroupOverflow) as exc:
         return type(exc), str(exc)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_sieve_matches_reference_on_random_rows(data):
-    # Rows end in their largest entry, as curvette rows do; narrow ranges
-    # repeat values and a common factor makes the semigroup refuse.
-    total = data.draw(
-        st.one_of(
-            st.integers(1, 400),
-            st.integers(1, 200_000),
-            st.just(cluster._SEMIGROUP_VALUE_CAP),
-        ),
-        label="total",
-    )
-    factor = data.draw(st.sampled_from([1, 1, 1, 1, 2, 3, 7]), label="factor")
-    top = data.draw(st.sampled_from([6, 60, total]), label="top")
-    values = data.draw(
-        st.lists(st.integers(1, max(1, min(top, total) // factor)), min_size=1, max_size=40),
-        label="values",
-    )
-    row = [factor * v for v in values if factor * v <= total]
-    row.append(total - total % factor if total >= factor else total)
-    assert _sieve_outcome(cluster._sieve, row) == _sieve_outcome(reference_sieve, row)
+def every_extras_pattern(r):
+    """Every valid ``extras`` of ``r`` points: a satellite ``p_i`` lies on
+    ``E_{i-2}`` or on the divisor ``p_{i-1}`` is proximate to."""
+    patterns = [()]
+    for i in range(1, r + 1):
+        grown = []
+        for extras in patterns:
+            options = {None}
+            if i >= 3:
+                options |= {i - 2, extras[-1]}
+            grown += [(*extras, e) for e in options]
+        patterns = grown
+    return patterns
+
+
+def test_contact_values_match_reference_sieve(corpus):
+    # The dead-end scan against the subset-sum sieve of the whole row, at
+    # every stage: every configuration up to r=10, the corpus, the random
+    # draws, and an alternating satellite chain whose stages cross the cap.
+    configs = [Configuration(e, 1, 1) for r in range(1, 11) for e in every_extras_pattern(r)]
+    assert len(configs) == 2585
+    configs += [val.config for val, _, _ in corpus]
+    configs += [flag.base.config for _, flag, _ in random_draws()]
+    configs.append(Configuration((None, None, *range(1, 19)), 1, 1))
+    refused = 0
+    for config in configs:
+        for k in range(1, config.r + 1):
+            outcome = _semigroup_outcome(maximal_contact_values, config, k)
+            row = config.curvette_values(k)[:k]
+            assert outcome == _semigroup_outcome(reference_sieve, row), (config, k)
+            refused += outcome[0] is SemigroupOverflow
+    assert refused == 2
 
 
 @pytest.mark.parametrize("r", [92, 212, 512])

@@ -73,16 +73,16 @@ def _references(path: Path) -> set[str]:
 
 
 def test_no_test_only_api_and_no_assert_in_src():
-    # A public top-level function or class of the package must be used by
-    # the library itself or by the benchmark; re-exports in __init__.py do
-    # not count, the traced targets of bench/tracing.py do.
+    # A top-level function or class of the package, public or private, must
+    # be used by the library itself or by the benchmark, so no helper stays
+    # in src/ for the tests alone; re-exports in __init__.py do not count,
+    # the traced targets of bench/tracing.py do.
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     defined = {}
     for path in modules:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                if not node.name.startswith("_"):
-                    defined[node.name] = path.stem
+                defined[node.name] = path.stem
     used = set()
     for path in [*modules, *sorted(BENCH.glob("*.py"))]:
         used |= _references(path)
