@@ -408,9 +408,9 @@ def test_undocumented_point_field_exits_2(tmp_path, record):
 
 
 def test_value_cap_refusal_past_the_digit_limit_exits_2(tmp_path):
-    # Alternating satellites square the golden ratio in the last value at
-    # every point: at r = 10289 it has more than 4300 digits, past what
-    # str() converts, and is still refused with its digits on one line.
+    # Each alternating satellite multiplies the last value by about the
+    # golden ratio squared: at r = 10289 it has more than 4300 digits, past
+    # what str() converts, and is still refused with its digits on one line.
     points = [{"on_f1": True, "on_m": True}, {}]
     points += [{"extra_proximity": i - 2} for i in range(3, 10290)]
     case = json.loads((CASES / "minimal_f0.json").read_text())
