@@ -103,11 +103,15 @@ def mu_hat(val: DivisorialValuation, d) -> Fraction:
 def lower_bound(val: DivisorialValuation, d) -> tuple[Fraction, Fraction, bool]:
     """Squared comparison ``mu_hat^2 >= vol(D) * beta_bar[-1]``.
 
-    Returns both sides and the verified inequality.
+    Returns both sides and the verified inequality.  Both sides are
+    integers on a nef class, and are then compared as integers.
     """
     d = as_divisor(d)
     mu = mu_hat(val, d)  # refuses a valuation that is not NPI first
-    mu2, rhs = mu * mu, vol(val, d) * val.last_contact
+    volume = vol(val, d)
+    if mu.denominator == volume.denominator == 1:
+        mu, volume = mu.numerator, volume.numerator
+    mu2, rhs = mu * mu, volume * val.last_contact
     return mu2, rhs, mu2 >= rhs
 
 

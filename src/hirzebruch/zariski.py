@@ -19,12 +19,12 @@ a whole chamber, and nothing of the closed form is read.
 :func:`alpha_beta` decomposes one point of the line, as the tests'
 reference for the walk.
 
-Everything runs in integers on the sparse rows of the basis; the walk
-builds one ``Fraction`` per wall.  The generators are strict transforms of
-a tree of smooth rational curves, so every support system is a principal
-submatrix of a forest Gram matrix with non-negative edges, eliminated
-leaves first (:func:`_forest_solve`).  The dense ``Fraction`` engine this
-replaced is kept in the tests as the reference.
+Everything runs in integers on the sparse rows of the basis; the walk's
+walls are reduced integer pairs, and a ``Fraction`` only prints a refusal.
+The generators are strict transforms of a tree of smooth rational curves,
+so every support system is a principal submatrix of a forest Gram matrix
+with non-negative edges, eliminated leaves first (:func:`_forest_solve`).
+The dense ``Fraction`` engine this replaced is the tests' reference.
 
 Every decomposition starts from its forced support (:func:`_forced`), a
 subset of the support of the negative part from which the engine reaches
@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
 from .cluster import DivisorialValuation, FlagValuation, truncation_pairing
@@ -106,64 +106,56 @@ def _forest_solve(gram, names, support: list[int], *columns: list[int]):
     ``R_u <- R_u P_v - w R_v Q_u``, ``Q_u <- Q_u P_v``.  So ``P`` is the
     determinant of the subtree and ``Q`` the product of the children's.
     Back substitution divides exactly, since ``det * x`` is integral by
-    Cramer's rule.
+    Cramer's rule.  Every table is a list by support position.
 
     The support is negative definite exactly when every reduced pivot is
     negative; the first one that is not refuses the class, which the
     engine only asks to solve inside its negative part.
     """
-    inside = set(support)
-    parent: dict[int, int | None] = {}
-    up: dict[int, int] = {}  # the weight of the edge to the parent, 0 at a root
-    order: list[int] = []
-    for root in support:
-        if root in parent:
-            continue
-        parent[root], up[root] = None, 0
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for g, w in gram[v].items():
-                if g == v or g == parent[v] or g not in inside:
-                    continue
-                if w < 0 or g in parent:
-                    why = f"meet at {w}" if w < 0 else "close a cycle"
-                    raise InvariantBroken(
-                        "generator forest",
-                        f"{_named(names, support)}: {names[v]} and {names[g]} {why}",
-                    )
-                parent[g], up[g] = v, w
-                stack.append(g)
-    # The roots hang under a vertex ``None`` of pivot 1, whose pivot ends as
+    n = len(support)
+    at = {g: j for j, g in enumerate(support)}
+    # The roots hang under a vertex ``n`` of pivot 1, whose pivot ends as
     # the product of the roots' subtree determinants.
-    P = {g: gram[g].get(g, 0) for g in support}
-    Q = dict.fromkeys(support, 1)
-    Rs = [{g: rhs[g] for g in support} for rhs in columns]
-    P[None], Q[None] = 1, 1
-    for R in Rs:
-        R[None] = 0
+    parent: list[int | None] = [None] * n
+    up = [0] * (n + 1)  # the weight of the edge to the parent, 0 at a root
+    order: list[int] = []
+    for root in range(n):
+        if parent[root] is None:
+            parent[root], stack = n, [root]
+            while stack:
+                v = stack.pop()
+                order.append(v)
+                for g, w in gram[support[v]].items():
+                    u = at.get(g)
+                    if u is None or u == v or u == parent[v]:
+                        continue
+                    if w < 0 or parent[u] is not None:
+                        why = f"meet at {w}" if w < 0 else "close a cycle"
+                        why = f"{names[support[v]]} and {names[g]} {why}"
+                        raise _broken("generator forest", names, support, why)
+                    parent[u], up[u] = v, w
+                    stack.append(u)
+    P, Q = [gram[g].get(g, 0) for g in support] + [1], [1] * (n + 1)
+    Rs = [[rhs[g] for g in support] + [0] for rhs in columns]
     for v in reversed(order):
-        pv = P[v]
-        if pv == 0 or (pv > 0) == (Q[v] > 0):
+        pv, qv = P[v], Q[v]
+        if pv == 0 or (pv > 0) == (qv > 0):
             raise NotPseudoeffective(
                 f"{_named(names, support)}: support Gram matrix is not negative "
-                f"definite, reduced pivot of {names[v]} is {Fraction(pv, Q[v])}"
+                f"definite, reduced pivot of {names[support[v]]} is {Fraction(pv, qv)}"
             )
         u, w = parent[v], up[v]
         qu = Q[u]
-        P[u] = P[u] * pv - w * w * Q[v] * qu
+        P[u] = P[u] * pv - w * w * qv * qu
         for R in Rs:
             R[u] = R[u] * pv - w * R[v] * qu
         Q[u] = qu * pv
-    det = P[None]
-    xs = []
-    for R in Rs:
-        x = {None: 0}
+    det = P[n]
+    for R in Rs:  # in place, parents first; the root vertex ``n`` has weight 0
         for v in order:
-            x[v] = (det * R[v] - up[v] * Q[v] * x[parent[v]]) // P[v]
-        xs.append([x[g] for g in support])
-    return (*xs, det)
+            R[v] = (det * R[v] - up[v] * Q[v] * R[parent[v]]) // P[v]
+        R.pop()
+    return (*Rs, det)
 
 
 def _forced(gram, rhs: list[int]) -> list[int]:
@@ -185,33 +177,23 @@ def _forced(gram, rhs: list[int]) -> list[int]:
     return forced
 
 
-# A chamber ``(support, xs, det, rs)`` solves a support for each column of
-# ``D`` or of a line ``D + s L``; on a line, the negative part and the
-# remainder's pairings are ``(xa + s xb) / det`` and ``(ra + s rb) / det``.
-_Chamber = tuple[list[int], list[list[int]], int, list[list[int]]]
-
-
-def _after(t, det: int, columns) -> list[int]:
-    """Times the sign of ``det``, the sign of each ``v + s w`` just after the
-    rational ``s = t`` (``w = 0`` without a slope column): ``v q + w p``, else ``w``."""
-    if len(columns) == 1:
-        return [v * det for v in columns[0]]
-    (values, slopes), p, q = columns, t.numerator, t.denominator
-    return [(v * q + w * p or w) * det for v, w in zip(values, slopes)]
-
-
-def _grow(gram, names, columns, scale: int, t, chamber: _Chamber) -> _Chamber:
+def _grow(gram, names, columns, scale: int, t: tuple[int, int], chamber):
     """The engine's support growth for ``D + s L`` just after ``s = t``.
 
     ``columns`` holds the pairings of ``D`` and, on a line, of ``L`` with
-    every generator over ``scale``; ``chamber`` the support solved so far.
-    The generators the remainder meets negatively just after ``t`` join,
-    with those the forced walk (:func:`_forced`) reaches over the ones it
-    meets at zero with slope zero.  The enlarged support is solved for
-    every column in one elimination, the remainder's pairings follow by
-    linearity over the non-zero Gram entries, and the support grows again
-    until the remainder meets no generator negatively just after ``t``.
-    With ``D`` alone from ``t = 0`` this is :func:`zariski_decompose`.
+    every generator over ``scale``.  A chamber ``(support, xs, det, rs)``
+    solves a support for each column, so on a line the negative part and
+    the remainder's pairings are ``(xa + s xb) / det`` and
+    ``(ra + s rb) / det``; ``chamber`` is the one solved so far.  ``t =
+    p / q`` comes as the pair ``(p, q)``, ``q > 0``, and just after it
+    ``v + s w`` has the sign of ``v q + w p``, else of ``w``.  The
+    generators the remainder meets negatively there join, with those the
+    forced walk (:func:`_forced`) reaches over the ones it meets at zero
+    with slope zero.  The enlarged support is solved for every column in
+    one elimination, the remainder's pairings follow by linearity over the
+    non-zero Gram entries, and the support grows again until the remainder
+    meets no generator negatively just after ``t``.  With ``D`` alone from
+    ``t = 0`` this is :func:`zariski_decompose`.
 
     A class with a decomposition visits only negative-definite supports,
     so one that is not is refused as not pseudoeffective.  A generator the
@@ -219,8 +201,12 @@ def _grow(gram, names, columns, scale: int, t, chamber: _Chamber) -> _Chamber:
     invariant, not a refusal of the class.
     """
     support, xs, det, rs = chamber
+    p, q = t
+    line = len(columns) == 2
     inside = set(support)
-    signs = _after(t, det, rs)
+    signs = (
+        [(v * q + w * p or w) * det for v, w in zip(*rs)] if line else [v * det for v in rs[0]]
+    )
     for k in support:  # the support itself cannot join
         signs[k] = 1
     joining = start = _forced(gram, signs)
@@ -229,23 +215,32 @@ def _grow(gram, names, columns, scale: int, t, chamber: _Chamber) -> _Chamber:
         support = support + joining
         *xs, det = _forest_solve(gram, names, support, *columns)
         rs = [[det * v for v in column] for column in columns]
-        for r, x in zip(rs, xs):
-            for i, xi in zip(support, x):
-                if xi:  # the first chamber's D* column solves to 0
+        ra, xa = rs[0], xs[0]
+        if line:  # both columns in one pass over the rows
+            rb = rs[1]
+            for i, x, y in zip(support, xa, xs[1]):
+                if x:
                     for k, g in gram[i].items():
-                        r[k] -= xi * g
-        joining = [
-            k for k, sign in enumerate(_after(t, det, rs)) if sign < 0 and k not in inside
-        ]
-    walked = {k for k in start if signs[k] == 0}
-    for j, (k, sign) in enumerate(zip(support, _after(t, det, xs))):
-        if k in walked and sign <= 0:
-            at = sum(x[j] * c for x, c in zip(xs, (t.denominator, t.numerator)))
-            raise InvariantBroken(
-                "forced support",
-                f"{_named(names, support)}: forced generator {names[k]} ends at "
-                f"{Fraction(at, t.denominator * det * scale)}",
+                        ra[k] -= x * g
+                        rb[k] -= y * g
+                elif y:  # the first chamber's D* column solves to 0
+                    for k, g in gram[i].items():
+                        rb[k] -= y * g
+            falling = (
+                k for k, (v, w) in enumerate(zip(ra, rb)) if (v * q + w * p or w) * det < 0
             )
+        else:
+            for i, x in zip(support, xa):
+                if x:
+                    for k, g in gram[i].items():
+                        ra[k] -= x * g
+            falling = (k for k, v in enumerate(ra) if v * det < 0)
+        joining = [k for k in falling if k not in inside]
+    for j, k in enumerate(start, len(chamber[0])):  # the start joined first
+        y = xs[1][j] if line else 0
+        if signs[k] == 0 and ((at := xs[0][j] * q + y * p) or y) * det <= 0:
+            raise _broken("forced support", names, support, f"forced generator {names[k]} "
+                          f"ends at {Fraction(at, q * det * scale)}")
     return support, xs, det, rs
 
 
@@ -263,7 +258,7 @@ def zariski_decompose(d: DivisorClassZ, basis: CurveBasis) -> ZariskiPair:
     names, gram = basis.names, basis.sparse_gram
     rhs, scale = basis.pairings(d)
     support, (x,), det, (rest,) = _grow(
-        gram, names, (rhs,), scale, 0, ([], [[]], 1, [rhs])
+        gram, names, (rhs,), scale, (0, 1), ([], [[]], 1, [rhs])
     )
     chosen = sorted((idx, xi) for idx, xi in zip(support, x) if xi * det > 0)
     components = tuple((names[idx], Fraction(xi, det * scale)) for idx, xi in chosen)
@@ -272,6 +267,10 @@ def zariski_decompose(d: DivisorClassZ, basis: CurveBasis) -> ZariskiPair:
 
 def _named(names, indices) -> str:
     return "support " + ", ".join(names[i] for i in sorted(indices))
+
+
+def _broken(what: str, names, support, why: str) -> InvariantBroken:
+    return InvariantBroken(what, f"{_named(names, support)}: {why}")
 
 
 class _Regime(NamedTuple):
@@ -400,86 +399,85 @@ def _chamber_walk(flag: FlagValuation, d: BigDivisor) -> tuple[list[tuple[int, i
     of ``D* - t E_r*`` and at its end, as integer numerators over one
     denominator, each chamber solved once and certified.
 
-    The pairings of every generator are ``a + t b``, with ``a`` those of
-    ``D*`` and ``b`` the ``E_r*`` column of the basis rows.  From ``t = 0``
-    the support grows by the engine's rule just after each wall
-    (:func:`_grow`).  The chamber that follows is certified by its negative
-    pivots, its orthogonality by construction, coefficients ``>= 0`` at
-    both ends and a remainder that meets every generator outside the
-    support non-negatively up to the next wall: the least ``s > t`` at
-    which a decreasing outside pairing reaches 0 (Bauer-Kuronya-Szemberg
-    2004).  So the boundary values, read from the coefficient on ``E_eta``
-    and the pairing with ``E_r``, are affine on each chamber.  The walk
-    ends where ``P(s)^2 = D*^2 - s^2 - N(s).(D* - s E_r*)``, an integer
-    quadratic over ``det``, reaches 0; that root is rational.
+    The pairings of every generator are ``a + t b``: on a basis row
+    ``(f, m, e)``, ``a = A m + B f + delta B m`` for ``D* = A F* + B M*``
+    and ``b`` is the ``E_r*`` entry of ``e``.  From ``t = 0``, each wall a
+    reduced pair of integers, the support grows by the engine's rule just
+    after each wall (:func:`_grow`).  The chamber that follows is certified by its negative
+    pivots, its orthogonality by construction, coefficients ``>= 0`` at both
+    ends and a remainder that meets every generator outside the support
+    non-negatively up to the next wall: the least ``s > t`` at which a
+    decreasing outside pairing reaches 0 (Bauer-Kuronya-Szemberg 2004).  So
+    the boundary values, read from the coefficient on ``E_eta`` and the
+    pairing with ``E_r``, are affine on each chamber.  The walk ends where
+    ``P(s)^2 = D*^2 - s^2 - N(s).(D* - s E_r*)``, an integer quadratic over
+    ``det``, reaches 0; that root is rational.
     """
     val = flag.base
     basis = curve_basis(val)
-    names, gram = basis.names, basis.sparse_gram
-    a, _ = basis.pairings(_swept_class(val, d, Fraction(0)))  # D* is integral
-    b = [e.get(val.r - 1, 0) for _, _, e in basis.rows]
+    names, gram, rows = basis.names, basis.sparse_gram, basis.rows
+    delta, j = val.delta, val.r - 1
+    a = [d.a * m + d.b * (f + delta * m) for f, m, _ in rows]
+    b = [e.get(j, 0) for _, _, e in rows]
     last = basis.index[f"E{val.r}"]
     eta = basis.index[f"E{flag.eta}"] if flag.is_satellite else None
-    volume = 2 * d.a * d.b + val.delta * d.b * d.b
-    t = Fraction(0)
-    chamber: _Chamber = ([], [[], []], 1, [a, b])
+    t = p, q = 0, 1
+    chamber = ([], [[], []], 1, [a, b])
     points = [(0, 0, 1)]  # the origin; each point is (x, y, denominator)
     while True:
         chamber = _grow(gram, names, (a, b), 1, t, chamber)
         support, (xa, xb), det, (ra, rb) = chamber
         if last in support:
             raise NegativePartOnEr(
-                f"E{val.r} entered the negative part at t = {t}; "
+                f"E{val.r} entered the negative part at t = {Fraction(p, q)}; "
                 "the position contract is violated"
             )
         # The least root ``-v / w`` of a falling pairing, over ``m > 0``.
+        flip = det < 0
         n = m = None
         for v, w in zip(ra, rb):
-            if w * det < 0 and (m is None or (v * m + n * w) * w > 0):
+            if w and (w < 0) != flip and (m is None or (v * m + n * w) * w > 0):
                 n, m = (-v, w) if w > 0 else (v, -w)
-        if m is not None and n * t.denominator <= t.numerator * m:
-            raise InvariantBroken(
-                "chamber",
-                f"{_named(names, support)}: the remainder meets a generator "
-                f"negatively just after t = {t}",
-            )
+        if m is not None and n * q <= p * m:
+            why = "the remainder meets a generator negatively just after t = "
+            raise _broken("chamber", names, support, why + str(Fraction(p, q)))
         # det * P(s)^2 = c2 s^2 + c1 s + c0 on this chamber.
-        c2 = -det - sum(y * b[i] for i, y in zip(support, xb))
-        c1 = -sum(x * b[i] + y * a[i] for i, x, y in zip(support, xa, xb))
-        c0 = det * volume - sum(x * a[i] for i, x in zip(support, xa))
+        c2, c1, c0 = -det, 0, det * d.b * (2 * d.a + delta * d.b)  # det * D*^2
+        for i, x, y in zip(support, xa, xb):
+            c2, c1, c0 = c2 - y * b[i], c1 - x * b[i] - y * a[i], c0 - x * a[i]
         done = m is None or (c2 * n * n + c1 * n * m + c0 * m * m) * det <= 0
-        end = _least_root_after(c2, c1, c0, t) if done else Fraction(n, m)
+        end = _least_root_after(c2, c1, c0, t) if done else (n // (g := gcd(n, m)), m // g)
         if end is None:
-            raise InvariantBroken(
-                "chamber",
-                f"{_named(names, support)}: P^2 = ({c2}) s^2 + ({c1}) s + ({c0}) "
-                f"has no rational root after t = {t}",
-            )
+            why = f"P^2 = ({c2}) s^2 + ({c1}) s + ({c0}) has no rational root after t = "
+            raise _broken("chamber", names, support, why + str(Fraction(p, q)))
         k = support.index(eta) if eta in support else None
-        for s in (t, end):
-            p, q = s.numerator, s.denominator
+        for sp, sq in (t, end):
             for i, x, y in zip(support, xa, xb):
-                if (x * q + y * p) * det < 0:
-                    raise InvariantBroken(
-                        "chamber",
-                        f"{_named(names, support)}: coefficient of {names[i]} is "
-                        f"{Fraction(x * q + y * p, q * det)} at t = {s}",
-                    )
-            alpha = xa[k] * q + xb[k] * p if k is not None else 0
-            beta = alpha + ra[last] * q + rb[last] * p
-            points += [(p * det, alpha, q * det), (p * det, beta, q * det)]
+                if (c := x * sq + y * sp) and (c < 0) != flip:
+                    raise _broken("chamber", names, support, f"coefficient of {names[i]} is "
+                                  f"{Fraction(c, sq * det)} at t = {Fraction(sp, sq)}")
+            alpha = xa[k] * sq + xb[k] * sp if k is not None else 0
+            beta = alpha + ra[last] * sq + rb[last] * sp
+            points += [(sp * det, alpha, sq * det), (sp * det, beta, sq * det)]
         if done:
             den = lcm(*(c for _, _, c in points))
             return [(x * (den // c), y * (den // c)) for x, y, c in points], den
-        t = end
+        t = p, q = end
 
 
-def _least_root_after(c2: int, c1: int, c0: int, t: Fraction) -> Fraction | None:
-    """The least rational root ``s > t`` of ``c2 s^2 + c1 s + c0``, if any."""
-    roots = [Fraction(-c0, c1)] if c1 and not c2 else []
-    if c2:
-        disc = c1 * c1 - 4 * c2 * c0
-        root = isqrt(disc) if disc >= 0 else -1
-        if root * root == disc:
-            roots = [Fraction(-c1 - root, 2 * c2), Fraction(-c1 + root, 2 * c2)]
-    return min((s for s in roots if s > t), default=None)
+def _least_root_after(c2: int, c1: int, c0: int, t: tuple[int, int]) -> tuple[int, int] | None:
+    """The least rational root ``s > t`` of ``c2 s^2 + c1 s + c0``, if any,
+    as a reduced pair ``(p, q)`` with ``q > 0``; ``t`` is such a pair too."""
+    disc = c1 * c1 - 4 * c2 * c0
+    root = isqrt(disc) if disc >= 0 else -1
+    if c2 and root * root == disc:
+        nums, den = (-c1 - root, -c1 + root), 2 * c2
+    elif c1 and not c2:
+        nums, den = (-c0,), c1
+    else:
+        return None
+    if den < 0:
+        nums, den = [-n for n in nums], -den
+    p, q = t
+    n = min((n for n in nums if n * q > p * den), default=None)
+    return None if n is None else (n // (g := gcd(n, den)), den // g)

@@ -165,3 +165,37 @@ def test_sweep_reads_nothing_of_the_closed_form():
     assert referenced & CLOSED_FORM == set()
     # The guard is live: it follows the walk into the engine.
     assert {"_chamber_walk", "_grow", "_forest_solve"} <= reached
+
+
+def test_chamber_walk_builds_fractions_only_to_refuse():
+    # The chamber walk, the engine routines it runs and every helper of the
+    # zariski module they reach by name, transitively, build a ``Fraction``
+    # only inside a ``raise`` statement: the walk carries its walls and
+    # roots as integer pairs and prints a fraction only in a refusal.
+    tree = ast.parse((SRC / "zariski.py").read_text(encoding="utf-8"))
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    reached, todo = set(), ["_chamber_walk", "_grow", "_forest_solve"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            for sub in ast.walk(functions[name]):
+                if isinstance(sub, ast.Name) and sub.id in functions:
+                    todo.append(sub.id)
+    outside = []
+    for name in sorted(reached):
+        node = functions[name]
+        in_raise = {
+            id(sub)
+            for stmt in ast.walk(node)
+            if isinstance(stmt, ast.Raise)
+            for sub in ast.walk(stmt)
+        }
+        outside += [
+            f"{name}:{sub.lineno}"
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Name) and sub.id == "Fraction" and id(sub) not in in_raise
+        ]
+    assert outside == []
+    # The guard is live: it follows the walk into its root helper.
+    assert "_least_root_after" in reached

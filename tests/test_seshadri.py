@@ -142,6 +142,23 @@ def test_lower_bound_guards_non_big_classes():
         lower_bound(order_valuation(), (0, 1))
 
 
+def test_lower_bound_equals_the_fraction_comparison(corpus):
+    # Integers on nef classes, fractions on the others: both sides compare
+    # equal to, and print like, the comparison made in Fractions.
+    cases = [(val, d) for val, _, d in corpus]
+    for val in (special_example_valuation(), nonspecial_example_valuation()):
+        cases += [(val, BigDivisor(a, 2)) for a in (-3, -1, 0, 1)]
+    non_nef = 0
+    for val, d in cases:
+        mu, volume = mu_hat(val, d), vol(val, d)
+        want = (mu * mu, volume * val.last_contact, mu * mu >= volume * val.last_contact)
+        got = lower_bound(val, d)
+        assert got == want
+        assert [str(x) for x in got] == [str(x) for x in want]
+        non_nef += not d.is_nef()
+    assert non_nef == 4
+
+
 # ---------------------------------------------------------------- minimality
 
 

@@ -925,6 +925,87 @@ def test_walk_makes_as_many_eliminations_at_r_1012_as_at_r_17(monkeypatch, famil
     assert counts[0] == counts[1] > 0
 
 
+_E1_TO_E11 = ", ".join(f"E{i}" for i in range(1, 12))
+
+
+def _force_at_wall(monkeypatch, wall, names):
+    """Make the forced start at the ``wall``-th growth step of the walk
+    (0 at ``t = 0``) the given generators more, or nothing at all for
+    ``None``."""
+    calls = Counter()
+    original = zariski_module._forced
+
+    def forcing(gram, rhs):
+        calls["grow"] += 1
+        found = original(gram, rhs)
+        if calls["grow"] != wall + 1:
+            return found
+        return [] if names is None else found + names
+
+    monkeypatch.setattr(zariski_module, "_forced", forcing)
+
+
+@pytest.mark.parametrize(
+    "make, eta, d, patch, want",
+    [
+        # Nothing joins at the first wall, where the remainder reaches M0.
+        (
+            special_example_valuation, 8, BigDivisor(1, 2), (1, None),
+            f"chamber: support {_E1_TO_E11}: the remainder meets a generator "
+            "negatively just after t = 153/7",
+        ),
+        # F1, which the remainder meets positively, joins with M0 there.
+        (
+            special_example_valuation, 8, BigDivisor(1, 2), (1, ["F1"]),
+            f"chamber: support F1, M0, {_E1_TO_E11}: coefficient of M0 is -39/763 "
+            "at t = 153/7",
+        ),
+        # The walk's last chamber, with the root helper finding no root.
+        (
+            special_example_valuation, 8, BigDivisor(1, 2), "root",
+            f"chamber: support F1, M0, {_E1_TO_E11}: P^2 = (-1) s^2 + (312) s + "
+            "(-24336) has no rational root after t = 1017/17",
+        ),
+        # A non-nef class at a special center: E_r is in the first chamber.
+        (
+            special_example_valuation, 8, BigDivisor(-1, 2), None,
+            "E12 entered the negative part at t = 0; the position contract is violated",
+        ),
+        # E_r itself forced in at the first wall, where it meets D* positively.
+        (
+            special_example_valuation, 8, BigDivisor(1, 2), (1, ["E12"]),
+            "E12 entered the negative part at t = 153/7; the position contract is violated",
+        ),
+        # D.M0 = 0 and M0 meets no generator of the support, so its remainder
+        # is 0 on the whole line; forced in at the first wall, it ends at 0.
+        (
+            nonspecial_example_valuation, None, BigDivisor(0, 5), (1, ["M0"]),
+            f"forced support: support M0, M1, {_E1_TO_E11}: forced generator M0 ends at 0",
+        ),
+    ],
+    ids=[
+        "falling-pairing", "negative-coefficient", "no-root", "er-at-0", "er-at-wall",
+        "forced-at-wall",
+    ],
+)
+def test_walk_refusals_keep_their_text(monkeypatch, make, eta, d, patch, want):
+    # Each refusal of the chamber walk, reached through ``sweep_body`` with
+    # its exact message: the walk's names, walls and coefficients print as
+    # reduced fractions.
+    val = make()
+    basis = curve_basis(val)
+    if patch == "root":
+        monkeypatch.setattr(zariski_module, "_least_root_after", lambda *args: None)
+    elif patch is not None:
+        wall, names = patch
+        names = None if names is None else [basis.index[name] for name in names]
+        _force_at_wall(monkeypatch, wall, names)
+    error = NegativePartOnEr if want.startswith("E") else InvariantBroken
+    with pytest.raises(error) as caught:
+        sweep_body(flag_valuation(val, eta), d)
+    assert str(caught.value) == want
+
+
 @pytest.mark.parametrize(
     "case",
     [
