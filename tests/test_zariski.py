@@ -929,9 +929,9 @@ _E1_TO_E11 = ", ".join(f"E{i}" for i in range(1, 12))
 
 
 def _force_at_wall(monkeypatch, wall, names):
-    """Make the forced start at the ``wall``-th growth step of the walk
-    (0 at ``t = 0``) the given generators more, or nothing at all for
-    ``None``."""
+    """Add the given generators to the forced start of the walk's
+    ``wall``-th growth step (step 0 is at ``t = 0``), or empty that start
+    for ``None``."""
     calls = Counter()
     original = zariski_module._forced
 
