@@ -264,7 +264,10 @@ def multiplicities(config: Configuration, r: int | None = None) -> tuple[int, ..
     has multiplicity one and points past ``r`` zero, a point whose run holds
     satellites takes the sum over its run, and every other point repeats
     the next one.  The stage-``config.r`` vector is kept on the
-    configuration.
+    configuration.  The last value of that stage sums the squared
+    multiplicities, so a multiplicity whose square reaches the semigroup
+    cap is refused as soon as it is filled, before the rest of the vector
+    and any curvette row are built.
     """
     k = config.r if r is None else r
     if not 1 <= k <= config.r:
@@ -278,6 +281,8 @@ def multiplicities(config: Configuration, r: int | None = None) -> tuple[int, ..
         if i < k:
             m[i + 1 : filled] = repeat(m[filled], filled - i - 1)
             m[i] = sum(m[i + 1 : config._last[i] + 1])
+            if k == config.r and m[i] * m[i] >= _SEMIGROUP_VALUE_CAP:
+                raise SemigroupOverflow(f"semigroup value bound {m[i] * m[i]} exceeds cap")
             filled = i
     m[1:filled] = repeat(m[filled], filled - 1)
     if k < config.r:

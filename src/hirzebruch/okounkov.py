@@ -9,11 +9,14 @@ the end of the walk from the decompositions alone, plus exact area,
 containment and value-sequence identity checks.
 
 Both routes hand their points to the polygon as integer numerators over
-one denominator; the polygon keeps its vertices in that form for area and
-containment, and builds only the hull vertices as ``Fraction``.  The
-``Fraction`` geometry and closed form are kept in the tests as references.
-Nothing here builds a truncated valuation: the cap and the cone rays read
-curvette rows, the unimodularity clause the stage's contact values.
+one denominator; the polygon keeps its vertices in that form for equality,
+area and containment, and builds them as ``Fraction`` only when they are
+read.  The body checks the valuation and the class once, and the
+valuation keeps the last body, so :func:`verify_body` certifies the very
+polygon the caller holds.  The ``Fraction`` geometry and closed form are
+kept in the tests as references.  Nothing here builds a truncated
+valuation: the cap and the cone rays read curvette rows, the
+unimodularity clause the stage's contact values.
 """
 
 from __future__ import annotations
@@ -23,12 +26,11 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .cluster import FlagValuation, maximal_contact_values, truncation_pairing, _stage
+from .cluster import FlagValuation, maximal_contact_values, npi_excess, truncation_pairing, _stage
 from .errors import (
     EtaNotNPI,
     InvariantBroken,
     MinimalValuation,
-    NotNPI,
     VerificationFailed,
 )
 from .lattice import dual_graph, precedes
@@ -38,6 +40,7 @@ from .seshadri import (
     is_minimal,
     mu_hat,
     vol,
+    _mu_hat,
     _positive_scale,
     _require_big,
     _require_npi,
@@ -68,15 +71,22 @@ def _cleared(points) -> tuple[list[tuple[int, int]], int]:
     ], den
 
 
-@dataclass(frozen=True)
 class Polygon:
     """A convex polygon with exact rational vertices.
 
     Vertices run counterclockwise starting at the lexicographically least
-    one, with duplicate and collinear interior points removed.
+    one, with duplicate and collinear interior points removed.  The polygon
+    keeps them as integer numerators over one denominator and builds
+    ``vertices`` as ``Fraction`` only when it is first read; equality,
+    area, containment and scaling run on the integer form.  A polygon is
+    immutable.
     """
 
-    vertices: tuple[Point, ...]
+    def __init__(self, vertices):
+        self.__dict__["vertices"] = tuple(vertices)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @classmethod
     def from_points(cls, points) -> "Polygon":
@@ -88,7 +98,7 @@ class Polygon:
     @classmethod
     def _hull(cls, points: list[tuple[int, int]], den: int) -> "Polygon":
         """The hull of integer points over a positive denominator, the entry
-        of both routes; only the hull vertices are built as ``Fraction``."""
+        of both routes."""
         hull = pts = sorted(set(points))
         if len(pts) > 2:
             # Both chains keep their first point, so a collinear set comes
@@ -104,14 +114,33 @@ class Polygon:
                     upper.pop()
                 upper.append(p)
             hull = lower[:-1] + upper[:-1]
-        poly = cls(tuple((Fraction(x, den), Fraction(y, den)) for x, y in hull))
-        object.__setattr__(poly, "_integral", (hull, den))
+        poly = cls.__new__(cls)
+        poly.__dict__["_integral"] = (hull, den)
         return poly
+
+    @cached_property
+    def vertices(self) -> tuple[Point, ...]:
+        v, den = self._integral
+        return tuple((Fraction(x, den), Fraction(y, den)) for x, y in v)
 
     @cached_property
     def _integral(self) -> tuple[list[tuple[int, int]], int]:
         """The vertices as integer numerators over one denominator."""
         return _cleared(self.vertices)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        (v, d), (w, e) = self._integral, other._integral
+        return len(v) == len(w) and all(
+            x * e == y * d and x1 * e == y1 * d for (x, x1), (y, y1) in zip(v, w)
+        )
+
+    def __hash__(self):
+        return hash((self.vertices,))
+
+    def __repr__(self):
+        return f"Polygon(vertices={self.vertices!r})"
 
     def scaled(self, factor) -> "Polygon":
         s = Fraction(factor)
@@ -125,22 +154,32 @@ class Polygon:
         total = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(v, v[1:] + v[:1]))
         return Fraction(total, den * den)
 
-    def contains(self, point: Point) -> bool:
-        if len(self.vertices) < 3:
-            return point in self.vertices
+    def _outside(self, points: list[tuple[int, int]], q: int) -> tuple[int, int] | None:
+        """The first of the integer points over ``q`` that the polygon does
+        not contain, or ``None``."""
         v, den = self._integral
+        edges = list(zip(v, v[1:] + v[:1]))
+        for x, y in points:
+            px, py = x * den, y * den  # both sides over den * q
+            if len(v) < 3:
+                inside = any(px == a0 * q and py == a1 * q for a0, a1 in v)
+            else:
+                inside = all(
+                    (b0 - a0) * (py - a1 * q) >= (b1 - a1) * (px - a0 * q)
+                    for (a0, a1), (b0, b1) in edges
+                )
+            if not inside:
+                return x, y
+        return None
+
+    def contains(self, point: Point) -> bool:
         x, y = point
-        q = x.denominator * y.denominator  # the point is (px, py) over den * q
-        px, py = x.numerator * y.denominator * den, y.numerator * x.denominator * den
-        return all(
-            (b0 - a0) * (py - a1 * q) >= (b1 - a1) * (px - a0 * q)
-            for (a0, a1), (b0, b1) in zip(v, v[1:] + v[:1])
-        )
+        p = (x.numerator * y.denominator, y.numerator * x.denominator)
+        return self._outside([p], x.denominator * y.denominator) is None
 
     def shape(self) -> str:
-        return {3: "triangle", 4: "quadrilateral"}.get(
-            len(self.vertices), f"{len(self.vertices)}-gon"
-        )
+        n = len(self._integral[0])
+        return {3: "triangle", 4: "quadrilateral"}.get(n, f"{n}-gon")
 
 
 def cone_rays(flag: FlagValuation) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -178,15 +217,17 @@ def cone_triangle(flag: FlagValuation, d) -> Polygon:
 
     Contains the body; equals it exactly for minimal valuations.
     """
-    val = flag.base
-    d = as_divisor(d)
-    mu = mu_hat(val, d)
+    return _cone_triangle(flag, mu_hat(flag.base, d))
+
+
+def _cone_triangle(flag: FlagValuation, mu: Fraction) -> Polygon:
+    """The cone triangle at the constant ``mu`` of a checked class."""
     rays = cone_rays(flag)
     # Over ``mu.denominator * unit`` the corners ``(mu, mu * ry / rx)`` are integral.
     unit = lcm(*(rx for rx, _ in rays))
     corners = [(mu.numerator * unit, mu.numerator * ry * (unit // rx)) for rx, ry in rays]
     poly = Polygon._hull([(0, 0), *corners], mu.denominator * unit)
-    if len(poly.vertices) != 3:
+    if len(poly._integral[0]) != 3:
         raise InvariantBroken("cone", f"degenerate value cone: {poly.vertices}")
     return poly
 
@@ -221,24 +262,26 @@ class QPoints:
 
 def q_points(flag: FlagValuation, d) -> QPoints:
     """Exact evaluation of the breakpoint vertices for a non-minimal valuation,
-    over the regime's scale: the constants of a nef class are integers."""
+    over the regime's scale: the constants of a nef class are integers.
+
+    The minimality check validates the valuation and the class; everything
+    after it reads them as checked.
+    """
     val = flag.base
     d = as_divisor(d)
     if is_minimal(val, d):
         raise MinimalValuation("a minimal valuation has no breakpoint vertices")
     rec = _regime(val, d)
     scale, lower, upper, _ = rec.steps()
-    mu = mu_hat(val, d)
+    mu = _mu_hat(val, d)
     t_lo, t_hi = _breakpoints(val, rec, mu)
     bot_lo = bot_hi = cap_y = 0
     if flag.is_satellite:
         bot_lo, bot_hi = rec.at_stage(val, flag.eta)
-        try:
-            cap_y = mu_hat(_stage(val.surface, val.config, flag.eta), d).numerator
-        except NotNPI as exc:
-            raise EtaNotNPI(
-                f"the truncation at E{flag.eta} is not non-positive at infinity"
-            ) from exc
+        stage = _stage(val.surface, val.config, flag.eta)
+        if npi_excess(stage) < 0:
+            raise EtaNotNPI(f"the truncation at E{flag.eta} is not non-positive at infinity")
+        cap_y = _mu_hat(stage, d).numerator
     lows = ((t_lo, bot_lo), (t_lo, bot_lo + lower))
     highs = ((t_hi, bot_hi), (t_hi, bot_hi + upper))
     cap = (mu.numerator * scale, cap_y * scale)
@@ -255,19 +298,31 @@ def newton_okounkov_body(flag: FlagValuation, d) -> Polygon:
     functions are affine away from the breakpoints, so these are the only
     candidate vertices.  Degenerate coincidences (a vanishing sign
     invariant, points falling on an edge) collapse the hull to a triangle.
+
+    The valuation keeps the last body it was asked for, by flag and class,
+    and returns that same polygon when asked again.
     """
     val = flag.base
     d = as_divisor(d)
-    _require_npi(val)
-    _require_big(val, d)
+    key = (flag.eta, d)
+    last = val._tables.get("body")
+    if last is not None and last[0] == key:
+        return last[1]
+    if not d.is_big(val.delta):
+        _require_npi(val)  # a valuation that is not NPI is refused first
+        _require_big(val, d)
     if not d.is_nef():
         scale = _positive_scale(val.delta, d)
-        return newton_okounkov_body(flag, BigDivisor(0, 1)).scaled(scale)
-    try:
-        qp = q_points(flag, d)
-    except MinimalValuation:
-        return cone_triangle(flag, d)
-    return Polygon._hull([(0, 0), *qp.points], qp.den)
+        body = newton_okounkov_body(flag, BigDivisor(0, 1)).scaled(scale)
+    else:
+        try:
+            qp = q_points(flag, d)
+        except MinimalValuation:
+            body = _cone_triangle(flag, _mu_hat(val, d))
+        else:
+            body = Polygon._hull([(0, 0), *qp.points], qp.den)
+    val._tables["body"] = (key, body)
+    return body
 
 
 def sweep_body(flag: FlagValuation, d) -> Polygon:
@@ -305,12 +360,15 @@ def verify_body(flag: FlagValuation, d) -> BodyReport:
     the polygon equals the chamber-walk hull; it sits inside the
     cone triangle; and on flags whose divisor separates the dual graph the
     exact unimodularity identities between the two value sequences hold.
+    The body is the one :func:`newton_okounkov_body` keeps on the
+    valuation; the oracle and containment clauses compare integers.
     Raises :class:`VerificationFailed` on the first violated clause.
     """
     val = flag.base
     d = as_divisor(d)
+    # The body refuses an invalid valuation or class: the triangle reads them checked.
     body = newton_okounkov_body(flag, d)
-    triangle = cone_triangle(flag, d)
+    triangle = _cone_triangle(flag, _mu_hat(val, d))
     checks: list[tuple[str, str]] = []
 
     expected_area2 = vol(val, d)
@@ -328,15 +386,19 @@ def verify_body(flag: FlagValuation, d) -> BodyReport:
         checks.append(("oracle", "skipped"))
     else:
         sweep = sweep_body(flag, d)
-        if sweep.vertices != body.vertices:
+        if sweep != body:
             raise VerificationFailed(
                 "oracle", f"sweep gave {sweep.vertices}, body is {body.vertices}"
             )
         checks.append(("oracle", "pass"))
 
-    for p in body.vertices:
-        if not triangle.contains(p):
-            raise VerificationFailed("containment", f"{p} escapes the cone triangle")
+    points, den = body._integral
+    out = triangle._outside(points, den)
+    if out is not None:
+        raise VerificationFailed(
+            "containment",
+            f"{(Fraction(out[0], den), Fraction(out[1], den))} escapes the cone triangle",
+        )
     checks.append(("containment", "pass"))
 
     if flag.is_satellite and precedes(dual_graph(val), val.r, flag.eta):

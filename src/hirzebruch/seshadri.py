@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cluster import DivisorialValuation, npi_excess
+from .cluster import DivisorialValuation, npi_excess, _Stage
 from .errors import InvariantBroken, NotBig, NotNPI, NotNefBig
 
 
@@ -93,6 +93,12 @@ def mu_hat(val: DivisorialValuation, d) -> Fraction:
     d = as_divisor(d)
     _require_npi(val)
     _require_big(val, d)
+    return _mu_hat(val, d)
+
+
+def _mu_hat(val: DivisorialValuation | _Stage, d: BigDivisor) -> Fraction:
+    """:func:`mu_hat` of a valuation or stage record and a class the caller
+    has checked."""
     if val.is_special:
         return Fraction((d.a + d.b * val.delta) * val.phi_f1 + d.b * val.phi_m)
     if d.a >= 0:
@@ -116,12 +122,17 @@ def lower_bound(val: DivisorialValuation, d) -> tuple[Fraction, Fraction, bool]:
 
 
 def is_minimal(val: DivisorialValuation, d) -> bool:
-    """Whether the constant attains the volume lower bound for this class."""
+    """Whether the constant attains the volume lower bound for this class.
+
+    On a nef and big class the valuation is checked once, by
+    :func:`lower_bound`.
+    """
     d = as_divisor(d)
-    _require_npi(val)
-    _require_nef_big(val, d)
-    result = npi_excess(val) == 0 and theta(val, d) == 0
+    if not (d.is_nef() and d.is_big(val.delta)):
+        _require_npi(val)  # a valuation that is not NPI is refused first
+        _require_nef_big(val, d)
     mu2, rhs, holds = lower_bound(val, d)
+    result = npi_excess(val) == 0 and theta(val, d) == 0
     if not (holds and (mu2 == rhs) == result):
         raise InvariantBroken(
             "minimality", f"bound {mu2} vs {rhs} contradicts minimality {result}"

@@ -409,8 +409,10 @@ def test_undocumented_point_field_exits_2(tmp_path, record):
 
 def test_value_cap_refusal_past_the_digit_limit_exits_2(tmp_path):
     # Each alternating satellite multiplies the last value by about the
-    # golden ratio squared: at r = 10289 it has more than 4300 digits, past
-    # what str() converts, and is still refused with its digits on one line.
+    # golden ratio squared: at r = 10289 it would have more than 4300 digits,
+    # past what str() converts.  The multiplicities, filled backwards, run
+    # through the Fibonacci numbers, and the refusal prints the square of the
+    # first one whose square reaches the cap 2^24: 4181^2, on one line.
     points = [{"on_f1": True, "on_m": True}, {}]
     points += [{"extra_proximity": i - 2} for i in range(3, 10290)]
     case = json.loads((CASES / "minimal_f0.json").read_text())
@@ -421,8 +423,7 @@ def test_value_cap_refusal_past_the_digit_limit_exits_2(tmp_path):
         assert (out.returncode, out.stdout) == (2, "")
         assert out.stderr.startswith("SemigroupOverflow: semigroup value bound ")
         assert out.stderr.endswith(" exceeds cap\n") and out.stderr.count("\n") == 1
-        digits = out.stderr.split()[4]
-        assert digits.isdigit() and len(digits) > 4300
+        assert out.stderr.split()[4] == str(4181 * 4181)
 
 
 def test_one_parser_serves_calls_in_one_process(tmp_path):

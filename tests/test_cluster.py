@@ -1,6 +1,7 @@
 import functools
 import json
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -377,6 +378,8 @@ def test_contact_values_match_reference_sieve(corpus):
     # The dead-end scan against the subset-sum sieve of the whole row, at
     # every stage: every configuration up to r=10, the corpus, the random
     # draws, and an alternating satellite chain whose stages cross the cap.
+    # The last stage of that chain is refused while its multiplicities are
+    # filled, before a row exists to sieve: the scan gives that refusal.
     configs = [Configuration(e, 1, 1) for r in range(1, 11) for e in every_extras_pattern(r)]
     assert len(configs) == 2585
     configs += [val.config for val, _, _ in corpus]
@@ -386,7 +389,12 @@ def test_contact_values_match_reference_sieve(corpus):
     for config in configs:
         for k in range(1, config.r + 1):
             outcome = _semigroup_outcome(maximal_contact_values, config, k)
-            row = config.curvette_values(k)[:k]
+            try:
+                row = config.curvette_values(k)[:k]
+            except SemigroupOverflow as exc:
+                assert (k, outcome) == (config.r, (SemigroupOverflow, str(exc)))
+                refused += 1
+                continue
             assert outcome == _semigroup_outcome(reference_sieve, row), (config, k)
             refused += outcome[0] is SemigroupOverflow
     assert refused == 2
@@ -479,6 +487,27 @@ def test_point_cap_is_checked_before_expansion(monkeypatch, tmp_path, capsys, fa
         assert cli.main(["classify", str(path)]) == 2
         err = capsys.readouterr().err
         assert err == "TooManyPoints: r = 92 points exceed the cap of 91\n"
+
+
+def test_value_cap_refuses_alternating_satellites_before_the_row():
+    # Alternating satellites at the point cap: the multiplicities grow
+    # about 1.6-fold per point backwards from the last, so the refusal
+    # comes while they are filled, with the first square past the cap, and
+    # neither the full vector nor the curvette row is ever built.
+    r = cluster._POINT_CAP
+    surface = Surface(0)
+    points = [{"on_f1": True, "on_m": True}, {}]
+    points += [{"extra_proximity": i - 2} for i in range(3, r + 1)]
+    tracemalloc.start()
+    try:
+        config = build_configuration(surface, points)
+        with pytest.raises(SemigroupOverflow, match=f"^semigroup value bound {4181**2} "):
+            divisorial_valuation(surface, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert config.r == r and config._rows == {} and config._m is None
+    assert peak < 32 << 20, peak
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

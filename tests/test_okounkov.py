@@ -346,6 +346,13 @@ def test_closed_form_equals_the_fraction_reference(corpus):
     assert seen["body at r = 1012"] == 4
 
 
+def _fresh(flag):
+    """The flag on a new valuation of the same configuration, which keeps no
+    body yet."""
+    val = flag.base
+    return flag_valuation(divisorial_valuation(val.surface, val.config), flag.eta)
+
+
 def test_body_runs_the_minimality_check_once(monkeypatch, corpus):
     calls = Counter()
     original = seshadri.is_minimal
@@ -358,14 +365,131 @@ def test_body_runs_the_minimality_check_once(monkeypatch, corpus):
         monkeypatch.setattr(module, "is_minimal", counting)
     nonspecial = flag_valuation(nonspecial_example_valuation(), 9)
     cases = [
-        *((flag, d) for _, flag, d in corpus[:40]),
+        *((_fresh(flag), d) for _, flag, d in corpus[:40]),
         (flag_valuation(minimal_four_point_valuation(), None), BigDivisor(2, 1)),
         (nonspecial, BigDivisor(-1, 1)),
     ]
     for flag, d in cases:
         calls.clear()
-        newton_okounkov_body(flag, d)
+        body = newton_okounkov_body(flag, d)
         assert calls["is_minimal"] == 1, (flag.base.r, flag.eta, d)
+        # The repeat returns the body the valuation kept.
+        assert newton_okounkov_body(flag, d) is body
+        assert calls["is_minimal"] == 1, (flag.base.r, flag.eta, d)
+
+
+def test_body_checks_the_valuation_once(monkeypatch):
+    # On a new valuation a body checks it once, in the bound of the
+    # minimality check, with one ``mu_hat``; verification then reads the
+    # kept body and adds only the check of its own sweep.
+    calls = Counter()
+
+    def counting(name, original):
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return counted
+
+    require_npi = counting("_require_npi", seshadri._require_npi)
+    mu = counting("mu_hat", seshadri.mu_hat)
+    for module in (okounkov, seshadri):
+        monkeypatch.setattr(module, "_require_npi", require_npi)
+        monkeypatch.setattr(module, "mu_hat", mu)
+    cases = [
+        (special_example_valuation, 8, BigDivisor(1, 2)),
+        (nonspecial_example_valuation, None, BigDivisor(2, 5)),
+        (minimal_four_point_valuation, None, BigDivisor(2, 1)),
+        (nonspecial_example_valuation, 9, BigDivisor(-1, 1)),
+    ]
+    for make, eta, d in cases:
+        flag = flag_valuation(make(), eta)
+        calls.clear()
+        body = newton_okounkov_body(flag, d)
+        assert calls == {"_require_npi": 1, "mu_hat": 1}, (eta, d)
+        calls.clear()
+        assert verify_body(flag, d).body is body
+        assert calls == {"_require_npi": 1}, (eta, d)
+
+
+def test_verify_reads_the_kept_body(monkeypatch):
+    # After the body, verification makes no closed-form call and no hull
+    # but those of the cone triangle and the sweep.
+    calls = Counter()
+    points, hull = okounkov.q_points, Polygon._hull.__func__
+
+    def counting_points(*args):
+        calls["q_points"] += 1
+        return points(*args)
+
+    def counting_hull(cls, *args):
+        calls["_hull"] += 1
+        return hull(cls, *args)
+
+    monkeypatch.setattr(okounkov, "q_points", counting_points)
+    monkeypatch.setattr(Polygon, "_hull", classmethod(counting_hull))
+    for make, eta, d in [
+        (special_example_valuation, 8, BigDivisor(1, 2)),
+        (nonspecial_example_valuation, 9, BigDivisor(2, 5)),
+    ]:
+        flag = flag_valuation(make(), eta)
+        body = newton_okounkov_body(flag, d)
+        assert calls == {"q_points": 1, "_hull": 1}
+        calls.clear()
+        report = verify_body(flag, d)
+        assert report.passed() and report.body is body
+        assert calls == {"_hull": 2}
+        calls.clear()
+
+
+def test_body_memo_keeps_one_entry_per_valuation():
+    # A loop over many classes and both flags keeps one body on the
+    # valuation: the last one asked for.
+    val = special_example_valuation()
+    newton_okounkov_body(flag_valuation(val, 8), BigDivisor(1, 2))
+    size = len(val._tables)
+    for i in range(1000):
+        flag = flag_valuation(val, 8 if i % 2 else None)
+        d = BigDivisor(i % 40 - 1, 1 + i // 40)
+        body = newton_okounkov_body(flag, d)
+        assert len(val._tables) == size
+    assert val._tables["body"] == ((flag.eta, d), body)
+
+
+def test_polygon_equality_hash_and_repr_read_the_vertices():
+    hulled = Polygon._hull([(0, 0), (6, 3), (6, 0), (3, 0)], 3)
+    plain = Polygon(((fr(0), fr(0)), (fr(2), fr(0)), (fr(2), fr(1))))
+    assert hulled == plain and hash(hulled) == hash(plain)
+    assert repr(hulled) == repr(plain) == (
+        "Polygon(vertices=((Fraction(0, 1), Fraction(0, 1)), "
+        "(Fraction(2, 1), Fraction(0, 1)), (Fraction(2, 1), Fraction(1, 1))))"
+    )
+    assert Polygon._hull([(0, 0), (12, 0), (12, 6)], 6) == hulled
+    assert hulled != Polygon(plain.vertices[::-1])
+    assert hulled != Polygon._hull([(0, 0), (6, 0), (6, 4)], 3)
+    assert hulled != Polygon(plain.vertices[:2])
+    assert hulled != plain.vertices
+    with pytest.raises(AttributeError):
+        hulled.vertices = plain.vertices
+
+
+def test_hull_builds_fractions_only_when_the_vertices_are_read(monkeypatch):
+    built = Counter()
+    real = okounkov.Fraction
+
+    def counting(*args):
+        built["Fraction"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(okounkov, "Fraction", counting)
+    poly = Polygon._hull([(0, 0), (10, 0), (10, 5), (4, 2)], 5)
+    other = Polygon._hull([(0, 0), (2, 0), (2, 1)], 1)
+    assert poly == other
+    assert poly.contains((fr(1), fr(1, 2))) and not poly.contains((fr(1), fr(2)))
+    assert poly.shape() == "triangle"
+    assert built["Fraction"] == 0
+    assert poly.vertices == ((fr(0), fr(0)), (fr(2), fr(0)), (fr(2), fr(1)))
+    assert built["Fraction"] == 6
 
 
 # ----------------------------------------------------------------------- body

@@ -167,6 +167,21 @@ def test_sweep_reads_nothing_of_the_closed_form():
     assert {"_chamber_walk", "_grow", "_forest_solve"} <= reached
 
 
+def _fractions_outside_raise(node) -> list[int]:
+    """Lines where ``node`` names ``Fraction`` outside a ``raise`` statement."""
+    in_raise = {
+        id(sub)
+        for stmt in ast.walk(node)
+        if isinstance(stmt, ast.Raise)
+        for sub in ast.walk(stmt)
+    }
+    return [
+        sub.lineno
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Name) and sub.id == "Fraction" and id(sub) not in in_raise
+    ]
+
+
 def test_chamber_walk_builds_fractions_only_to_refuse():
     # The chamber walk, the engine routines it runs and every helper of the
     # zariski module they reach by name, transitively, build a ``Fraction``
@@ -182,20 +197,31 @@ def test_chamber_walk_builds_fractions_only_to_refuse():
             for sub in ast.walk(functions[name]):
                 if isinstance(sub, ast.Name) and sub.id in functions:
                     todo.append(sub.id)
-    outside = []
-    for name in sorted(reached):
-        node = functions[name]
-        in_raise = {
-            id(sub)
-            for stmt in ast.walk(node)
-            if isinstance(stmt, ast.Raise)
-            for sub in ast.walk(stmt)
-        }
-        outside += [
-            f"{name}:{sub.lineno}"
-            for sub in ast.walk(node)
-            if isinstance(sub, ast.Name) and sub.id == "Fraction" and id(sub) not in in_raise
-        ]
+    outside = [
+        f"{name}:{line}"
+        for name in sorted(reached)
+        for line in _fractions_outside_raise(functions[name])
+    ]
+    # The polygon's hull, equality and containment and the verification
+    # that compares the sweep and the body on them run on the integer form;
+    # its ``vertices`` property alone builds the ``Fraction`` vertices.
+    tree = ast.parse((SRC / "okounkov.py").read_text(encoding="utf-8"))
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    (polygon,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Polygon"]
+    methods = {n.name: n for n in polygon.body if isinstance(n, ast.FunctionDef)}
+    guarded = {
+        "Polygon._hull": methods["_hull"],
+        "Polygon.__eq__": methods["__eq__"],
+        "Polygon._outside": methods["_outside"],
+        "verify_body": functions["verify_body"],
+    }
+    outside += [
+        f"{name}:{line}"
+        for name, node in sorted(guarded.items())
+        for line in _fractions_outside_raise(node)
+    ]
     assert outside == []
-    # The guard is live: it follows the walk into its root helper.
+    # The guard is live: it follows the walk into its root helper, and the
+    # vertices are built where it says.
     assert "_least_root_after" in reached
+    assert _fractions_outside_raise(methods["vertices"])

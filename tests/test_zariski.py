@@ -1019,7 +1019,8 @@ def test_walk_reads_nothing_of_the_closed_form(monkeypatch, case):
     # Breakpoints, constants and regime records moved in both modules of the
     # closed form, inside the range its own checks accept, move the body but
     # not the walk: the oracle clause would refuse the moved body on its
-    # own, and verification fails.
+    # own, and verification fails.  A valuation keeps its last body, so the
+    # moved closed form runs on new ones.
     make, eta, d = case
     flag = flag_valuation(make(), eta)
     want = sweep_body(flag, d)
@@ -1038,7 +1039,13 @@ def test_walk_reads_nothing_of_the_closed_form(monkeypatch, case):
             "_regime",
             lambda val, d, f=shifted_regime: f(val, d)._replace(lower=f(val, d).lower / 2),
         )
+    # The closed form reads the constant of its checked class unchecked.
+    shifted_mu = okounkov_module._mu_hat
+    monkeypatch.setattr(okounkov_module, "_mu_hat", lambda val, d, f=shifted_mu: f(val, d) + 1)
+    flag = flag_valuation(make(), eta)
     assert sweep_body(flag, d) == want
     assert newton_okounkov_body(flag, d) != want
     with pytest.raises(VerificationFailed):
         verify_body(flag, d)
+    with pytest.raises(VerificationFailed):
+        verify_body(flag_valuation(make(), eta), d)
