@@ -14,6 +14,7 @@ import contextlib
 import errno
 import functools
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -75,6 +76,28 @@ def _cmd_body(case, args) -> tuple[list[str], list[tuple[str, str]]]:
     return lines, [(args.svg, svg), (args.output, dump_payload(payload))]
 
 
+def _overwrite(path: Path, data: bytes) -> None:
+    """Write ``data`` over the bytes of ``path``, which is created with mode
+    ``0o666`` less the umask if absent, then cut a regular file to
+    ``len(data)``.  The target is never opened ``O_TRUNC``: on ext4 a file
+    truncated to zero and written again is flushed to disk when it is closed
+    (``auto_da_alloc``), which costs far more than the write.  When a
+    write fails, a regular file is cut to the bytes written so far, so it
+    holds a prefix of ``data``, never new bytes followed by an old tail."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        written = 0
+        try:
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        finally:
+            if regular:
+                os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
+
+
 def _write_outputs(outputs: list[tuple[str, str]]) -> tuple[str, str] | None:
     """Write each ``(target, text)``; return the refused target and the
     reason, or ``None``.  With two outputs a refused write leaves no file of
@@ -82,7 +105,10 @@ def _write_outputs(outputs: list[tuple[str, str]]) -> tuple[str, str] | None:
     and moved there once every write succeeded; an existing one (a file, a
     device, a link) is written in place, keeping its mode, after an access
     check and before the moves, and a readable regular file written so far
-    gets its previous bytes back when a later write fails."""
+    gets its previous bytes back when a later write fails.  Every write goes
+    through :func:`_overwrite`: an existing file is overwritten in place and
+    cut to length, never truncated to zero first, which on ext4 would force
+    a writeback at every close."""
     staged: list[tuple[str, Path, Path]] = []
     in_place: list[tuple[str, str]] = []
     written: list[tuple[Path, bytes]] = []
@@ -100,12 +126,12 @@ def _write_outputs(outputs: list[tuple[str, str]]) -> tuple[str, str] | None:
             real = Path(os.path.realpath(path))
             temporary = real.with_name(f".{real.name}.{os.getpid()}-{k}.tmp")
             staged.append((target, temporary, real))
-            temporary.write_text(text, encoding="utf-8")
+            _overwrite(temporary, text.encode("utf-8"))
         for target, text in in_place:
             path = Path(target)
             if len(outputs) > 1 and path.is_file() and os.access(path, os.R_OK):
                 written.append((path, path.read_bytes()))
-            path.write_text(text, encoding="utf-8")
+            _overwrite(path, text.encode("utf-8"))
         for target, temporary, real in staged:
             os.replace(temporary, real)
     except OSError as exc:
@@ -113,7 +139,7 @@ def _write_outputs(outputs: list[tuple[str, str]]) -> tuple[str, str] | None:
             temporary.unlink(missing_ok=True)
         for path, previous in reversed(written):
             with contextlib.suppress(OSError):
-                path.write_bytes(previous)
+                _overwrite(path, previous)
         return target, exc.strerror or str(exc)
     return None
 

@@ -411,7 +411,9 @@ def _chamber_walk(flag: FlagValuation, d: BigDivisor) -> tuple[list[tuple[int, i
     the boundary values, read from the coefficient on ``E_eta`` and the
     pairing with ``E_r``, are affine on each chamber.  The walk ends where
     ``P(s)^2 = D*^2 - s^2 - N(s).(D* - s E_r*)``, an integer quadratic over
-    ``det``, reaches 0; that root is rational.
+    ``det``, reaches 0; that root is rational.  The body is a triangle or a
+    quadrilateral, so the support changes at two walls at most: a fourth
+    chamber is a broken invariant.
     """
     val = flag.base
     basis = curve_basis(val)
@@ -424,7 +426,7 @@ def _chamber_walk(flag: FlagValuation, d: BigDivisor) -> tuple[list[tuple[int, i
     t = p, q = 0, 1
     chamber = ([], [[], []], 1, [a, b])
     points = [(0, 0, 1)]  # the origin; each point is (x, y, denominator)
-    while True:
+    for _ in range(3):
         chamber = _grow(gram, names, (a, b), 1, t, chamber)
         support, (xa, xb), det, (ra, rb) = chamber
         if last in support:
@@ -463,6 +465,7 @@ def _chamber_walk(flag: FlagValuation, d: BigDivisor) -> tuple[list[tuple[int, i
             den = lcm(*(c for _, _, c in points))
             return [(x * (den // c), y * (den // c)) for x, y, c in points], den
         t = p, q = end
+    raise _broken("chamber", names, support, f"a fourth chamber starts at t = {Fraction(p, q)}")
 
 
 def _least_root_after(c2: int, c1: int, c0: int, t: tuple[int, int]) -> tuple[int, int] | None:

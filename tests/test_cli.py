@@ -361,34 +361,120 @@ def test_outputs_write_through_devices_links_and_modes(tmp_path, with_svg):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names + ["x.svg"] * with_svg)
 
 
-def test_failed_second_write_restores_the_first(tmp_path, monkeypatch):
+def _disk_fills_on(monkeypatch, target: Path, chunk: int = 0) -> list[int]:
+    """Make the first ``os.write`` to the file ``target`` names take at most
+    ``chunk`` bytes, a short write, and the next one fail with ``ENOSPC``;
+    with ``chunk = 0`` the first one fails.  Later writes to it, and writes
+    to every other file, go through.  Returns the lengths asked of each
+    write to the target."""
+    inode = target.stat().st_dev, target.stat().st_ino
+    write = os.write
+    calls = []
+
+    def writing(fd, data):
+        st = os.fstat(fd)
+        if (st.st_dev, st.st_ino) != inode:
+            return write(fd, data)
+        calls.append(len(data))
+        if len(calls) == 1 and chunk:
+            return write(fd, data[:chunk])
+        if len(calls) == 1 + bool(chunk):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return write(fd, data)
+
+    monkeypatch.setattr(os, "write", writing)
+    return calls
+
+
+def _second_write_fails(tmp_path, monkeypatch, old_svg: bytes, old_json: bytes):
     # With --svg and -o naming existing files both are written in place; a
     # disk that fills up on the second write leaves both with their old
-    # bytes and modes, stdout empty and the usual one-line refusal.
+    # bytes, lengths and modes, stdout empty and the usual one-line refusal.
     svg, json_out = tmp_path / "x.svg", tmp_path / "x.json"
-    svg.write_bytes(b"old svg\n")
-    json_out.write_bytes(b"old json\n")
+    svg.write_bytes(old_svg)
+    json_out.write_bytes(old_json)
     svg.chmod(0o640)
     json_out.chmod(0o600)
-    calls = []
-    write_text = Path.write_text
-
-    def failing(self, *args, **kwargs):
-        calls.append(self)
-        if len(calls) == 2:
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        return write_text(self, *args, **kwargs)
-
-    monkeypatch.setattr(Path, "write_text", failing)
+    calls = _disk_fills_on(monkeypatch, json_out)
     argv = ["body", str(CASES / "special_f2.json"), "--svg", str(svg), "-o", str(json_out)]
     code, out, err = _in_process(argv)
     assert (code, out, err) == (
         2, "", f"cannot write {json_out}: {os.strerror(errno.ENOSPC)}\n"
     )
-    assert calls == [svg, json_out]
-    assert (svg.read_bytes(), json_out.read_bytes()) == (b"old svg\n", b"old json\n")
+    # The new text was asked of the target, then its old bytes went back.
+    assert len(calls) == 2 and calls[1] == len(old_json) != calls[0]
+    assert (svg.read_bytes(), json_out.read_bytes()) == (old_svg, old_json)
     assert (svg.stat().st_mode & 0o777, json_out.stat().st_mode & 0o777) == (0o640, 0o600)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json", "x.svg"]
+
+
+def test_failed_second_write_restores_the_first(tmp_path, monkeypatch):
+    _second_write_fails(tmp_path, monkeypatch, b"old svg\n", b"old json\n")
+
+
+def test_failed_second_write_restores_longer_files(tmp_path, monkeypatch):
+    # Old files longer than the new text get their length back as well: the
+    # written svg was cut to the new text, the json to what it took.
+    _second_write_fails(tmp_path, monkeypatch, b"old svg\n" * 2000, b"old json\n" * 2000)
+
+
+def test_shorter_output_over_a_longer_file_leaves_the_new_bytes(tmp_path):
+    # An existing file is overwritten in place and cut to the new length:
+    # nothing of its old tail survives, alone or beside an svg.
+    argv = ["body", str(CASES / "special_f2.json"), "--verify"]
+    reference, svg_reference = tmp_path / "reference.json", tmp_path / "reference.svg"
+    assert _in_process([*argv, "--svg", str(svg_reference), "-o", str(reference)])[0] == 0
+    for extra in ([], ["--svg", str(tmp_path / "x.svg")]):
+        target = tmp_path / "x.json"
+        target.write_bytes(b"x" * 100_000)
+        (tmp_path / "x.svg").write_bytes(b"y" * 100_000)
+        assert _in_process([*argv, *extra, "-o", str(target)])[0] == 0
+        assert target.read_bytes() == reference.read_bytes()
+        if extra:
+            assert (tmp_path / "x.svg").read_bytes() == svg_reference.read_bytes()
+
+
+def test_no_output_is_opened_truncating(tmp_path, monkeypatch):
+    # Every output, new or existing, alone or beside an svg, and every
+    # staged temporary file is opened without O_TRUNC: on ext4 a file
+    # truncated to zero and written again is flushed at close.
+    opened = []
+    real_open = os.open
+
+    def opening(path, flags, *args, **kwargs):
+        opened.append((Path(path).name, flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", opening)
+    case = str(CASES / "special_f2.json")
+    svg, json_out = tmp_path / "x.svg", tmp_path / "x.json"
+    for _ in range(2):  # new targets, then existing ones
+        assert _in_process(["body", case, "-o", str(json_out)])[0] == 0
+        assert _in_process(["body", case, "--svg", str(svg), "-o", str(json_out)])[0] == 0
+        assert _in_process(["classify", case, "-o", str(json_out)])[0] == 0
+    written = [name for name, _ in opened]
+    # The new svg went through one staged temporary, the existing one in place.
+    assert written.count("x.json") == 6 and written.count("x.svg") == 1
+    assert len(written) == 8 and written[1].startswith(".x.svg.")
+    assert [name for name, flags in opened if flags & os.O_TRUNC] == []
+    assert all(flags & os.O_WRONLY for _, flags in opened)
+
+
+def test_failed_lone_write_leaves_a_prefix_of_the_new_text(tmp_path, monkeypatch):
+    # A lone output whose write fails partway is cut to what was written:
+    # a prefix of the new text, never new bytes followed by an old tail.
+    argv = ["body", str(CASES / "special_f2.json"), "--verify"]
+    reference = tmp_path / "reference.json"
+    assert _in_process([*argv, "-o", str(reference)])[0] == 0
+    new = reference.read_bytes()
+    target = tmp_path / "x.json"
+    target.write_bytes(b"old json\n" * 2000)
+    calls = _disk_fills_on(monkeypatch, target, chunk=100)
+    code, out, err = _in_process([*argv, "-o", str(target)])
+    assert (code, out, err) == (2, "", f"cannot write {target}: {os.strerror(errno.ENOSPC)}\n")
+    # One short write of 100 bytes, then the rest was asked and refused.
+    assert calls == [len(new), len(new) - 100]
+    assert target.read_bytes() == new[:100]
 
 
 @pytest.mark.parametrize(
@@ -424,6 +510,56 @@ def test_value_cap_refusal_past_the_digit_limit_exits_2(tmp_path):
         assert out.stderr.startswith("SemigroupOverflow: semigroup value bound ")
         assert out.stderr.endswith(" exceeds cap\n") and out.stderr.count("\n") == 1
         assert out.stderr.split()[4] == str(4181 * 4181)
+
+
+_OVERFLOW = "SemigroupOverflow: final contact value {} exceeds cap"
+_TOO_MANY = "TooManyPoints: r = {} points exceed the cap of 65536"
+
+
+@pytest.mark.parametrize(
+    "beta_bar, on_m, eta, classified, body",
+    [
+        # One satellite block [n, n+1, n^2+n], r = n+1, at the largest n
+        # whose last value stays below the value cap 2^24, and one past it.
+        (
+            [4095, 4096, 4095 * 4096], 1, 4095,
+            (0, "special, NPI, never-minimal, mu_hat(F + 2M) = 28665"),
+            (0, "quadrilateral: (0, 0), (28665, 28658), (24575/3, 24569/3), (4096, 4095)\n"
+             "verification: area=pass, oracle=pass, containment=pass, unimodularity=pass"),
+        ),
+        ([4096, 4097, 4096 * 4097], 1, None, (2, _OVERFLOW.format(16781312)), None),
+        # special_f2's free tail at the point cap 2^16, and one past it.
+        (
+            [20, 28, 153, 612 + 65536 - 12], 2, None,
+            (0, "special, not NPI"),
+            (2, "NotNPI: not non-positive at infinity: "
+             "2*phi_m*phi_f1 + delta*phi_f1^2 = 1920 < beta_bar[-1] = 66136"),
+        ),
+        ([20, 28, 153, 612 + 65537 - 12], 2, None, (2, _TOO_MANY.format(65537)), None),
+        # A free run up to just below the value cap is refused for its
+        # length before any point is built; at the cap, for its value.
+        ([2, 3, (1 << 24) - 1], 1, None, (2, _TOO_MANY.format(16777212)), None),
+        ([2, 3, 1 << 24], 1, None, (2, _OVERFLOW.format(1 << 24)), None),
+    ],
+    ids=["block-4095", "block-4096", "tail-65536", "tail-65537", "run-below-cap", "run-at-cap"],
+)
+def test_beta_bar_at_the_caps(tmp_path, beta_bar, on_m, eta, classified, body):
+    # Maximal contact values next to the value and point caps: each call
+    # succeeds, or is refused with exit 2 and one stderr line, never a
+    # traceback.  ``None`` for the body: refused as the classification is.
+    case = {
+        "surface": {"delta": 2, "point_kind": "special"},
+        "beta_bar": beta_bar,
+        "on_f1": 1,
+        "on_m": on_m,
+        "flag": {"kind": "free"} if eta is None else {"kind": "satellite", "eta": eta},
+        "divisor": {"a": 1, "b": 2},
+    }
+    path = write_case(tmp_path, "caps.json", case)
+    calls = [(["classify"], classified), (["body", "--verify", "--oracle"], body or classified)]
+    for (command, *flags), (code, text) in calls:
+        printed = (text + "\n", "") if code == 0 else ("", text + "\n")
+        assert _in_process([command, str(path), *flags]) == (code, *printed)
 
 
 def test_one_parser_serves_calls_in_one_process(tmp_path):

@@ -225,3 +225,62 @@ def test_chamber_walk_builds_fractions_only_to_refuse():
     # vertices are built where it says.
     assert "_least_root_after" in reached
     assert _fractions_outside_raise(methods["vertices"])
+
+
+
+def _writes_outside(tree, allowed) -> list[str]:
+    """What under ``tree`` writes a file, as ``line: what``: calls outside
+    the nodes ``allowed`` to ``write_text``, ``write_bytes`` or ``os.open``,
+    or to ``open`` with a mode that is not a constant free of ``w``, ``a``,
+    ``x`` and ``+``; and every name ``O_TRUNC``, inside ``allowed`` too."""
+    found = []
+    for node in ast.walk(tree):
+        if getattr(node, "id", getattr(node, "attr", None)) == "O_TRUNC":
+            found.append(f"{node.lineno}: O_TRUNC")
+        if not isinstance(node, ast.Call) or id(node) in allowed:
+            continue
+        func = node.func
+        owner = getattr(func.value, "id", "") if isinstance(func, ast.Attribute) else None
+        name = func.attr if owner is not None else getattr(func, "id", None)
+        if name in {"write_text", "write_bytes"} or (name, owner) == ("open", "os"):
+            found.append(f"{node.lineno}: {name}")
+        elif name in {"open", "fdopen"}:
+            # ``open(file, mode)``, ``io.open(file, mode)``, ``os.fdopen(fd,
+            # mode)`` and ``path.open(mode)``
+            first = 1 if owner in (None, "io", "os") else 0
+            modes = [k.value for k in node.keywords if k.arg == "mode"]
+            for mode in modes + node.args[first : first + 1]:
+                if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+"):
+                    found.append(f"{node.lineno}: open({ast.unparse(mode)})")
+    return found
+
+
+def test_outputs_are_written_only_in_place():
+    # Every file the package writes goes through the CLI's one overwrite
+    # primitive, which writes over the old bytes and cuts the file to
+    # length: no other truncating open, ``write_text`` or ``write_bytes``,
+    # and no ``O_TRUNC`` anywhere, since on ext4 a file truncated to zero
+    # and written again is flushed to disk when it is closed.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {
+            id(sub)
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "_overwrite"
+            for sub in ast.walk(node)
+        }
+        found += [f"{path.name}:{where}" for where in _writes_outside(tree, allowed)]
+    assert found == []
+    # The guard is live: the primitive opens its target itself, and all
+    # three writes of the CLI, the restore and the staged temporary
+    # included, call it.
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert [w.split(": ")[1] for w in _writes_outside(functions["_overwrite"], set())] == ["open"]
+    calls = [
+        sub.func.id
+        for sub in ast.walk(functions["_write_outputs"])
+        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+    ]
+    assert calls.count("_overwrite") == 3

@@ -945,6 +945,24 @@ def _force_at_wall(monkeypatch, wall, names):
     monkeypatch.setattr(zariski_module, "_forced", forcing)
 
 
+def _wall_in_first_chamber(monkeypatch, at):
+    """Give the first chamber a falling pairing of one extra generator
+    that reaches 0 at ``t = at``, a positive integer, so the walk meets a
+    wall there where nothing joins; the next growth step drops it again."""
+    original = zariski_module._grow
+
+    def growing(gram, names, columns, scale, t, chamber):
+        support, xs, det, (ra, rb) = chamber
+        chamber = support, xs, det, [ra[: len(gram)], rb[: len(gram)]]
+        support, xs, det, (ra, rb) = original(gram, names, columns, scale, t, chamber)
+        if t == (0, 1):
+            sign = 1 if det > 0 else -1
+            ra, rb = ra + [sign * at], rb + [-sign]
+        return support, xs, det, [ra, rb]
+
+    monkeypatch.setattr(zariski_module, "_grow", growing)
+
+
 @pytest.mark.parametrize(
     "make, eta, d, patch, want",
     [
@@ -982,10 +1000,17 @@ def _force_at_wall(monkeypatch, wall, names):
             nonspecial_example_valuation, None, BigDivisor(0, 5), (1, ["M0"]),
             f"forced support: support M0, M1, {_E1_TO_E11}: forced generator M0 ends at 0",
         ),
+        # A wall at t = 10 splits the first of the body's three chambers, so
+        # a fourth would start at the last wall: the body is no triangle or
+        # quadrilateral.
+        (
+            special_example_valuation, 8, BigDivisor(1, 2), "wall",
+            f"chamber: support M0, {_E1_TO_E11}: a fourth chamber starts at t = 1017/17",
+        ),
     ],
     ids=[
         "falling-pairing", "negative-coefficient", "no-root", "er-at-0", "er-at-wall",
-        "forced-at-wall",
+        "forced-at-wall", "fourth-chamber",
     ],
 )
 def test_walk_refusals_keep_their_text(monkeypatch, make, eta, d, patch, want):
@@ -996,6 +1021,8 @@ def test_walk_refusals_keep_their_text(monkeypatch, make, eta, d, patch, want):
     basis = curve_basis(val)
     if patch == "root":
         monkeypatch.setattr(zariski_module, "_least_root_after", lambda *args: None)
+    elif patch == "wall":
+        _wall_in_first_chamber(monkeypatch, 10)
     elif patch is not None:
         wall, names = patch
         names = None if names is None else [basis.index[name] for name in names]
