@@ -78,7 +78,7 @@ def _cmd_body(case, args) -> tuple[list[str], list[tuple[str, str]]]:
 
 def _overwrite(path: Path, data: bytes) -> None:
     """Write ``data`` over the bytes of ``path``, which is created with mode
-    ``0o666`` less the umask if absent, then cut a regular file to
+    ``0o666`` less the umask if absent, then cut a longer regular file to
     ``len(data)``.  The target is never opened ``O_TRUNC``: on ext4 a file
     truncated to zero and written again is flushed to disk when it is closed
     (``auto_da_alloc``), which costs far more than the write.  When a
@@ -86,13 +86,14 @@ def _overwrite(path: Path, data: bytes) -> None:
     holds a prefix of ``data``, never new bytes followed by an old tail."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
-        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        st = os.fstat(fd)
+        size = st.st_size if stat.S_ISREG(st.st_mode) else 0
         written = 0
         try:
             while written < len(data):
                 written += os.write(fd, data[written:])
         finally:
-            if regular:
+            if size > written:
                 os.ftruncate(fd, written)
     finally:
         os.close(fd)
@@ -110,7 +111,7 @@ def _write_outputs(outputs: list[tuple[str, str]]) -> tuple[str, str] | None:
     cut to length, never truncated to zero first, which on ext4 would force
     a writeback at every close."""
     staged: list[tuple[str, Path, Path]] = []
-    in_place: list[tuple[str, str]] = []
+    in_place: list[tuple[str, Path, str]] = []
     written: list[tuple[Path, bytes]] = []
     try:
         for k, (target, text) in enumerate(outputs):
@@ -121,14 +122,13 @@ def _write_outputs(outputs: list[tuple[str, str]]) -> tuple[str, str] | None:
             if len(outputs) == 1 or path.exists():
                 if len(outputs) > 1 and not os.access(path, os.W_OK):
                     raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
-                in_place.append((target, text))
+                in_place.append((target, path, text))
                 continue
             real = Path(os.path.realpath(path))
             temporary = real.with_name(f".{real.name}.{os.getpid()}-{k}.tmp")
             staged.append((target, temporary, real))
             _overwrite(temporary, text.encode("utf-8"))
-        for target, text in in_place:
-            path = Path(target)
+        for target, path, text in in_place:
             if len(outputs) > 1 and path.is_file() and os.access(path, os.R_OK):
                 written.append((path, path.read_bytes()))
             _overwrite(path, text.encode("utf-8"))
