@@ -227,7 +227,6 @@ def test_chamber_walk_builds_fractions_only_to_refuse():
     assert _fractions_outside_raise(methods["vertices"])
 
 
-
 def _writes_outside(tree, allowed) -> list[str]:
     """What under ``tree`` writes a file, as ``line: what``: calls outside
     the nodes ``allowed`` to ``write_text``, ``write_bytes`` or ``os.open``,
@@ -244,10 +243,9 @@ def _writes_outside(tree, allowed) -> list[str]:
         name = func.attr if owner is not None else getattr(func, "id", None)
         if name in {"write_text", "write_bytes"} or (name, owner) == ("open", "os"):
             found.append(f"{node.lineno}: {name}")
-        elif name in {"open", "fdopen"}:
-            # ``open(file, mode)``, ``io.open(file, mode)``, ``os.fdopen(fd,
-            # mode)`` and ``path.open(mode)``
-            first = 1 if owner in (None, "io", "os") else 0
+        elif name == "open":
+            # ``open(file, mode)``, ``io.open(file, mode)`` and ``path.open(mode)``
+            first = 1 if owner in (None, "io") else 0
             modes = [k.value for k in node.keywords if k.arg == "mode"]
             for mode in modes + node.args[first : first + 1]:
                 if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+"):
