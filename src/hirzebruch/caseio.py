@@ -14,6 +14,8 @@ A case file is a JSON object with these fields:
 * ``flag``: ``{"kind": "free"}`` or ``{"kind": "satellite", "eta": int}``;
 * ``divisor``: ``{"a": int, "b": int}``.
 
+A field not listed here, at any level, is refused.
+
 All emitted numbers are reduced rational strings ``p/q`` (``q > 0``, plain
 ``p`` when integral); key order and formatting are fixed so identical
 inputs produce byte-identical output.
@@ -22,6 +24,7 @@ inputs produce byte-identical output.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -36,7 +39,7 @@ from .cluster import (
     from_maximal_contact,
     is_npi,
 )
-from .errors import CaseFormatError
+from .errors import CaseFormatError, NumberTooLarge
 from .okounkov import (
     cone_triangle,
     newton_okounkov_body,
@@ -56,9 +59,14 @@ class Case:
 
 def rational(x) -> str:
     f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        if f.denominator == 1:
+            return str(f.numerator)
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError:
+        # Past the int-to-str digit limit, which this library leaves as it is.
+        limit = sys.get_int_max_str_digits()
+        raise NumberTooLarge(f"a number of the result has more than {limit} digits") from None
 
 
 def divisor_label(d: BigDivisor) -> str:
@@ -94,14 +102,20 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _known_fields(fields: dict, name: str, *known: str) -> None:
+    unknown = set(fields) - set(known)
+    _expect(not unknown, f"unknown {name} fields: {sorted(unknown)}")
+
+
 def case_from_mapping(data) -> Case:
     _expect(isinstance(data, dict), "case must be a JSON object")
-    known = {"surface", "configuration", "beta_bar", "on_f1", "on_m", "flag", "divisor"}
-    unknown = set(data) - known
-    _expect(not unknown, f"unknown case fields: {sorted(unknown)}")
+    _known_fields(
+        data, "case", "surface", "configuration", "beta_bar", "on_f1", "on_m", "flag", "divisor"
+    )
 
     surf = data.get("surface")
     _expect(isinstance(surf, dict), "missing surface object")
+    _known_fields(surf, "surface", "delta", "point_kind")
     delta = _integer(surf.get("delta"), "surface.delta")
     try:
         surface = Surface(delta, surf.get("point_kind", "special"))
@@ -124,6 +138,7 @@ def case_from_mapping(data) -> Case:
             isinstance(conf, dict) and isinstance(conf.get("points"), list),
             "configuration must hold a list of points",
         )
+        _known_fields(conf, "configuration", "points")
         config = build_configuration(surface, conf["points"])
     else:
         beta = data["beta_bar"]
@@ -139,6 +154,7 @@ def case_from_mapping(data) -> Case:
 
     flag_data = data.get("flag")
     _expect(isinstance(flag_data, dict), "missing flag object")
+    _known_fields(flag_data, "flag", "kind", "eta")
     kind = flag_data.get("kind")
     _expect(kind in ("free", "satellite"), "flag kind must be 'free' or 'satellite'")
     if kind == "satellite":
@@ -150,6 +166,7 @@ def case_from_mapping(data) -> Case:
 
     div = data.get("divisor")
     _expect(isinstance(div, dict), "missing divisor object")
+    _known_fields(div, "divisor", "a", "b")
     a = _integer(div.get("a"), "divisor.a")
     b = _integer(div.get("b"), "divisor.b")
     return Case(surface, valuation, flag, BigDivisor(a, b))

@@ -5,11 +5,14 @@ minimality and the Seshadri-type constant of a case; ``body`` computes the
 Newton-Okounkov polygon with optional verification, oracle output and an
 SVG plot.  Exit codes: 0 success, 2 validation failure, 3 verification
 failure or a broken internal invariant.
+
+A plain argument list (a command, a case path and options spelled out in
+full, each value its own token) is read directly; argparse is imported and
+its parser built only when help, another spelling or a usage error needs it.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import errno
 import functools
@@ -17,6 +20,7 @@ import os
 import stat
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .caseio import (
     body_payload,
@@ -29,10 +33,55 @@ from .errors import HirzebruchError, VerificationFailed
 from .svg import render_svg
 
 
+# The options of each command, by spelling, with the attribute each sets;
+# the two flags take no value.
+_OPTIONS = {
+    "classify": {"-o": "output", "--output": "output"},
+    "body": {
+        "--verify": "verify",
+        "--oracle": "oracle",
+        "--svg": "svg",
+        "-o": "output",
+        "--output": "output",
+    },
+}
+_FLAGS = ("verify", "oracle")
+
+
+def _parse_plain(argv: list) -> SimpleNamespace | None:
+    """The namespace the parser of :func:`_build_parser` returns for
+    ``argv``, when ``argv`` is a command, one case path and options spelled
+    out in full, in any order, with each value a token of its own that does
+    not start with ``-``; ``None`` for any other list."""
+    if not argv or not all(isinstance(a, str) for a in argv) or argv[0] not in _OPTIONS:
+        return None
+    options = _OPTIONS[argv[0]]
+    values = {dest: False if dest in _FLAGS else None for dest in options.values()}
+    values.update(command=argv[0], case=None)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        dest = options.get(token)
+        if dest in _FLAGS:
+            values[dest] = True
+        elif dest:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+            values[dest] = value
+        elif token.startswith("-") or values["case"] is not None:
+            return None
+        else:
+            values["case"] = token
+    return None if values["case"] is None else SimpleNamespace(**values)
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # Built on the first call and kept: parsing leaves the parser unchanged,
-    # so in-process callers of ``main`` share one.
+def _build_parser():
+    # Built only when help, another spelling or a usage error needs it, and
+    # then kept: parsing leaves the parser unchanged, so in-process callers
+    # of ``main`` share one.
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="hirzebruch",
         description="Exact Seshadri-type constants and Newton-Okounkov polygons "
@@ -145,7 +194,8 @@ def _write_outputs(outputs: list[tuple[str, str]]) -> tuple[str, str] | None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_plain(argv) or _build_parser().parse_args(argv)
     try:
         case = load_case(args.case)
         command = _cmd_classify if args.command == "classify" else _cmd_body

@@ -98,6 +98,11 @@ class CaseFormatError(HirzebruchError):
     """A case file does not follow the documented schema."""
 
 
+class NumberTooLarge(HirzebruchError):
+    """A result is too large to write out: an integer past the int-to-str
+    digit limit, or a plotted coordinate past the float range."""
+
+
 def raise_config_errors(violations):
     """Raise the class of the first violation, carrying all messages."""
     if violations:

@@ -6,6 +6,7 @@ with a fixed precision so identical inputs give byte-identical files.
 
 from __future__ import annotations
 
+from .errors import NumberTooLarge
 from .okounkov import Polygon
 
 _WIDTH = 640.0
@@ -17,9 +18,17 @@ def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
 
+def _floats(polygon: Polygon) -> list[tuple[float, float]]:
+    try:
+        return [(float(x), float(y)) for x, y in polygon.vertices]
+    except OverflowError:
+        raise NumberTooLarge("too large to plot: a vertex is past the float range") from None
+
+
 def render_svg(triangle: Polygon, body: Polygon) -> str:
-    xs = [float(x) for x, _ in triangle.vertices]
-    ys = [float(y) for _, y in triangle.vertices]
+    corners, vertices = _floats(triangle), _floats(body)
+    xs = [x for x, _ in corners]
+    ys = [y for _, y in corners]
     x0, x1 = min(xs + [0.0]), max(xs)
     y0, y1 = min(ys + [0.0]), max(ys)
     span_x = (x1 - x0) or 1.0
@@ -28,16 +37,14 @@ def render_svg(triangle: Polygon, body: Polygon) -> str:
     sy = (_HEIGHT - 2 * _MARGIN) / span_y
 
     def to_px(p):
-        x, y = float(p[0]), float(p[1])
+        x, y = p
         return (
             _MARGIN + (x - x0) * sx,
             _HEIGHT - _MARGIN - (y - y0) * sy,
         )
 
-    def points_attr(poly):
-        return " ".join(
-            f"{_fmt(px)},{_fmt(py)}" for px, py in (to_px(p) for p in poly.vertices)
-        )
+    def points_attr(points):
+        return " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in map(to_px, points))
 
     origin = to_px((0, 0))
     lines = [
@@ -49,9 +56,9 @@ def render_svg(triangle: Polygon, body: Polygon) -> str:
         f'  <line x1="{_fmt(origin[0])}" y1="{_fmt(_MARGIN / 2)}" '
         f'x2="{_fmt(origin[0])}" y2="{_fmt(_HEIGHT - _MARGIN / 2)}" '
         'stroke="#404040" stroke-width="1"/>',
-        f'  <polygon points="{points_attr(triangle)}" fill="#e3e3e3" '
+        f'  <polygon points="{points_attr(corners)}" fill="#e3e3e3" '
         'stroke="#b5b5b5" stroke-width="1.5"/>',
-        f'  <polygon points="{points_attr(body)}" fill="#8a8a8a" '
+        f'  <polygon points="{points_attr(vertices)}" fill="#8a8a8a" '
         'fill-opacity="0.75" stroke="#555555" stroke-width="1.5"/>',
         "</svg>",
     ]

@@ -1,6 +1,7 @@
 import contextlib
 import errno
 import io
+import itertools
 import json
 import os
 import stat
@@ -493,6 +494,53 @@ def test_undocumented_point_field_exits_2(tmp_path, record):
         assert (code, out, err) == (2, "", "ChainBroken: p3: unknown fields ['extra']\n")
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("surface", {"delta": 2, "pointkind": "general"}, "surface fields: ['pointkind']"),
+        ("flag", {"kind": "free", "eeta": 3}, "flag fields: ['eeta']"),
+        ("divisor", {"a": 2, "b": 5, "c": 1}, "divisor fields: ['c']"),
+        ("configuration", {"points": [{}], "point": []}, "configuration fields: ['point']"),
+    ],
+    ids=["surface", "flag", "divisor", "configuration"],
+)
+def test_unknown_nested_fields_exit_2(tmp_path, field, value, message):
+    # A misspelt field inside an object is refused, not read as absent: a
+    # surface without ``point_kind`` would take a special center.
+    case = json.loads((CASES / "nonspecial_f2.json").read_text())
+    if field == "configuration":
+        del case["beta_bar"], case["on_f1"], case["on_m"]
+        case["flag"] = {"kind": "free"}
+    case[field] = value
+    path = write_case(tmp_path, "unknown.json", case)
+    for command in ("classify", "body"):
+        code, out, err = _in_process([command, str(path)])
+        assert (code, out, err) == (2, "", f"CaseFormatError: unknown {message}\n")
+
+
+@pytest.mark.parametrize(
+    "exponent, svg, message",
+    [
+        (2200, False, "a number of the result has more than 4300 digits"),
+        (400, True, "too large to plot: a vertex is past the float range"),
+    ],
+    ids=["past-the-digit-limit", "past-the-float-range"],
+)
+def test_huge_divisor_coefficients_exit_2(tmp_path, exponent, svg, message):
+    # Coefficients inside the JSON digit limit whose area2 is past the
+    # int-to-str limit, or whose plot is past the float range, are refused
+    # with one stderr line and no file written; classify still succeeds.
+    case = json.loads((CASES / "nonspecial_f2.json").read_text())
+    case["divisor"] = {"a": 10**exponent, "b": 10**exponent}
+    path = write_case(tmp_path, "huge.json", case)
+    argv = ["body", str(path), "-o", str(tmp_path / "body.json")]
+    if svg:
+        argv += ["--svg", str(tmp_path / "body.svg")]
+    assert _in_process(argv) == (2, "", f"NumberTooLarge: {message}\n")
+    assert list(tmp_path.iterdir()) == [path]
+    assert _in_process(["classify", str(path)])[0] == 0
+
+
 def test_value_cap_refusal_past_the_digit_limit_exits_2(tmp_path):
     # Each alternating satellite multiplies the last value by about the
     # golden ratio squared: at r = 10289 it would have more than 4300 digits,
@@ -563,23 +611,111 @@ def test_beta_bar_at_the_caps(tmp_path, beta_bar, on_m, eta, classified, body):
 
 
 def test_one_parser_serves_calls_in_one_process(tmp_path):
-    # main keeps its parser between calls: a refused call followed by a
-    # computed one prints what two fresh processes print.
+    # Calls in one process share state: the plain lists are read directly,
+    # the abbreviated one builds the parser once and keeps it, and a refused
+    # call followed by computed ones prints what fresh processes print.
     bad = write_case(tmp_path, "bad.json", {"surface": {"delta": 2}})
-    calls = (["classify", str(bad)], ["body", str(CASES / "special_f2.json")])
+    special = str(CASES / "special_f2.json")
+    calls = (["classify", str(bad)], ["body", special], ["body", special, "--ver"])
     for argv in calls:
         fresh = run_cli(*argv)
         assert _in_process(argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
-    assert [_in_process(argv)[0] for argv in calls] == [2, 0]
+    assert [_in_process(argv)[0] for argv in calls] == [2, 0, 0]
 
 
-def test_usage_error_still_exits_2(capsys):
-    for argv in (["frobnicate"], ["body"], ["body", "x.json", "--nope"]):
+# Both commands, a case path and a second value, each option in both
+# spellings, and what only argparse reads: dashes, help, an abbreviation, an
+# attached value and an empty token.
+_ARGV_TOKENS = (
+    "classify", "body", "c.json", "x.svg", "-o", "--output", "--verify", "--oracle",
+    "--svg", "-", "--", "-h", "--out", "-oX", "--output=y", "",
+)
+
+
+def test_direct_parse_equals_argparse():
+    # Every list of up to four tokens that the direct path reads, argparse
+    # reads too, into the same attributes; the rest is left to argparse.
+    from hirzebruch.cli import _build_parser, _parse_plain
+
+    parser = _build_parser()
+    accepted = 0
+    for n in range(5):
+        for argv in itertools.product(_ARGV_TOKENS, repeat=n):
+            direct = _parse_plain(list(argv))
+            if direct is None:
+                continue
+            accepted += 1
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                try:
+                    parsed = parser.parse_args(list(argv))
+                except SystemExit:
+                    pytest.fail(f"argparse refuses {argv}: {err.getvalue()}")
+            assert vars(direct) == vars(parsed), argv
+    assert accepted == 340
+
+
+def test_usage_error_still_exits_2(capsys, tmp_path):
+    for argv in (
+        ["frobnicate"],
+        ["body"],
+        ["body", "x.json", "--nope"],
+        ["body", "x.json", "-o"],
+        ["classify", "x.json", "--svg", "s"],
+        ["body", "a.json", "b.json"],
+    ):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
         assert "usage: hirzebruch" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hirzebruch")
     assert main(["classify", str(CASES / "minimal_f0.json")]) == 0
+    capsys.readouterr()
+    # The spellings only argparse reads give what the spelled-out form gives.
+    special = str(CASES / "special_f2.json")
+    outputs = {}
+    for name, flags in (
+        ("plain", ["--verify", "-o", str(tmp_path / "plain.json")]),
+        ("attached", ["--verify", f"--output={tmp_path / 'attached.json'}"]),
+        ("abbreviated", ["--ver", "-o", str(tmp_path / "abbreviated.json")]),
+    ):
+        assert main(["body", special, *flags]) == 0
+        outputs[name] = (capsys.readouterr(), (tmp_path / f"{name}.json").read_bytes())
+    assert outputs["attached"] == outputs["plain"] == outputs["abbreviated"]
+
+
+def test_plain_call_imports_no_argparse(tmp_path):
+    # A plain call never imports argparse, nor the gettext and locale it
+    # would load; help in a fresh interpreter still goes through argparse.
+    out = tmp_path / "body.json"
+    plain = (
+        "import sys\n"
+        "from hirzebruch.cli import main\n"
+        f"code = main(['body', {str(CASES / 'special_f2.json')!r}, '--verify', "
+        f"'--oracle', '-o', {str(out)!r}])\n"
+        "print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    helped = (
+        "import sys\n"
+        "from hirzebruch.cli import main\n"
+        "try:\n"
+        "    main(['--help'])\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, 'argparse' in sys.modules, file=sys.stderr)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT}
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=False
+        )
+        for script in (plain, helped)
+    ]
+    assert runs[0].stdout.splitlines()[-1] == "0 []", runs[0].stderr
+    assert json.loads(out.read_text())["shape"] == "quadrilateral"
+    assert runs[1].stdout.startswith("usage: hirzebruch")
+    assert runs[1].stderr == "0 True\n"
 
 
 def test_verification_failure_exits_3(monkeypatch, capsys):
