@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hirzebruch.cli import main
+from hirzebruch.cli import _build_parser, _parse_plain, main
 
 from conftest import CASES, PACKAGE_ROOT
 
@@ -635,8 +635,6 @@ _ARGV_TOKENS = (
 def test_direct_parse_equals_argparse():
     # Every list of up to four tokens that the direct path reads, argparse
     # reads too, into the same attributes; the rest is left to argparse.
-    from hirzebruch.cli import _build_parser, _parse_plain
-
     parser = _build_parser()
     accepted = 0
     for n in range(5):
