@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,6 +37,7 @@ from .cluster import (
     flag_valuation,
     from_maximal_contact,
     is_npi,
+    _Record,
 )
 from .errors import CaseFormatError, NumberTooLarge
 from .okounkov import (
@@ -49,12 +49,14 @@ from .okounkov import (
 from .seshadri import BigDivisor, is_minimal, mu_hat, never_minimal, theta
 
 
-@dataclass(frozen=True)
-class Case:
-    surface: Surface
-    valuation: DivisorialValuation
-    flag: FlagValuation
-    divisor: BigDivisor
+class Case(_Record):
+    _fields = ("surface", "valuation", "flag", "divisor")
+
+    def __init__(
+        self, surface: Surface, valuation: DivisorialValuation, flag: FlagValuation,
+        divisor: BigDivisor,
+    ):
+        vars(self).update(surface=surface, valuation=valuation, flag=flag, divisor=divisor)
 
 
 def rational(x) -> str:

@@ -8,7 +8,8 @@ failure or a broken internal invariant.
 
 A plain argument list (a command, a case path and options spelled out in
 full, each value its own token) is read directly; argparse is imported and
-its parser built only when help, another spelling or a usage error needs it.
+its parser built only when help, another spelling or a usage error needs it,
+and the SVG module only for ``--svg``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .caseio import (
     load_case,
 )
 from .errors import HirzebruchError, VerificationFailed
-from .svg import render_svg
 
 
 # The options of each command, by spelling, with the attribute each sets;
@@ -121,7 +121,10 @@ def _cmd_body(case, args) -> tuple[list[str], list[tuple[str, str]]]:
         lines.append(
             "verification: " + ", ".join(f"{c}={s}" for c, s in payload["verification"])
         )
-    svg = render_svg(triangle, body) if args.svg else ""
+    svg = ""
+    if args.svg:
+        from .svg import render_svg
+        svg = render_svg(triangle, body)
     return lines, [(args.svg, svg), (args.output, dump_payload(payload))]
 
 

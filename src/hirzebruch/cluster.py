@@ -27,11 +27,10 @@ route builds a truncated valuation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from decimal import Decimal
 from itertools import accumulate, groupby, islice, repeat
 from math import gcd
-from operator import add
+from operator import add, attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -54,8 +53,35 @@ _SEMIGROUP_VALUE_CAP = 1 << 24
 _POINT_CAP = 1 << 16
 
 
-@dataclass(frozen=True)
-class Surface:
+class _Record:
+    """Base of the immutable records: each sets the fields named in ``_fields``
+    and its caches in ``__init__``; equality (one class only), hash and repr read
+    the fields.  Not a dataclass: its import costs a cold CLI call more than its work."""
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Surface(_Record):
     """A ruled surface of invariant ``delta`` with a marked closed point.
 
     ``point_kind`` records whether the marked point lies on the negative
@@ -63,16 +89,16 @@ class Surface:
     distinguished section is the member of the second ruling through it.
     """
 
-    delta: int
-    point_kind: str = SPECIAL
+    _fields = ("delta", "point_kind")
 
-    def __post_init__(self):
-        if self.delta < 0:
+    def __init__(self, delta: int, point_kind: str = SPECIAL):
+        if delta < 0:
             raise ValueError("delta must be a non-negative integer")
-        if self.point_kind not in (SPECIAL, GENERAL):
-            raise ValueError(f"unknown point kind {self.point_kind!r}")
-        if self.delta == 0 and self.point_kind != SPECIAL:
+        if point_kind not in (SPECIAL, GENERAL):
+            raise ValueError(f"unknown point kind {point_kind!r}")
+        if delta == 0 and point_kind != SPECIAL:
             raise ValueError("every point of the delta=0 surface is special")
+        vars(self).update(delta=delta, point_kind=point_kind)
 
 
 def _stretches(extras: Sequence[int | None]) -> Iterable[tuple[int | None, int, int]]:
@@ -85,8 +111,7 @@ def _stretches(extras: Sequence[int | None]) -> Iterable[tuple[int | None, int, 
         yield extra, first, last
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(_Record):
     """A validated chain of infinitely near points: ``extras[i - 1]`` is
     ``extra(i)``, and the fiber and section chains are ``p_1, ..., p_n_f1``
     and ``p_1, ..., p_n_m``.
@@ -96,23 +121,15 @@ class Configuration:
     must be ``i - 2`` or ``extra(i - 1)``, else the runs read from ``extras``
     give proximities, multiplicities and curvette rows of no cluster."""
 
-    extras: tuple[int | None, ...]
-    n_f1: int
-    n_m: int
-    # Derived per instance and left out of equality and hashing: ``last(i)``
-    # for every point whose run holds satellites, in increasing ``i``; the
-    # stage-r multiplicities; the curvette-value rows by stage.
-    _last: dict[int, int] = field(init=False, repr=False, compare=False)
-    _m: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
-    _rows: dict[int, tuple[int, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _fields = ("extras", "n_f1", "n_m")
 
-    def __post_init__(self):
-        # The satellites proximate to p_i are the stretch p_{i+2}..p_{last(i)}
-        # whose extra is i.
-        last = {e: end for e, _, end in _stretches(self.extras) if e is not None}
-        object.__setattr__(self, "_last", last)
+    def __init__(self, extras: tuple[int | None, ...], n_f1: int, n_m: int):
+        # Derived per instance and left out of equality and hashing: ``last(i)``
+        # for every point whose run holds satellites, in increasing ``i`` (the
+        # satellites proximate to p_i are the stretch p_{i+2}..p_{last(i)} whose
+        # extra is i); the stage-r multiplicities; the curvette rows by stage.
+        last = {e: end for e, _, end in _stretches(extras) if e is not None}
+        vars(self).update(extras=extras, n_f1=n_f1, n_m=n_m, _last=last, _m=None, _rows={})
 
     @property
     def r(self) -> int:
@@ -439,8 +456,7 @@ def from_maximal_contact(
     return config
 
 
-@dataclass(frozen=True)
-class DivisorialValuation:
+class DivisorialValuation(_Record):
     """A divisorial valuation with its derived invariants.
 
     ``m`` is the multiplicity vector, ``beta_bar`` the maximal contact
@@ -449,16 +465,17 @@ class DivisorialValuation:
     negative section, ``phi_m`` is zero.
     """
 
-    surface: Surface
-    config: Configuration
-    r: int
-    m: tuple[int, ...]
-    beta_bar: tuple[int, ...]
-    phi_f1: int
-    phi_m: int
-    kind: str
-    # The curve basis and the dual graph, kept per instance by ``lattice``.
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("surface", "config", "r", "m", "beta_bar", "phi_f1", "phi_m", "kind")
+
+    def __init__(
+        self, surface: Surface, config: Configuration, r: int, m: tuple[int, ...],
+        beta_bar: tuple[int, ...], phi_f1: int, phi_m: int, kind: str,
+    ):
+        # ``_tables``: the curve basis, dual graph and last body, kept by the layers.
+        vars(self).update(
+            surface=surface, config=config, r=r, m=m, beta_bar=beta_bar,
+            phi_f1=phi_f1, phi_m=phi_m, kind=kind, _tables={},
+        )
 
     @property
     def delta(self) -> int:
@@ -551,8 +568,7 @@ def truncation_pairing(config: Configuration, i: int, j: int) -> int:
     return config.curvette_values(i)[j - 1]
 
 
-@dataclass(frozen=True)
-class FlagValuation:
+class FlagValuation(_Record):
     """A divisorial valuation with a marked point on its last exceptional divisor.
 
     ``eta`` names the older exceptional divisor through the flag point when
@@ -560,8 +576,10 @@ class FlagValuation:
     divisor.
     """
 
-    base: DivisorialValuation
-    eta: int | None = None
+    _fields = ("base", "eta")
+
+    def __init__(self, base: DivisorialValuation, eta: int | None = None):
+        vars(self).update(base=base, eta=eta)
 
     @property
     def is_satellite(self) -> bool:

@@ -20,12 +20,11 @@ request.  Both tables stay on the valuation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .cluster import NON_SPECIAL, SPECIAL, DivisorialValuation
+from .cluster import NON_SPECIAL, SPECIAL, DivisorialValuation, _Record
 from .errors import DimensionMismatch, NotATree
 
 
@@ -33,14 +32,13 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
-class DivisorClassZ:
+class DivisorClassZ(_Record):
     """A rational divisor class over the pullback basis."""
 
-    delta: int
-    f: Fraction
-    m: Fraction
-    e: tuple[Fraction, ...]
+    _fields = ("delta", "f", "m", "e")
+
+    def __init__(self, delta: int, f: Fraction, m: Fraction, e: tuple[Fraction, ...]):
+        vars(self).update(delta=delta, f=f, m=m, e=e)
 
     @property
     def r(self) -> int:
@@ -99,8 +97,7 @@ def pair(x: DivisorClassZ, y: DivisorClassZ) -> Fraction:
     )
 
 
-@dataclass(frozen=True)
-class CurveBasis:
+class CurveBasis(_Record):
     """Strict-transform classes generating the cone of curves.
 
     ``names`` and ``rows`` run in the fixed order ``F1``, ``M0``,
@@ -111,10 +108,10 @@ class CurveBasis:
     exceptional curve, a chain for the fiber and the sections.
     """
 
-    delta: int
-    r: int
-    names: tuple[str, ...]
-    rows: tuple[tuple[int, int, dict[int, int]], ...]
+    _fields = ("delta", "r", "names", "rows")
+
+    def __init__(self, delta: int, r: int, names: tuple[str, ...], rows: tuple[tuple, ...]):
+        vars(self).update(delta=delta, r=r, names=names, rows=rows)
 
     @cached_property
     def classes(self) -> tuple[DivisorClassZ, ...]:

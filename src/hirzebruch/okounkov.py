@@ -21,12 +21,12 @@ unimodularity clause the stage's contact values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .cluster import FlagValuation, maximal_contact_values, npi_excess, truncation_pairing, _stage
+from .cluster import FlagValuation, maximal_contact_values, npi_excess, truncation_pairing
+from .cluster import _Record, _stage
 from .errors import (
     EtaNotNPI,
     InvariantBroken,
@@ -237,8 +237,7 @@ def _qpoint(k: int) -> property:
     return property(lambda qp: tuple(Fraction(c, qp.den) for c in qp.points[k]))
 
 
-@dataclass(frozen=True)
-class QPoints:
+class QPoints(_Record):
     """Candidate vertices of the body at the two support breakpoints.
 
     ``bottom``/``top`` are the lower and upper boundary points above each
@@ -247,9 +246,10 @@ class QPoints:
     holds them in that order as integer numerators over ``den``.
     """
 
-    theta: int
-    den: int
-    points: tuple[tuple[int, int], ...]
+    _fields = ("theta", "den", "points")
+
+    def __init__(self, theta: int, den: int, points: tuple[tuple[int, int], ...]):
+        vars(self).update(theta=theta, den=den, points=points)
 
     bottom_lower = _qpoint(0)
     top_lower = _qpoint(1)
@@ -340,14 +340,15 @@ def sweep_body(flag: FlagValuation, d) -> Polygon:
     return Polygon._hull(*_chamber_walk(flag, d))
 
 
-@dataclass(frozen=True)
-class BodyReport:
+class BodyReport(_Record):
     """Outcome of the cross-checks run by :func:`verify_body`."""
 
-    body: Polygon
-    triangle: Polygon
-    sweep: Polygon | None
-    checks: tuple[tuple[str, str], ...]
+    _fields = ("body", "triangle", "sweep", "checks")
+
+    def __init__(
+        self, body: Polygon, triangle: Polygon, sweep: Polygon | None, checks: tuple[tuple, ...]
+    ):
+        vars(self).update(body=body, triangle=triangle, sweep=sweep, checks=checks)
 
     def passed(self) -> bool:
         return all(status in ("pass", "skipped") for _, status in self.checks)

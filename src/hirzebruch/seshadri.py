@@ -2,23 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .cluster import DivisorialValuation, npi_excess, _Stage
+from .cluster import DivisorialValuation, npi_excess, _Record, _Stage
 from .errors import InvariantBroken, NotBig, NotNPI, NotNefBig
 
 
-@dataclass(frozen=True)
-class BigDivisor:
+class BigDivisor(_Record):
     """The class ``a F + b M`` on the base surface."""
 
-    a: int
-    b: int
+    _fields = ("a", "b")
 
-    def __post_init__(self):
-        if not type(self.a) is type(self.b) is int:  # a bool is refused too
-            raise ValueError(f"divisor coordinates must be integers: {self.a!r}, {self.b!r}")
+    def __init__(self, a: int, b: int):
+        if not type(a) is type(b) is int:  # a bool is refused too
+            raise ValueError(f"divisor coordinates must be integers: {a!r}, {b!r}")
+        vars(self).update(a=a, b=b)
 
     def is_nef(self) -> bool:
         return self.a >= 0 and self.b >= 0

@@ -39,13 +39,12 @@ refuses the class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
-from .cluster import DivisorialValuation, FlagValuation, truncation_pairing
+from .cluster import DivisorialValuation, FlagValuation, truncation_pairing, _Record
 from .errors import InvariantBroken, NegativePartOnEr, NotPseudoeffective
 from .lattice import CurveBasis, DivisorClassZ, curve_basis
 from .seshadri import (
@@ -58,8 +57,7 @@ from .seshadri import (
 )
 
 
-@dataclass(frozen=True)
-class ZariskiPair:
+class ZariskiPair(_Record):
     """An exact decomposition ``divisor = positive + negative``.
 
     The negative part is stored as coefficients on named cone generators,
@@ -71,10 +69,13 @@ class ZariskiPair:
     denominator ``denom``: the engine's final remainder.
     """
 
-    divisor: DivisorClassZ
-    components: tuple[tuple[str, Fraction], ...]
-    basis: CurveBasis
-    pairings: tuple[list[int], int]
+    _fields = ("divisor", "components", "basis", "pairings")
+
+    def __init__(
+        self, divisor: DivisorClassZ, components: tuple[tuple[str, Fraction], ...],
+        basis: CurveBasis, pairings: tuple[list[int], int],
+    ):
+        vars(self).update(divisor=divisor, components=components, basis=basis, pairings=pairings)
 
     @cached_property
     def positive(self) -> DivisorClassZ:

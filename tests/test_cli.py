@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -610,6 +611,48 @@ def test_beta_bar_at_the_caps(tmp_path, beta_bar, on_m, eta, classified, body):
         assert _in_process([command, str(path), *flags]) == (code, *printed)
 
 
+def _near_the_caps(rng):
+    """Maximal contact values a few units either side of the value cap 2^24
+    and the point cap 2^16, with the flag and class of each case."""
+    draws = []
+    for _ in range(8):
+        # A satellite block [n, n+1, n^2+n], r = n+1: n = 4095 is the last
+        # one whose final value stays below the value cap.
+        n = 4096 + rng.randint(-4, 3)
+        draws.append(([n, n + 1, n * n + n], rng.choice([None, n])))
+        # A free run after [2, 3]: refused for its length or its value.
+        draws.append(([2, 3, (1 << 24) + rng.randint(-3, 3)], None))
+        # special_f2's free tail at r points around the point cap.
+        r = 65536 + rng.randint(-3, 3)
+        draws.append(([20, 28, 153, 612 + r - 12], rng.choice([None, r - 1])))
+    return draws
+
+
+def test_beta_bar_fuzz_near_the_caps(tmp_path):
+    # Seeded draws around both caps: every call succeeds, or is refused
+    # with exit 2 or 3 and one stderr line, and never raises.
+    rng = random.Random(20261020)
+    for k, (beta_bar, eta) in enumerate(_near_the_caps(rng)):
+        a, b = rng.choice([(1, 2), (2, 5), (0, 1), (3, 1)])
+        case = {
+            "surface": {"delta": 2, "point_kind": "special"},
+            "beta_bar": beta_bar,
+            "on_f1": 1,
+            "on_m": rng.choice([1, 2]),
+            "flag": {"kind": "free"} if eta is None else {"kind": "satellite", "eta": eta},
+            "divisor": {"a": a, "b": b},
+        }
+        path = write_case(tmp_path, f"near-{k}.json", case)
+        for argv in (["classify", str(path)], ["body", str(path), "--verify", "--oracle"]):
+            code, out, err = _in_process(argv)
+            assert code in (0, 2, 3), (case, argv, err)
+            if code:
+                assert out == "" and err.count("\n") == 1 and err.endswith("\n"), (case, argv)
+            else:
+                assert err == "" and out, (case, argv)
+            assert "Traceback" not in out + err
+
+
 def test_one_parser_serves_calls_in_one_process(tmp_path):
     # Calls in one process share state: the plain lists are read directly,
     # the abbreviated one builds the parser once and keeps it, and a refused
@@ -714,6 +757,39 @@ def test_plain_call_imports_no_argparse(tmp_path):
     assert json.loads(out.read_text())["shape"] == "quadrilateral"
     assert runs[1].stdout.startswith("usage: hirzebruch")
     assert runs[1].stderr == "0 True\n"
+
+
+# What importing ``dataclasses`` loads, and the plotting module.
+_HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "hirzebruch.svg")
+
+
+def test_plain_call_imports_no_dataclasses_and_no_svg(tmp_path):
+    # A fresh interpreter importing the package and making a plain call
+    # loads none of the heavy modules (those loaded before the package are
+    # not counted); only an ``--svg`` call loads the plotting module.
+    out, svg = tmp_path / "body.json", tmp_path / "body.svg"
+    case = str(CASES / "special_f2.json")
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import hirzebruch\n"
+        "from hirzebruch.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        f"print(code, sorted(set({_HEAVY!r}) & (set(sys.modules) - before)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT}
+    plain = ["body", case, "--verify", "--oracle", "-o", str(out)]
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        for argv in (plain, [*plain, "--svg", str(svg)])
+    ]
+    assert runs[0].stdout.splitlines()[-1] == "0 []", runs[0].stderr
+    assert runs[1].stdout.splitlines()[-1] == "0 ['hirzebruch.svg']", runs[1].stderr
+    assert json.loads(out.read_text())["shape"] == "quadrilateral"
+    assert svg.read_text().startswith("<svg")
 
 
 def test_verification_failure_exits_3(monkeypatch, capsys):

@@ -1,10 +1,34 @@
 import ast
+import importlib
 import importlib.util
 import json
 import types
 from pathlib import Path
 
+import pytest
+
 import hirzebruch
+from hirzebruch import (
+    BigDivisor,
+    Configuration,
+    Surface,
+    curve_basis,
+    div_class,
+    divisorial_valuation,
+    dual_graph,
+    exceptional,
+    flag_valuation,
+    from_maximal_contact,
+    multiplicities,
+    newton_okounkov_body,
+    pullback,
+    q_points,
+    verify_body,
+    zariski_decompose,
+)
+from hirzebruch.caseio import load_case
+
+from conftest import CASES
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(hirzebruch.__file__).resolve().parent
@@ -53,6 +77,13 @@ def test_every_traced_target_resolves():
         assert tracer.absent == []
     finally:
         tracer.uninstall()
+    # Each target is defined in the layer module it names, not only
+    # reachable from it, so a move shows here before it drops a metric.
+    for target in tracing.TARGETS:
+        layer, name = target.split(".", 1)
+        function = getattr(importlib.import_module(f"hirzebruch.{layer}"), name, None)
+        assert callable(function), target
+        assert function.__module__ == f"hirzebruch.{layer}", target
     produced = set(tracing.layer_metrics(tracer.summary()))
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     # ``bench/run.py`` adds the overhead ratio itself.
@@ -282,3 +313,144 @@ def test_outputs_are_written_only_in_place():
         if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
     ]
     assert calls.count("_overwrite") == 3
+
+
+def test_no_module_imports_dataclasses():
+    # ``dataclasses`` loads ``inspect``, ``ast`` and ``dis`` and runs
+    # generated code at import: the records derive from one plain base.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
+# The field names of each record of the package, in constructor order.
+RECORD_FIELDS = {
+    "Surface": ("delta", "point_kind"),
+    "Configuration": ("extras", "n_f1", "n_m"),
+    "DivisorialValuation": (
+        "surface", "config", "r", "m", "beta_bar", "phi_f1", "phi_m", "kind",
+    ),
+    "FlagValuation": ("base", "eta"),
+    "DivisorClassZ": ("delta", "f", "m", "e"),
+    "CurveBasis": ("delta", "r", "names", "rows"),
+    "BigDivisor": ("a", "b"),
+    "QPoints": ("theta", "den", "points"),
+    "BodyReport": ("body", "triangle", "sweep", "checks"),
+    "ZariskiPair": ("divisor", "components", "basis", "pairings"),
+    "Case": ("surface", "valuation", "flag", "divisor"),
+}
+# Records holding a dict or a list among their fields.
+UNHASHABLE = {"CurveBasis", "ZariskiPair"}
+
+
+def _block_flag():
+    """The satellite flag of the block ``[2, 3, 6]`` on the ``delta = 1``
+    surface, built afresh."""
+    surface = Surface(1)
+    return flag_valuation(divisorial_valuation(surface, from_maximal_contact(surface, [2, 3, 6])), 2)
+
+
+def _record_example(name: str):
+    flag, d = _block_flag(), BigDivisor(1, 2)
+    basis = curve_basis(flag.base)
+    examples = {
+        "Surface": lambda: Surface(2),
+        "Configuration": lambda: flag.base.config,
+        "DivisorialValuation": lambda: flag.base,
+        "FlagValuation": lambda: flag,
+        "DivisorClassZ": lambda: div_class(1, 1, 2, (1, 0)),
+        "CurveBasis": lambda: basis,
+        "BigDivisor": lambda: d,
+        "QPoints": lambda: q_points(flag, d),
+        "BodyReport": lambda: verify_body(flag, d),
+        "ZariskiPair": lambda: zariski_decompose(
+            pullback(1, 1, 2, 3) - 3 * exceptional(1, 3, 3), basis
+        ),
+        "Case": lambda: load_case(CASES / "special_f2.json"),
+    }
+    return examples[name]()
+
+
+@pytest.mark.parametrize("name", RECORD_FIELDS)
+def test_records_are_immutable_values(name):
+    # What the frozen dataclasses gave: construction by position and by
+    # keyword, equality and hash over the fields within one class, the
+    # ``Name(field=value, ...)`` repr, and no assignment or deletion.  A
+    # record is no tuple: it equals none and cannot be iterated.
+    record = _record_example(name)
+    cls, fields = type(record), RECORD_FIELDS[name]
+    assert cls.__name__ == name
+    values = [getattr(record, field) for field in fields]
+    positional, keyword = cls(*values), cls(**dict(zip(fields, values)))
+    assert positional == keyword == record
+    assert not positional != record
+    assert repr(record) == f"{name}({', '.join(f'{f}={v!r}' for f, v in zip(fields, values))})"
+    assert repr(positional) == repr(record)
+    if name in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(positional) == hash(keyword) == hash(record)
+    other = type(name, (cls,), {})(*values)
+    assert other != record and record != other and not record == other
+    assert record != tuple(values)
+    with pytest.raises(TypeError):
+        iter(record)
+    for attempt in (
+        lambda: setattr(record, fields[0], values[0]),
+        lambda: setattr(record, "no_such_field", 1),
+        lambda: delattr(record, fields[0]),
+    ):
+        with pytest.raises(AttributeError):
+            attempt()
+    assert [getattr(record, field) for field in fields] == values
+    assert not hasattr(record, "no_such_field")
+
+
+def test_record_caches_stay_out_of_equality():
+    # A configuration with computed rows and multiplicities, and a
+    # valuation holding its basis, dual graph and body, equal, hash and
+    # print as fresh ones.
+    flag, fresh = _block_flag(), _block_flag()
+    config = flag.base.config
+    config.curvette_values(2)
+    multiplicities(config)
+    curve_basis(flag.base)
+    dual_graph(flag.base)
+    newton_okounkov_body(flag, BigDivisor(1, 2))
+    bare = Configuration(config.extras, config.n_f1, config.n_m)
+    assert config._rows and config._m is not None and flag.base._tables
+    assert not bare._rows and bare._m is None and not fresh.base._tables
+    for warm, cold in ((config, bare), (config, fresh.base.config), (flag.base, fresh.base)):
+        assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+    assert flag == fresh
+
+
+def test_record_reprs_and_refusals_are_unchanged():
+    flag = _block_flag()
+    assert repr(Surface(2)) == "Surface(delta=2, point_kind='special')"
+    assert repr(BigDivisor(1, 2)) == "BigDivisor(a=1, b=2)"
+    config = "Configuration(extras=(None, None, 1), n_f1=1, n_m=1)"
+    assert repr(flag.base.config) == config
+    assert repr(flag) == (
+        "FlagValuation(base=DivisorialValuation(surface=Surface(delta=1, "
+        f"point_kind='special'), config={config}, r=3, m=(2, 1, 1), beta_bar=(2, 3, 6), "
+        "phi_f1=2, phi_m=2, kind='special'), eta=2)"
+    )
+    for build, message in (
+        (lambda: Surface(-1), "delta must be a non-negative integer"),
+        (lambda: Surface(0, "general"), "every point of the delta=0 surface is special"),
+        (lambda: Surface(1, "elsewhere"), "unknown point kind 'elsewhere'"),
+        (lambda: BigDivisor(True, 2), "divisor coordinates must be integers: True, 2"),
+    ):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
