@@ -13,11 +13,15 @@ is proximate to, so the points proximate to any ``p_i`` form one run
 Curves*, ch. 4).  With ``P`` the proximity matrix, the multiplicities of
 the stage-``k`` valuation solve ``P m = e_k`` and the values of the stage
 curvettes solve ``P^T v = m``, that is
-``nu(phi_i) = m_i + nu(phi_{i-1}) + nu(phi_{extra(i)})``; over the runs
-each costs a few slice operations per run.  Each configuration keeps its
-curvette-value rows and its stage-``r`` multiplicities.  Pairing the
-materialised truncated multiplicity vectors gives the same values in
-O(r^2) per stage; the tests keep that route as an oracle.
+``nu(phi_i) = m_i + nu(phi_{i-1}) + nu(phi_{extra(i)})``.  The
+multiplicities are constant between the points that own a satellite run,
+so they are a few segments; a row is affine wherever the multiplicity and
+the extra are constant, so it is a few pieces, one per start of a stretch
+of points sharing their extra or of a segment.  Each configuration keeps
+its stretches and its rows as pieces by stage, so solving a row and
+reading an entry cost O(#stretches) and one bisection, whatever ``r``.
+Pairing the materialised truncated multiplicity vectors gives the same
+values in O(r^2) per stage; the tests keep that route as an oracle.
 
 The rows carry everything else: the numbers of a stage that the
 non-positivity test and the constant read are entries of its row
@@ -27,11 +31,13 @@ route builds a truncated valuation.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Iterable, Mapping, Sequence
 from decimal import Decimal
-from itertools import accumulate, groupby, islice, repeat
+from itertools import chain, groupby, islice, repeat
 from math import gcd
-from operator import add, attrgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from operator import attrgetter, sub
+from typing import NamedTuple
 
 from .errors import (
     BadIncidence,
@@ -51,6 +57,8 @@ NON_SPECIAL = "non-special"
 _SEMIGROUP_VALUE_CAP = 1 << 24
 # Cap on the number of points r, checked before any point is built.
 _POINT_CAP = 1 << 16
+# The fields of a point record.
+_POINT_FIELDS = frozenset(("parent", "extra_proximity", "on_f1", "on_m"))
 
 
 class _Record:
@@ -101,16 +109,6 @@ class Surface(_Record):
         vars(self).update(delta=delta, point_kind=point_kind)
 
 
-def _stretches(extras: Sequence[int | None]) -> Iterable[tuple[int | None, int, int]]:
-    """The maximal stretches ``p_first, ..., p_last`` of points that share
-    one ``extra``, as ``(extra, first, last)``."""
-    last = 0
-    for extra, group in groupby(extras):
-        first = last + 1
-        last += len(list(group))
-        yield extra, first, last
-
-
 class Configuration(_Record):
     """A validated chain of infinitely near points: ``extras[i - 1]`` is
     ``extra(i)``, and the fiber and section chains are ``p_1, ..., p_n_f1``
@@ -124,16 +122,21 @@ class Configuration(_Record):
     _fields = ("extras", "n_f1", "n_m")
 
     def __init__(self, extras: tuple[int | None, ...], n_f1: int, n_m: int):
-        # Derived per instance and left out of equality and hashing: ``last(i)``
-        # for every point whose run holds satellites, in increasing ``i`` (the
-        # satellites proximate to p_i are the stretch p_{i+2}..p_{last(i)} whose
-        # extra is i); the stage-r multiplicities; the curvette rows by stage.
-        last = {e: end for e, _, end in _stretches(extras) if e is not None}
-        vars(self).update(extras=extras, n_f1=n_f1, n_m=n_m, _last=last, _m=None, _rows={})
-
-    @property
-    def r(self) -> int:
-        return len(self.extras)
+        # Derived per instance and left out of equality and hashing: ``r``; the
+        # first point of each maximal stretch of points sharing one extra, mapped
+        # to that extra; ``last(i)`` for every point whose run holds satellites,
+        # in increasing ``i`` (the satellites proximate to p_i are the stretch
+        # p_{i+2}..p_{last(i)} whose extra is i); the stage-r multiplicities;
+        # the rows by stage, as pieces (:func:`_row`).
+        firsts, last, end = {}, {}, 0
+        for extra, group in groupby(extras):
+            firsts[end + 1] = extra
+            end += len(list(group))
+            if extra is not None:
+                last[extra] = end
+        vars(self).update(
+            extras=extras, n_f1=n_f1, n_m=n_m, r=end, _firsts=firsts, _last=last, _m=None, _rows={}
+        )
 
     def extra(self, i: int) -> int | None:
         return self.extras[i - 1]
@@ -145,32 +148,20 @@ class Configuration(_Record):
 
     def curvette_values(self, k: int) -> tuple[int, ...]:
         """Values ``nu_k(phi_1), ..., nu_k(phi_r)`` of the stage curvettes
-        under the stage-``k`` valuation.
-
-        Solves ``P^T v = m^(k)`` forwards: each value is the stage-``k``
-        multiplicity (zero past ``k``) plus the value of the previous point
-        and of its extra, one running sum per stretch of points that share
-        their extra.
-        """
-        row = self._rows.get(k)
-        if row is None:
-            v = [0, *multiplicities(self, k), *repeat(0, self.r - k)]
-            for extra, first, last in _stretches(self.extras):
-                run = v[first : last + 1]
-                if extra is not None:
-                    run = map(add, run, repeat(v[extra]))
-                v[first - 1 : last + 1] = accumulate(run, initial=v[first - 1])
-            row = self._rows[k] = tuple(v[1:])
-        return row
+        under the stage-``k`` valuation, expanded from the pieces of
+        :func:`_row`."""
+        starts, offsets, steps, _ = _row(self, k)
+        v = []
+        for a, b, c, step in zip(starts, (*starts[1:], self.r + 1), offsets, steps):
+            v += (c + j * step for j in range(a, b))
+        return tuple(v)
 
 
 def _coerce_point(rec, index: int) -> tuple[int | None, int | None, bool, bool]:
     """A point record's declared parent, extra proximity and incidences."""
     if isinstance(rec, Mapping):
-        known = {"parent", "extra_proximity", "on_f1", "on_m"}
-        unknown = set(rec) - known
-        if unknown:
-            raise ChainBroken([f"p{index}: unknown fields {sorted(unknown)}"])
+        if not _POINT_FIELDS.issuperset(rec):
+            raise ChainBroken([f"p{index}: unknown fields {sorted(set(rec) - _POINT_FIELDS)}"])
         parent = rec.get("parent")
         extra = rec.get("extra_proximity")
         for name, value in (("parent", parent), ("extra_proximity", extra)):
@@ -219,23 +210,21 @@ def _validated(
     """
     if not extras:
         raise ChainBroken(["a configuration needs at least one point"])
+    config = Configuration(tuple(extras), len(f1), len(m))
 
-    violations = []
-    prev_extra = None
-    for i, extra in enumerate(extras, 1):
-        parent = None if parents is None else parents[i - 1]
-        if i == 1:
-            if parent is not None:
-                violations.append((ChainBroken, "p1 has no parent"))
-        elif parent is not None and parent != i - 1:
-            violations.append(
-                (ChainBroken, f"parent of p{i} must be p{i - 1}, got p{parent}")
-            )
-        # A satellite point lies on the divisor two steps back or on the
-        # one its predecessor is proximate to.
-        if extra is not None and not (i >= 3 and extra in (i - 2, prev_extra)):
-            violations.append((BadSatellite, f"p{i} cannot be proximate to p{extra}"))
-        prev_extra = extra
+    points = []  # (point, order, class, text)
+    for i, parent in enumerate(parents or (), 1):
+        if parent is not None and (i == 1 or parent != i - 1):
+            text = f"parent of p{i} must be p{i - 1}, got p{parent}" if i > 1 else "p1 has no parent"
+            points.append((i, 0, ChainBroken, text))
+    # A satellite point lies on the divisor two steps back or on the one its
+    # predecessor is proximate to.  Past p2 only the first point of a stretch
+    # can break that rule: the others share their predecessor's extra.
+    for i in sorted({*config._firsts, min(2, config.r)}):
+        extra = extras[i - 1]
+        if extra is not None and not (i >= 3 and extra in (i - 2, extras[i - 2])):
+            points.append((i, 1, BadSatellite, f"p{i} cannot be proximate to p{extra}"))
+    violations = [(cls, text) for _, _, cls, text in sorted(points)]
 
     if not f1 or f1[0] != 1:
         violations.append((BadIncidence, "the fiber through the center contains p1"))
@@ -259,7 +248,7 @@ def _validated(
         )
 
     raise_config_errors(violations)
-    return Configuration(tuple(extras), len(f1), len(m))
+    return config
 
 
 def _check_point_count(r: int) -> None:
@@ -275,37 +264,80 @@ def truncate(config: Configuration, k: int) -> Configuration:
 
 
 def multiplicities(config: Configuration, r: int | None = None) -> tuple[int, ...]:
-    """Multiplicity vector of the valuation of the first ``r`` points.
-
-    Solves the proximity equalities backwards over the runs: the last point
-    has multiplicity one and points past ``r`` zero, a point whose run holds
-    satellites takes the sum over its run, and every other point repeats
-    the next one.  The stage-``config.r`` vector is kept on the
-    configuration.  The last value of that stage sums the squared
-    multiplicities, so a multiplicity whose square reaches the semigroup
-    cap is refused as soon as it is filled, before the rest of the vector
-    and any curvette row are built.
-    """
+    """Multiplicity vector of the valuation of the first ``r`` points,
+    expanded from the pieces of its curvette row.  The stage-``config.r``
+    vector is kept on the configuration."""
     k = config.r if r is None else r
-    if not 1 <= k <= config.r:
-        raise ValueError(f"index {k} out of range 1..{config.r}")
     if k == config.r and config._m is not None:
         return config._m
-    m = [0] * (config.r + 1)
-    m[k] = 1
-    filled = k  # m[filled:] is solved
-    for i in reversed(config._last):
-        if i < k:
-            m[i + 1 : filled] = repeat(m[filled], filled - i - 1)
-            m[i] = sum(m[i + 1 : config._last[i] + 1])
-            if k == config.r and m[i] * m[i] >= _SEMIGROUP_VALUE_CAP:
-                raise SemigroupOverflow(f"semigroup value bound {m[i] * m[i]} exceeds cap")
-            filled = i
-    m[1:filled] = repeat(m[filled], filled - 1)
-    if k < config.r:
-        return tuple(m[1 : k + 1])
-    object.__setattr__(config, "_m", tuple(m[1:]))
-    return config._m
+    starts, _, _, mults = _row(config, k)
+    lengths = map(sub, (*starts[1:], config.r + 1), starts)
+    m = tuple(islice(chain.from_iterable(map(repeat, mults, lengths)), k))
+    if k == config.r:
+        object.__setattr__(config, "_m", m)
+    return m
+
+
+def _row(config: Configuration, k: int) -> tuple[list[int], ...]:
+    """The stage-``k`` curvette row as pieces ``(starts, offsets, steps,
+    mults)``: from ``starts[p]`` up to the next start, entry ``j`` is
+    ``offsets[p] + j * steps[p]`` and the multiplicity ``mults[p]``.
+
+    A backward pass solves ``P m = e_k`` as segments of constant value: the
+    last point has multiplicity one and points past ``k`` zero, a point
+    whose run holds satellites takes the sum over its run, read off the
+    suffix sums of the segments already solved, and every other point
+    repeats the next one.  At stage ``config.r``, whose last value sums the
+    squared multiplicities, a multiplicity whose square reaches the
+    semigroup cap is refused as soon as it is solved.  A forward pass over
+    the starts of the segments and of the stretches then solves
+    ``P^T v = m``, reading the value at a stretch's extra, an earlier point,
+    from the pieces already built.  Kept on the configuration by stage.
+    """
+    row = config._rows.get(k)
+    if row is None:
+        if not 1 <= k <= config.r:
+            raise ValueError(f"index {k} out of range 1..{config.r}")
+        # Segments by decreasing start, each with the sum from its start on;
+        # m is held from the point after the next owner up to the last start.
+        starts, values, sums = [k + 1], [0], [0]
+        m = 1
+        for i, last in reversed(config._last.items()):
+            if i < k:
+                s = sums[-1] + (starts[-1] - i - 1) * m
+                starts.append(i + 1)
+                values.append(m)
+                sums.append(s)
+                j, t = min(last, k) + 1, len(starts) - 1
+                while t and starts[t - 1] <= j:
+                    t -= 1
+                m = s - sums[t] + (j - starts[t]) * values[t]
+                if k == config.r and m * m >= _SEMIGROUP_VALUE_CAP:
+                    raise SemigroupOverflow(f"semigroup value bound {m * m} exceeds cap")
+        seg = dict(zip(starts, values))
+        seg[1] = m
+        firsts = config._firsts
+        cuts = sorted({*firsts, *seg, config.r + 1})
+        row = cuts[:-1], [], [], []
+        _, offsets, steps, mults = row
+        v = at_extra = 0  # v: the entry before the piece
+        for a, b in zip(cuts, cuts[1:]):
+            m = seg.get(a, m)
+            if a in firsts:
+                extra = firsts[a]
+                at_extra = 0 if extra is None else _entry(row, extra)
+            offsets.append(v - (a - 1) * (m + at_extra))
+            steps.append(m + at_extra)
+            mults.append(m)
+            v += (b - a) * (m + at_extra)
+        config._rows[k] = row
+    return row
+
+
+def _entry(row: tuple[list[int], ...], j: int) -> int:
+    """Entry ``j`` of a row of :func:`_row`."""
+    p = bisect_right(row[0], j) - 1
+    return row[1][p] + j * row[2][p]
 
 
 def maximal_contact_values(config: Configuration, r: int | None = None) -> tuple[int, ...]:
@@ -317,19 +349,23 @@ def maximal_contact_values(config: Configuration, r: int | None = None) -> tuple
     1990; Casas-Alvero, *Singularities of Plane Curves*, ch. 5).  The
     appended last entry is the self-pairing of the multiplicity vector, the
     reciprocal volume of the valuation.  All are entries of the stage-``r``
-    row of :meth:`Configuration.curvette_values`, so no truncated
-    configuration is built.
+    row of :func:`_row`, and a satellite after a free point starts a
+    stretch, so each dead end is the point before the start of a piece.  No
+    truncated configuration is built.
     """
     k = config.r if r is None else r
-    row = config.curvette_values(k)
-    total = row[k - 1]
+    row = _row(config, k)
+    total = _entry(row, k)
     if total >= _SEMIGROUP_VALUE_CAP:
         # Decimal formats past the int-to-str digit limit of the process.
         raise SemigroupOverflow(f"semigroup value bound {Decimal(total)} exceeds cap")
+    starts, offsets, steps, _ = row
     extras = config.extras
-    generators = [row[0]]
+    generators = [offsets[0] + steps[0]]
     generators += (
-        row[i - 1] for i in range(2, k) if extras[i - 1] is None and extras[i] is not None
+        c + (a - 1) * step
+        for a, c, step in zip(starts, offsets, steps)
+        if 3 <= a <= k and extras[a - 1] is not None and extras[a - 2] is None
     )
     g = gcd(*generators)
     if g != 1:
@@ -514,21 +550,19 @@ def _stage(surface: Surface, config: Configuration, k: int) -> _Stage:
     row, and the last value is entry ``k``.  No truncated configuration is
     built.
     """
-    row = config.curvette_values(k)
+    row = _row(config, k)
     n_f1 = min(config.n_f1, k)
     n_m = min(config.n_m, k)
-    if surface.point_kind == GENERAL and surface.delta - n_m < 0:
-        kind = NON_SPECIAL
-    else:
-        kind = SPECIAL
-    phi_f1 = row[n_f1 - 1] if n_f1 else 0
-    if n_m and (kind == NON_SPECIAL or surface.point_kind == SPECIAL):
-        phi_m = row[n_m - 1]
+    general = surface.point_kind == GENERAL
+    kind = NON_SPECIAL if general and surface.delta - n_m < 0 else SPECIAL
+    phi_f1 = _entry(row, n_f1) if n_f1 else 0
+    if n_m and (kind == NON_SPECIAL or not general):
+        phi_m = _entry(row, n_m)
     else:
         # The negative section misses a general center; curves declared in
         # on_m keep non-negative self-intersection and play no further role.
         phi_m = 0
-    return _Stage(surface.delta, kind, phi_f1, phi_m, row[k - 1])
+    return _Stage(surface.delta, kind, phi_f1, phi_m, _entry(row, k))
 
 
 def divisorial_valuation(surface: Surface, config: Configuration) -> DivisorialValuation:
@@ -565,7 +599,10 @@ def truncate_valuation(val: DivisorialValuation, k: int) -> DivisorialValuation:
 def truncation_pairing(config: Configuration, i: int, j: int) -> int:
     """Noether pairing of two stages: the value of one curvette under the
     other truncated valuation (symmetric in ``i`` and ``j``)."""
-    return config.curvette_values(i)[j - 1]
+    r = config.r
+    if not (0 < i <= r and 0 < j <= r):
+        raise ValueError(f"index {j if 0 < i <= r else i} out of range 1..{r}")
+    return _entry(_row(config, i), j)
 
 
 class FlagValuation(_Record):

@@ -21,12 +21,13 @@ unimodularity clause the stage's contact values.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
 from .cluster import FlagValuation, maximal_contact_values, npi_excess, truncation_pairing
-from .cluster import _Record, _stage
+from .cluster import _Record, _row, _stage
 from .errors import (
     EtaNotNPI,
     InvariantBroken,
@@ -190,26 +191,27 @@ def cone_rays(flag: FlagValuation) -> tuple[tuple[int, int], tuple[int, int]]:
     pairs of all stage curvettes are read from the two curvette rows and
     the extreme slopes are taken; on flags continuing a satellite block
     these are the ratios of the matching semigroup generators of the two
-    valuations.  First coordinates are positive, so slopes compare by
-    integer cross-multiplication; on a tie the first pair is kept.
+    valuations.  Both rows are affine on each of their common pieces, where
+    the slope is monotone, so only the two ends of each piece are read.
+    First coordinates are positive, so slopes compare by integer
+    cross-multiplication; equal slopes give the same primitive ray.
     """
     val = flag.base
     if not flag.is_satellite:
         return (1, 0), (val.last_contact, 1)
-    config = val.config
-    pairs = zip(config.curvette_values(val.r), config.curvette_values(flag.eta))
-    low = high = next(pairs)
+    (xs, ox, tx, _), (ys, oy, ty, _) = _row(val.config, val.r), _row(val.config, flag.eta)
+    cuts = sorted({*xs, *ys})
+    pairs = []
+    for a, b in zip(cuts, (*cuts[1:], val.r + 1)):
+        p, q = bisect_right(xs, a) - 1, bisect_right(ys, a) - 1
+        pairs += ((ox[p] + j * tx[p], oy[q] + j * ty[q]) for j in {a, b - 1})
+    low = high = pairs[0]
     for p in pairs:
         if p[1] * low[0] < low[1] * p[0]:
             low = p
         elif p[1] * high[0] > high[1] * p[0]:
             high = p
-
-    def primitive(p):
-        g = gcd(p[0], p[1])
-        return (p[0] // g, p[1] // g)
-
-    return primitive(low), primitive(high)
+    return tuple((x // gcd(x, y), y // gcd(x, y)) for x, y in (low, high))
 
 
 def cone_triangle(flag: FlagValuation, d) -> Polygon:

@@ -311,14 +311,14 @@ class _Regime(NamedTuple):
 
         Stage ``r`` gives the breakpoints themselves, stage ``i < r`` the
         negative-part coefficient on ``E_i``.  The chain is an initial run
-        of free points, so its germ is the curvette at ``p_chain`` and,
-        by symmetry of the curvette pairing, ``c`` is entry ``i`` of that
-        curvette's row.
+        of free points, so its germ is the curvette at ``p_chain`` and, by
+        symmetry of the curvette pairing, ``c`` is entry ``chain`` of the
+        stage-``i`` row: no row of the chain's stage is built.
         """
         _, lower, upper, twist = self.steps()
         nu = truncation_pairing(val.config, val.r, i)
         k = self.chain
-        c = truncation_pairing(val.config, k, i) if k else 0
+        c = truncation_pairing(val.config, i, k) if k else 0
         return lower * nu, upper * nu + twist * c
 
 

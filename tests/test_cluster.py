@@ -24,7 +24,7 @@ from hirzebruch import (
     mu_hat,
     truncate_valuation,
 )
-from hirzebruch import cluster
+from hirzebruch import caseio, cluster
 from hirzebruch.cluster import npi_excess, truncation_pairing
 from hirzebruch.errors import (
     BadIncidence,
@@ -39,6 +39,7 @@ from hirzebruch.errors import (
 from hirzebruch.okounkov import cone_rays, cone_triangle, newton_okounkov_body, q_points
 from hirzebruch.seshadri import is_minimal
 
+import row_reference
 from sieve_reference import reference_sieve
 
 from conftest import (
@@ -260,6 +261,33 @@ def test_all_violations_are_collected():
             [{"on_f1": True, "on_m": True}, {"parent": 5, "extra_proximity": 1}],
         )
     assert len(info.value.violations) == 2
+
+
+def test_violations_come_in_point_order_with_each_stretch_checked():
+    # The satellite rule is checked at p1, p2 and the first point of each
+    # stretch; p2 shares p1's stretch, p5 and p7 continue theirs, and each
+    # point's parent check comes before its satellite check.
+    records = [
+        {"extra_proximity": 4, "parent": 0, "on_f1": True, "on_m": True},
+        {"extra_proximity": 4},
+        {"parent": 1},
+        {"extra_proximity": 1},
+        {"extra_proximity": 1},
+        {"extra_proximity": 4},
+        {"extra_proximity": 4, "parent": 6},
+        {"extra_proximity": 5, "parent": 3},
+    ]
+    with pytest.raises(ChainBroken) as info:
+        build_configuration(Surface(0), records)
+    assert info.value.violations == [
+        "p1 has no parent",
+        "p1 cannot be proximate to p4",
+        "p2 cannot be proximate to p4",
+        "parent of p3 must be p2, got p1",
+        "p4 cannot be proximate to p1",
+        "parent of p8 must be p7, got p3",
+        "p8 cannot be proximate to p5",
+    ]
 
 
 # ------------------------------------------------------------- multiplicities
@@ -758,6 +786,124 @@ def test_cluster_layer_calls_stay_constant_in_r(monkeypatch, family):
     cone_triangle(flag, BigDivisor(1, 2))
     for name in names[1:]:
         assert counts[name] == 0, name
+
+
+def _outcome_of(fn, *args):
+    try:
+        return fn(*args)
+    except (SemigroupOverflow, NotRealizable) as exc:
+        return type(exc), str(exc)
+
+
+def _marks(config, stride):
+    """Every point when ``stride`` is 1; else every ``stride``-th point plus
+    the points around each stretch's ends, where pieces start and stop."""
+    r = config.r
+    if stride == 1:
+        return range(1, r + 1)
+    marks = {1, 2, r - 1, r, *range(1, r + 1, stride)}
+    for _, first, last in row_reference.stretches(config.extras):
+        marks |= {first - 2, first - 1, first, first + 1, last, last + 1}
+    return sorted(j for j in marks if 1 <= j <= r)
+
+
+def assert_pieces_match_tuple_rows(surface, config, stride=1):
+    """The piece readers against the tuple rows: at each stage (every one,
+    or the marks of :func:`_marks`) the expanded row and multiplicities, the
+    contact values, the stage numbers and the pairings with every marked
+    curvette; then the cone rays of every satellite flag against the
+    ``Fraction`` reference."""
+    extras = config.extras
+    for k in _marks(config, stride):
+        outcome = _outcome_of(row_reference.tuple_contact_values, extras, k)
+        assert _outcome_of(maximal_contact_values, config, k) == outcome, k
+        row = row_reference.tuple_row(extras, k)
+        assert config.curvette_values(k) == row, k
+        assert multiplicities(config, k) == row_reference.tuple_multiplicities(extras, k)
+        assert tuple(cluster._stage(surface, config, k)) == row_reference.tuple_stage(
+            surface, config, k
+        )
+        points = _marks(config, stride)
+        assert [truncation_pairing(config, k, j) for j in points] == [row[j - 1] for j in points]
+    val = divisorial_valuation(surface, config)
+    etas = sorted({config.r - 1, config.extra(config.r)} - {None, 0})
+    for eta in etas:
+        flag = flag_valuation(val, eta)
+        assert cone_rays(flag) == row_reference.fraction_cone_rays(flag), eta
+    return len(etas)
+
+
+def test_piece_readers_match_tuple_rows_on_corpus_and_draws(corpus):
+    vals = list(dict.fromkeys(val for val, _, _ in corpus))
+    rng = random.Random(20261020)
+    vals += [
+        random_valuation(rng, r_max=15, max_total=20_000, require_npi=False) for _ in range(200)
+    ]
+    flags = sum(assert_pieces_match_tuple_rows(val.surface, val.config) for val in vals)
+    assert len(vals) == 250 and flags >= 250
+
+
+@pytest.mark.parametrize("r", [17, 92, 512])
+@pytest.mark.parametrize("family", ["tail", "block"])
+def test_piece_readers_match_tuple_rows_on_ladder(family, r):
+    config = ladder_configuration(family, r)
+    assert_pieces_match_tuple_rows(Surface(2, SPECIAL), config)
+
+
+def test_piece_readers_match_tuple_rows_at_block_4096():
+    config = ladder_configuration("block", 4096)
+    assert_pieces_match_tuple_rows(Surface(2, SPECIAL), config, 128)
+
+
+def _large_case(beta_bar, delta, on_m, eta):
+    flag = {"kind": "free"} if eta is None else {"kind": "satellite", "eta": eta}
+    return {
+        "surface": {"delta": delta, "point_kind": "special"},
+        "beta_bar": beta_bar,
+        "on_f1": 1,
+        "on_m": on_m,
+        "flag": flag,
+        "divisor": {"a": 1, "b": 2},
+    }
+
+
+@pytest.mark.parametrize(
+    "r, data",
+    [
+        (4096, _large_case([4095, 4096, 4095 * 4096], 2, 1, 4095)),
+        (60_000, _large_case([20, 28, 153, 612 + 60_000 - 12], 150, 2, None)),
+        (60_000, _large_case([20, 28, 153, 612 + 60_000 - 12], 150, 2, 59_999)),
+    ],
+    ids=["block-4096-eta", "tail-60000-free", "tail-60000-eta"],
+)
+def test_large_cases_read_pieces_and_expand_no_row(monkeypatch, r, data):
+    # Load, classify, body and the cone triangle read rows through their
+    # pieces: no row is expanded, and every row kept has a few pieces per
+    # stretch of points, not one entry per point.
+    def refuse(self, k):
+        raise AssertionError(f"the stage-{k} row was expanded")
+
+    monkeypatch.setattr(Configuration, "curvette_values", refuse)
+    case = caseio.case_from_mapping(data)
+    assert caseio.classify_payload(case)["npi"]
+    body = caseio.body_payload(case)[0]
+    assert body["shape"] in ("triangle", "quadrilateral")
+    cone_triangle(case.flag, case.divisor)
+    config = case.valuation.config
+    assert config.r == r and config._rows
+    for starts, *_ in config._rows.values():
+        assert len(starts) <= 2 * len(config._firsts) + 2 < r // 100
+
+
+@pytest.mark.parametrize("bad", [0, -2, 13])
+@pytest.mark.parametrize("position", [0, 1])
+def test_truncation_pairing_refuses_either_index_out_of_range(position, bad):
+    config = special_example_valuation().config
+    assert config.r == 12
+    indices = [3, 3]
+    indices[position] = bad
+    with pytest.raises(ValueError, match=rf"^index {bad} out of range 1\.\.12$"):
+        truncation_pairing(config, *indices)
 
 
 def test_eta_valuation_at_first_point():

@@ -1,7 +1,6 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,13 +28,13 @@ from hirzebruch import (
     vol,
 )
 from hirzebruch.errors import HirzebruchError, MinimalValuation, NotBig, VerificationFailed
-from hirzebruch.cluster import truncation_pairing
 from hirzebruch.okounkov import _cross
 
 from hirzebruch import caseio, okounkov, seshadri
 
 import closed_form_reference
 import polygon_reference
+from row_reference import fraction_cone_rays
 
 from conftest import (
     CASES,
@@ -178,26 +177,6 @@ def test_cone_ray_gap_is_reciprocal_volume(corpus):
         (x0, y0), (x1, y1) = cone_rays(flag)
         gap = abs(Fraction(y1, x1) - Fraction(y0, x0))
         assert gap == Fraction(1, val.last_contact)
-
-
-def fraction_cone_rays(flag):
-    """Reference for :func:`cone_rays`: one pairing call per stage and
-    ``Fraction`` slope keys, the first extreme pair kept on ties."""
-    val = flag.base
-    if not flag.is_satellite:
-        return (1, 0), (val.last_contact, 1)
-    pairs = [
-        (truncation_pairing(val.config, val.r, i), truncation_pairing(val.config, flag.eta, i))
-        for i in range(1, val.r + 1)
-    ]
-
-    def primitive(p):
-        g = gcd(p[0], p[1])
-        return (p[0] // g, p[1] // g)
-
-    low = min(pairs, key=lambda p: Fraction(p[1], p[0]))
-    high = max(pairs, key=lambda p: Fraction(p[1], p[0]))
-    return primitive(low), primitive(high)
 
 
 def satellite_flags(val):
