@@ -15,13 +15,12 @@ the stage-``k`` valuation solve ``P m = e_k`` and the values of the stage
 curvettes solve ``P^T v = m``, that is
 ``nu(phi_i) = m_i + nu(phi_{i-1}) + nu(phi_{extra(i)})``.  The
 multiplicities are constant between the points that own a satellite run,
-so they are a few segments; a row is affine wherever the multiplicity and
-the extra are constant, so it is a few pieces, one per start of a stretch
-of points sharing their extra or of a segment.  Each configuration keeps
-its stretches and its rows as pieces by stage, so solving a row and
-reading an entry cost O(#stretches) and one bisection, whatever ``r``.
-Pairing the materialised truncated multiplicity vectors gives the same
-values in O(r^2) per stage; the tests keep that route as an oracle.
+and a row is affine wherever the multiplicity and the extra are constant,
+so a configuration keeps its stretches of points sharing one extra and its
+rows as pieces by stage: a row costs O(#stretches) and an entry one
+bisection, whatever ``r``.  Pairing the materialised truncated
+multiplicity vectors gives the same values in O(r^2) per stage; the tests
+keep that route as an oracle.
 
 The rows carry everything else: the numbers of a stage that the
 non-positivity test and the constant read are entries of its row
@@ -34,9 +33,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterable, Mapping, Sequence
 from decimal import Decimal
-from itertools import chain, groupby, islice, repeat
+from itertools import groupby, islice, repeat
 from math import gcd
-from operator import attrgetter, sub
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -271,8 +270,11 @@ def multiplicities(config: Configuration, r: int | None = None) -> tuple[int, ..
     if k == config.r and config._m is not None:
         return config._m
     starts, _, _, mults = _row(config, k)
-    lengths = map(sub, (*starts[1:], config.r + 1), starts)
-    m = tuple(islice(chain.from_iterable(map(repeat, mults, lengths)), k))
+    m = []
+    for a, b, x in zip(starts, (*starts[1:], config.r + 1), mults):
+        m += [x] * (b - a)
+    del m[k:]
+    m = tuple(m)
     if k == config.r:
         object.__setattr__(config, "_m", m)
     return m
@@ -283,16 +285,15 @@ def _row(config: Configuration, k: int) -> tuple[list[int], ...]:
     mults)``: from ``starts[p]`` up to the next start, entry ``j`` is
     ``offsets[p] + j * steps[p]`` and the multiplicity ``mults[p]``.
 
-    A backward pass solves ``P m = e_k`` as segments of constant value: the
-    last point has multiplicity one and points past ``k`` zero, a point
-    whose run holds satellites takes the sum over its run, read off the
-    suffix sums of the segments already solved, and every other point
-    repeats the next one.  At stage ``config.r``, whose last value sums the
-    squared multiplicities, a multiplicity whose square reaches the
-    semigroup cap is refused as soon as it is solved.  A forward pass over
-    the starts of the segments and of the stretches then solves
-    ``P^T v = m``, reading the value at a stretch's extra, an earlier point,
-    from the pieces already built.  Kept on the configuration by stage.
+    A backward pass solves ``P m = e_k`` as segments: the last point has
+    multiplicity one, points past ``k`` zero, a point whose run holds
+    satellites the sum over its run, read off the suffix sums of the
+    segments solved, and every other point that of the next one.  At stage
+    ``config.r``, whose last value sums the squared multiplicities, one whose
+    square reaches the semigroup cap is refused as soon as it is solved.  A
+    forward pass over the starts of the segments and stretches solves
+    ``P^T v = m``, reading the value at a stretch's extra from the pieces
+    already built.  Kept on the configuration by stage.
     """
     row = config._rows.get(k)
     if row is None:
