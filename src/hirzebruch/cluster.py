@@ -56,7 +56,7 @@ NON_SPECIAL = "non-special"
 _SEMIGROUP_VALUE_CAP = 1 << 24
 # Cap on the number of points r, checked before any point is built.
 _POINT_CAP = 1 << 16
-# The fields of a point record.
+# The fields a point record may hold; any other is refused.
 _POINT_FIELDS = frozenset(("parent", "extra_proximity", "on_f1", "on_m"))
 
 
