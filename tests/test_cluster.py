@@ -788,13 +788,6 @@ def test_cluster_layer_calls_stay_constant_in_r(monkeypatch, family):
         assert counts[name] == 0, name
 
 
-def _outcome_of(fn, *args):
-    try:
-        return fn(*args)
-    except (SemigroupOverflow, NotRealizable) as exc:
-        return type(exc), str(exc)
-
-
 def _marks(config, stride):
     """Every point when ``stride`` is 1; else every ``stride``-th point plus
     the points around each stretch's ends, where pieces start and stop."""
@@ -815,8 +808,8 @@ def assert_pieces_match_tuple_rows(surface, config, stride=1):
     ``Fraction`` reference."""
     extras = config.extras
     for k in _marks(config, stride):
-        outcome = _outcome_of(row_reference.tuple_contact_values, extras, k)
-        assert _outcome_of(maximal_contact_values, config, k) == outcome, k
+        outcome = _semigroup_outcome(row_reference.tuple_contact_values, extras, k)
+        assert _semigroup_outcome(maximal_contact_values, config, k) == outcome, k
         row = row_reference.tuple_row(extras, k)
         assert config.curvette_values(k) == row, k
         assert multiplicities(config, k) == row_reference.tuple_multiplicities(extras, k)
