@@ -13,14 +13,13 @@ is proximate to, so the points proximate to any ``p_i`` form one run
 Curves*, ch. 4).  With ``P`` the proximity matrix, the multiplicities of
 the stage-``k`` valuation solve ``P m = e_k`` and the values of the stage
 curvettes solve ``P^T v = m``, that is
-``nu(phi_i) = m_i + nu(phi_{i-1}) + nu(phi_{extra(i)})``.  The
-multiplicities are constant between the points that own a satellite run,
-and a row is affine wherever the multiplicity and the extra are constant,
-so a configuration keeps its stretches of points sharing one extra and its
-rows as pieces by stage: a row costs O(#stretches) and an entry one
-bisection, whatever ``r``.  Pairing the materialised truncated
-multiplicity vectors gives the same values in O(r^2) per stage; the tests
-keep that route as an oracle.
+``nu(phi_i) = m_i + nu(phi_{i-1}) + nu(phi_{extra(i)})``.  The multiplicities
+are constant between the points that own a satellite run, and a row is affine
+wherever the multiplicity and the extra are constant, so a configuration keeps
+its stretches of points sharing one extra and its rows as pieces by stage: a
+row costs O(#stretches) and an entry one bisection, whatever ``r``.  Pairing
+the materialised truncated multiplicity vectors gives the same values in
+O(r^2) per stage; the tests keep that route as an oracle.
 
 The rows carry everything else: the numbers of a stage that the
 non-positivity test and the constant read are entries of its row
@@ -121,12 +120,11 @@ class Configuration(_Record):
     _fields = ("extras", "n_f1", "n_m")
 
     def __init__(self, extras: tuple[int | None, ...], n_f1: int, n_m: int):
-        # Derived per instance and left out of equality and hashing: ``r``; the
-        # first point of each maximal stretch of points sharing one extra, mapped
-        # to that extra; ``last(i)`` for every point whose run holds satellites,
-        # in increasing ``i`` (the satellites proximate to p_i are the stretch
-        # p_{i+2}..p_{last(i)} whose extra is i); the stage-r multiplicities;
-        # the rows by stage, as pieces (:func:`_row`).
+        # Derived per instance and left out of equality and hashing: ``r``; each
+        # maximal stretch of points sharing one extra, as its first point mapped to
+        # that extra; ``last(i)`` for every point whose run holds satellites, in
+        # increasing ``i`` (the satellites proximate to p_i are the stretch
+        # p_{i+2}..p_{last(i)} with extra i); the stage-r multiplicities; the rows.
         firsts, last, end = {}, {}, 0
         for extra, group in groupby(extras):
             firsts[end + 1] = extra
@@ -301,8 +299,7 @@ def _row(config: Configuration, k: int) -> tuple[list[int], ...]:
             raise ValueError(f"index {k} out of range 1..{config.r}")
         # Segments by decreasing start, each with the sum from its start on;
         # m is held from the point after the next owner up to the last start.
-        starts, values, sums = [k + 1], [0], [0]
-        m = 1
+        starts, values, sums, m = [k + 1], [0], [0], 1
         for i, last in reversed(config._last.items()):
             if i < k:
                 s = sums[-1] + (starts[-1] - i - 1) * m
@@ -339,6 +336,14 @@ def _entry(row: tuple[list[int], ...], j: int) -> int:
     """Entry ``j`` of a row of :func:`_row`."""
     p = bisect_right(row[0], j) - 1
     return row[1][p] + j * row[2][p]
+
+
+def _pair_ends(config: Configuration, i: int, k: int) -> list[tuple[int, int]]:
+    """The pairs ``(nu_i(phi_j), nu_k(phi_j))`` at both ends ``j`` of each common
+    piece of the stage-``i`` and stage-``k`` rows, where both are affine in ``j``."""
+    x, y = _row(config, i), _row(config, k)
+    cuts = sorted({*x[0], *y[0], config.r + 1})
+    return [(_entry(x, j), _entry(y, j)) for a, b in zip(cuts, cuts[1:]) for j in {a, b - 1}]
 
 
 def maximal_contact_values(config: Configuration, r: int | None = None) -> tuple[int, ...]:
@@ -601,8 +606,9 @@ def truncation_pairing(config: Configuration, i: int, j: int) -> int:
     """Noether pairing of two stages: the value of one curvette under the
     other truncated valuation (symmetric in ``i`` and ``j``)."""
     r = config.r
-    if not (0 < i <= r and 0 < j <= r):
-        raise ValueError(f"index {j if 0 < i <= r else i} out of range 1..{r}")
+    for x in (i, j):
+        if not 0 < x <= r:
+            raise ValueError(f"index {x} out of range 1..{r}")
     return _entry(_row(config, i), j)
 
 

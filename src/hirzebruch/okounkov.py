@@ -21,13 +21,12 @@ unimodularity clause the stage's contact values.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
 from .cluster import FlagValuation, maximal_contact_values, npi_excess, truncation_pairing
-from .cluster import _Record, _row, _stage
+from .cluster import _Record, _pair_ends, _stage
 from .errors import (
     EtaNotNPI,
     InvariantBroken,
@@ -199,12 +198,7 @@ def cone_rays(flag: FlagValuation) -> tuple[tuple[int, int], tuple[int, int]]:
     val = flag.base
     if not flag.is_satellite:
         return (1, 0), (val.last_contact, 1)
-    (xs, ox, tx, _), (ys, oy, ty, _) = _row(val.config, val.r), _row(val.config, flag.eta)
-    cuts = sorted({*xs, *ys})
-    pairs = []
-    for a, b in zip(cuts, (*cuts[1:], val.r + 1)):
-        p, q = bisect_right(xs, a) - 1, bisect_right(ys, a) - 1
-        pairs += ((ox[p] + j * tx[p], oy[q] + j * ty[q]) for j in {a, b - 1})
+    pairs = _pair_ends(val.config, val.r, flag.eta)
     low = high = pairs[0]
     for p in pairs:
         if p[1] * low[0] < low[1] * p[0]:
