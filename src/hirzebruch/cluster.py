@@ -98,7 +98,7 @@ class Surface(_Record):
     _fields = ("delta", "point_kind")
 
     def __init__(self, delta: int, point_kind: str = SPECIAL):
-        if delta < 0:
+        if type(delta) is not int or delta < 0:
             raise ValueError("delta must be a non-negative integer")
         if point_kind not in (SPECIAL, GENERAL):
             raise ValueError(f"unknown point kind {point_kind!r}")
@@ -124,7 +124,7 @@ class Configuration(_Record):
         # maximal stretch of points sharing one extra, as its first point mapped to
         # that extra; ``last(i)`` for every point whose run holds satellites, in
         # increasing ``i`` (the satellites proximate to p_i are the stretch
-        # p_{i+2}..p_{last(i)} with extra i); the stage-r multiplicities; the rows.
+        # p_{i+2}..p_{last(i)} with extra i); the rows by stage.
         firsts, last, end = {}, {}, 0
         for extra, group in groupby(extras):
             firsts[end + 1] = extra
@@ -132,7 +132,7 @@ class Configuration(_Record):
             if extra is not None:
                 last[extra] = end
         vars(self).update(
-            extras=extras, n_f1=n_f1, n_m=n_m, r=end, _firsts=firsts, _last=last, _m=None, _rows={}
+            extras=extras, n_f1=n_f1, n_m=n_m, r=end, _firsts=firsts, _last=last, _rows={}
         )
 
     def extra(self, i: int) -> int | None:
@@ -262,20 +262,14 @@ def truncate(config: Configuration, k: int) -> Configuration:
 
 def multiplicities(config: Configuration, r: int | None = None) -> tuple[int, ...]:
     """Multiplicity vector of the valuation of the first ``r`` points,
-    expanded from the pieces of its curvette row.  The stage-``config.r``
-    vector is kept on the configuration."""
+    expanded from the pieces of its curvette row."""
     k = config.r if r is None else r
-    if k == config.r and config._m is not None:
-        return config._m
     starts, _, _, mults = _row(config, k)
     m = []
     for a, b, x in zip(starts, (*starts[1:], config.r + 1), mults):
         m += [x] * (b - a)
     del m[k:]
-    m = tuple(m)
-    if k == config.r:
-        object.__setattr__(config, "_m", m)
-    return m
+    return tuple(m)
 
 
 def _row(config: Configuration, k: int) -> tuple[list[int], ...]:
@@ -513,7 +507,7 @@ class DivisorialValuation(_Record):
         self, surface: Surface, config: Configuration, r: int, m: tuple[int, ...],
         beta_bar: tuple[int, ...], phi_f1: int, phi_m: int, kind: str,
     ):
-        # ``_tables``: the curve basis, dual graph and last body, kept by the layers.
+        # ``_tables``: the curve basis and the last body, kept by the layers.
         vars(self).update(
             surface=surface, config=config, r=r, m=m, beta_bar=beta_bar,
             phi_f1=phi_f1, phi_m=phi_m, kind=kind, _tables={},
@@ -640,9 +634,9 @@ def flag_valuation(base: DivisorialValuation, eta: int | None = None) -> FlagVal
     extra = base.config.extra(r)
     if extra is not None:
         targets.add(extra)
-    if eta not in targets:
+    if type(eta) is not int or eta not in targets:
         raise BadSatellite(
-            [f"E{eta} does not meet E{r}; valid satellite positions: {sorted(targets)}"]
+            [f"E{eta!r} does not meet E{r}; valid satellite positions: {sorted(targets)}"]
         )
     return FlagValuation(base, eta)
 

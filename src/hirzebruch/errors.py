@@ -15,8 +15,6 @@ class ConfigurationError(HirzebruchError):
     """Invalid cluster data; ``violations`` lists every broken constraint."""
 
     def __init__(self, violations):
-        if isinstance(violations, str):
-            violations = [violations]
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
 

@@ -226,8 +226,6 @@ def curve_basis(val: DivisorialValuation) -> CurveBasis:
 
 def dual_graph(val: DivisorialValuation) -> tuple[tuple[int, ...], ...]:
     """Adjacency lists of the exceptional curves, checked to form a tree."""
-    if "graph" in val._tables:
-        return val._tables["graph"]
     basis = curve_basis(val)
     r = val.r
     first = basis.index["E1"] - 1
@@ -254,8 +252,7 @@ def dual_graph(val: DivisorialValuation) -> tuple[tuple[int, ...], ...]:
                 stack.append(w)
     if len(seen) != r:
         raise NotATree("intersection graph is disconnected")
-    graph = val._tables["graph"] = tuple(tuple(a) for a in adj)
-    return graph
+    return tuple(tuple(a) for a in adj)
 
 
 def precedes(graph: tuple[tuple[int, ...], ...], alpha: int, beta: int) -> bool:

@@ -7,15 +7,17 @@ the breakpoint vertices of the Newton-Okounkov body; read at the stages
 below ``r`` it gives the negative parts at the breakpoints, which the
 tests compare with the engine.
 
-The iterative engine (:func:`zariski_decompose`) grows the support of the
+One growth step (:func:`_grow`) serves both oracles.  Read just after a
+wall ``t`` of the line ``D* - t E_r*``, it grows the support of the
 negative part inside the finite list of cone generators until the
-remainder is nef, solving the orthogonality conditions exactly at each
-step.  The same growth step (:func:`_grow`), read just after a wall ``t``
-of the line ``D* - t E_r*``, drives the chamber walk (:func:`_chamber_walk`)
-behind the oracle polygon: between two walls, a Zariski chamber
+remainder is nef just after ``t``, solving the orthogonality conditions
+exactly, and drives the chamber walk (:func:`_chamber_walk`) behind the
+oracle polygon: between two walls, a Zariski chamber
 (Bauer-Kuronya-Szemberg 2004), the negative part and the remainder's
 pairings are affine in ``t``, so one solve with two right-hand sides gives
-a whole chamber, and nothing of the closed form is read.
+a whole chamber, and nothing of the closed form is read.  The iterative
+engine (:func:`zariski_decompose`) is the same step on a line of slope
+zero at ``t = 0``: the class alone.
 :func:`alpha_beta` decomposes one point of the line, as the tests'
 reference for the walk.
 
@@ -181,20 +183,20 @@ def _forced(gram, rhs: list[int]) -> list[int]:
 def _grow(gram, names, columns, scale: int, t: tuple[int, int], chamber):
     """The engine's support growth for ``D + s L`` just after ``s = t``.
 
-    ``columns`` holds the pairings of ``D`` and, on a line, of ``L`` with
-    every generator over ``scale``.  A chamber ``(support, xs, det, rs)``
-    solves a support for each column, so on a line the negative part and
-    the remainder's pairings are ``(xa + s xb) / det`` and
-    ``(ra + s rb) / det``; ``chamber`` is the one solved so far.  ``t =
-    p / q`` comes as the pair ``(p, q)``, ``q > 0``, and just after it
-    ``v + s w`` has the sign of ``v q + w p``, else of ``w``.  The
-    generators the remainder meets negatively there join, with those the
-    forced walk (:func:`_forced`) reaches over the ones it meets at zero
-    with slope zero.  The enlarged support is solved for every column in
-    one elimination, the remainder's pairings follow by linearity over the
-    non-zero Gram entries, and the support grows again until the remainder
-    meets no generator negatively just after ``t``.  With ``D`` alone from
-    ``t = 0`` this is :func:`zariski_decompose`.
+    ``columns`` holds the pairings of ``D`` and of ``L`` with every
+    generator over ``scale``.  A chamber ``(support, xs, det, rs)`` solves a
+    support for both columns, so the negative part and the remainder's
+    pairings are ``(xa + s xb) / det`` and ``(ra + s rb) / det``;
+    ``chamber`` is the one solved so far.  ``t = p / q`` comes as the pair
+    ``(p, q)``, ``q > 0``, and just after it ``v + s w`` has the sign of
+    ``v q + w p``, else of ``w``.  The generators the remainder meets
+    negatively there join, with those the forced walk (:func:`_forced`)
+    reaches over the ones it meets at zero with slope zero.  The enlarged
+    support is solved for both columns in one elimination, the remainder's
+    pairings follow by linearity over the non-zero Gram entries, and the
+    support grows again until the remainder meets no generator negatively
+    just after ``t``.  With ``L = 0`` from ``t = 0`` this is
+    :func:`zariski_decompose`.
 
     A class with a decomposition visits only negative-definite supports,
     so one that is not is refused as not pseudoeffective.  A generator the
@@ -203,11 +205,8 @@ def _grow(gram, names, columns, scale: int, t: tuple[int, int], chamber):
     """
     support, xs, det, rs = chamber
     p, q = t
-    line = len(columns) == 2
     inside = set(support)
-    signs = (
-        [(v * q + w * p or w) * det for v, w in zip(*rs)] if line else [v * det for v in rs[0]]
-    )
+    signs = [(v * q + w * p or w) * det for v, w in zip(*rs)]
     for k in support:  # the support itself cannot join
         signs[k] = 1
     joining = start = _forced(gram, signs)
@@ -215,31 +214,20 @@ def _grow(gram, names, columns, scale: int, t: tuple[int, int], chamber):
         inside.update(joining)
         support = support + joining
         *xs, det = _forest_solve(gram, names, support, *columns)
-        rs = [[det * v for v in column] for column in columns]
-        ra, xa = rs[0], xs[0]
-        if line:  # both columns in one pass over the rows
-            rb = rs[1]
-            for i, x, y in zip(support, xa, xs[1]):
-                if x:
-                    for k, g in gram[i].items():
-                        ra[k] -= x * g
-                        rb[k] -= y * g
-                elif y:  # the first chamber's D* column solves to 0
-                    for k, g in gram[i].items():
-                        rb[k] -= y * g
-            falling = (
-                k for k, (v, w) in enumerate(zip(ra, rb)) if (v * q + w * p or w) * det < 0
-            )
-        else:
-            for i, x in zip(support, xa):
-                if x:
-                    for k, g in gram[i].items():
-                        ra[k] -= x * g
-            falling = (k for k, v in enumerate(ra) if v * det < 0)
+        rs = ra, rb = [[det * v for v in column] for column in columns]
+        for i, x, y in zip(support, *xs):  # both columns in one pass over the rows
+            if x:
+                for k, g in gram[i].items():
+                    ra[k] -= x * g
+                    rb[k] -= y * g
+            elif y:  # the first chamber's D* column solves to 0
+                for k, g in gram[i].items():
+                    rb[k] -= y * g
+        falling = (k for k, (v, w) in enumerate(zip(ra, rb)) if (v * q + w * p or w) * det < 0)
         joining = [k for k in falling if k not in inside]
+    xa, xb = xs
     for j, k in enumerate(start, len(chamber[0])):  # the start joined first
-        y = xs[1][j] if line else 0
-        if signs[k] == 0 and ((at := xs[0][j] * q + y * p) or y) * det <= 0:
+        if signs[k] == 0 and ((at := xa[j] * q + xb[j] * p) or xb[j]) * det <= 0:
             raise _broken("forced support", names, support, f"forced generator {names[k]} "
                           f"ends at {Fraction(at, q * det * scale)}")
     return support, xs, det, rs
@@ -251,15 +239,16 @@ def zariski_decompose(d: DivisorClassZ, basis: CurveBasis) -> ZariskiPair:
     Starting from the forced support, repeatedly solve for the negative
     part orthogonal to the remainder and enlarge the support by every
     generator the remainder still meets negatively: the growth step of
-    the chamber walk (:func:`_grow`) on ``d`` alone.  The support only
-    grows, so the loop stabilizes.  No coefficient goes negative: minus
-    the support Gram is an M-matrix, and the forced start and each later
-    round's increment solve for right-hand sides ``<= 0``.
+    the chamber walk (:func:`_grow`) on the line ``d + s 0`` at ``s = 0``.
+    The support only grows, so the loop stabilizes.  No coefficient goes
+    negative: minus the support Gram is an M-matrix, and the forced start
+    and each later round's increment solve for right-hand sides ``<= 0``.
     """
     names, gram = basis.names, basis.sparse_gram
     rhs, scale = basis.pairings(d)
-    support, (x,), det, (rest,) = _grow(
-        gram, names, (rhs,), scale, (0, 1), ([], [[]], 1, [rhs])
+    zero = [0] * len(rhs)
+    support, (x, _), det, (rest, _) = _grow(
+        gram, names, (rhs, zero), scale, (0, 1), ([], [[], []], 1, [rhs, zero])
     )
     chosen = sorted((idx, xi) for idx, xi in zip(support, x) if xi * det > 0)
     components = tuple((names[idx], Fraction(xi, det * scale)) for idx, xi in chosen)

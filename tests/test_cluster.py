@@ -2,6 +2,7 @@ import functools
 import json
 import random
 import tracemalloc
+from decimal import Decimal
 from math import gcd
 
 import pytest
@@ -534,8 +535,28 @@ def test_value_cap_refuses_alternating_satellites_before_the_row():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert config.r == r and config._rows == {} and config._m is None
+    assert config.r == r and config._rows == {}
     assert peak < 32 << 20, peak
+
+
+def test_value_cap_refusal_prints_a_total_past_the_digit_limit():
+    # Only stage r refuses while it solves the multiplicities, so a library
+    # call at stage r - 1 builds the whole row and refuses its total, here
+    # of 4,347 digits: past the 4,300-digit int-to-str limit, yet printed.
+    r = 10400
+    surface = Surface(0)
+    points = [{"on_f1": True, "on_m": True}, {}]
+    points += [{"extra_proximity": i - 2} for i in range(3, r + 1)]
+    config = build_configuration(surface, points)
+    with pytest.raises(SemigroupOverflow) as info:
+        maximal_contact_values(config, r - 1)
+    message = str(info.value)
+    assert len(message) == 4381
+    prefix, suffix = "semigroup value bound ", " exceeds cap"
+    assert message.startswith(prefix) and message.endswith(suffix)
+    digits = message[len(prefix):-len(suffix)]
+    assert len(digits) > 4300 and digits.isdigit()
+    assert Decimal(digits) == sum(x * x for x in multiplicities(config, r - 1))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -761,13 +782,11 @@ def test_cluster_layer_calls_stay_constant_in_r(monkeypatch, family):
             return _original(*args)
 
         monkeypatch.setattr(cluster, name, counted)
-    solved = []  # the stage of every multiplicity call that has to solve
+    solved = []  # the stage of every multiplicity call
     kept = cluster.multiplicities
 
     def counted_solve(config, r=None):
-        k = config.r if r is None else r
-        if k < config.r or config._m is None:
-            solved.append(k)
+        solved.append(config.r if r is None else r)
         return kept(config, r)
 
     monkeypatch.setattr(cluster, "multiplicities", counted_solve)
@@ -775,7 +794,8 @@ def test_cluster_layer_calls_stay_constant_in_r(monkeypatch, family):
     config = ladder_configuration(family, r)
     assert counts["_coerce_point"] == 0
     val = divisorial_valuation(Surface(2, SPECIAL), config)
-    # The round trip solves stage r once; the valuation reuses that vector.
+    # The valuation solves the stage-r multiplicities once; the round trip
+    # reads only the curvette row.
     assert solved == [r]
     assert val.r == r
     assert val.beta_bar == tuple(ladder_beta_bar(family, r))
@@ -928,6 +948,14 @@ def test_flag_positions_are_validated():
     assert flag_valuation(val, 11).eta == 11
     with pytest.raises(BadSatellite):
         flag_valuation(val, 5)
+    # On [2, 3, 6] (delta = 1, r = 3) E3 meets E1 and E2.  True, 1.0 and
+    # 2.0 equal a position but name no divisor, and a list is unhashable.
+    surface = Surface(1)
+    val = divisorial_valuation(surface, from_maximal_contact(surface, [2, 3, 6]))
+    assert flag_valuation(val, 1).eta == 1 and flag_valuation(val, 2).eta == 2
+    for eta in (True, 1.0, 2.0, "2", [2]):
+        with pytest.raises(BadSatellite, match=r"valid satellite positions: \[1, 2\]$"):
+            flag_valuation(val, eta)
 
 
 # -------------------------------------------------------------- classification

@@ -416,9 +416,9 @@ def test_records_are_immutable_values(name):
 
 
 def test_record_caches_stay_out_of_equality():
-    # A configuration with computed rows and multiplicities, and a
-    # valuation holding its basis, dual graph and body, equal, hash and
-    # print as fresh ones.
+    # A configuration with computed rows, and a valuation holding its basis
+    # and body, equal, hash and print as fresh ones, also after their
+    # multiplicities and dual graph were read.
     flag, fresh = _block_flag(), _block_flag()
     config = flag.base.config
     config.curvette_values(2)
@@ -427,8 +427,8 @@ def test_record_caches_stay_out_of_equality():
     dual_graph(flag.base)
     newton_okounkov_body(flag, BigDivisor(1, 2))
     bare = Configuration(config.extras, config.n_f1, config.n_m)
-    assert config._rows and config._m is not None and flag.base._tables
-    assert not bare._rows and bare._m is None and not fresh.base._tables
+    assert config._rows and flag.base._tables
+    assert not bare._rows and not fresh.base._tables
     for warm, cold in ((config, bare), (config, fresh.base.config), (flag.base, fresh.base)):
         assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
     assert flag == fresh
@@ -447,6 +447,9 @@ def test_record_reprs_and_refusals_are_unchanged():
     )
     for build, message in (
         (lambda: Surface(-1), "delta must be a non-negative integer"),
+        (lambda: Surface(True), "delta must be a non-negative integer"),
+        (lambda: Surface(1.5), "delta must be a non-negative integer"),
+        (lambda: Surface(2.0), "delta must be a non-negative integer"),
         (lambda: Surface(0, "general"), "every point of the delta=0 surface is special"),
         (lambda: Surface(1, "elsewhere"), "unknown point kind 'elsewhere'"),
         (lambda: BigDivisor(True, 2), "divisor coordinates must be integers: True, 2"),
